@@ -42,19 +42,38 @@ class LaurentSeries:
     __slots__ = ("field", "val", "coeffs", "exact")
 
     def __init__(self, field, val, coeffs, exact):
-        cs = [_val(c) % field.q for c in coeffs]
-        prec = math.inf if exact else val + len(cs)
-        while cs and cs[0] == 0:
-            cs.pop(0)
-            val += 1
-        if exact:
-            while cs and cs[-1] == 0:
-                cs.pop()
-        if not cs:
-            val = 0 if exact else prec
+        q = field.q
+        self._store(field, val, [_val(c) % q for c in coeffs], exact)
+
+    @classmethod
+    def _from_codes(cls, field, val, cs, exact):
+        """Series from int codes already in range(q): only zeros are stripped.
+
+        Arithmetic results come through here; their coefficients are table
+        lookups, so the normalisation of the public constructor is skipped.
+        """
+        out = cls.__new__(cls)
+        out._store(field, val, cs, exact)
+        return out
+
+    def _store(self, field, val, cs, exact):
+        n = len(cs)
+        lo = 0
+        while lo < n and cs[lo] == 0:
+            lo += 1
+        if lo == n:
+            val = 0 if exact else val + n
+            cs = ()
+        else:
+            hi = n
+            if exact:
+                while cs[hi - 1] == 0:
+                    hi -= 1
+            val += lo
+            cs = tuple(cs[lo:hi])
         self.field = field
         self.val = val
-        self.coeffs = tuple(cs)
+        self.coeffs = cs
         self.exact = exact
 
     # constructors
@@ -127,9 +146,9 @@ class LaurentSeries:
 
     def _finish(self, val, cs, prec):
         if prec == math.inf:
-            return LaurentSeries(self.field, val, cs, True)
+            return LaurentSeries._from_codes(self.field, val, cs, True)
         cs = cs[: max(0, prec - val)]
-        out = LaurentSeries(self.field, val, cs, False)
+        out = LaurentSeries._from_codes(self.field, val, cs, False)
         if out.coeffs and out.prec_abs - out.val < MIN_TERMS:
             raise PrecisionLoss(
                 "only %d terms survive (need %d)" % (out.prec_abs - out.val, MIN_TERMS)
@@ -146,12 +165,16 @@ class LaurentSeries:
             return self._finish(self.val, list(self.coeffs), prec)
         lo = min(self.val, other.val)
         hi = prec if prec != math.inf else max(self._end(), other._end())
-        cs = [0] * max(0, hi - lo)
+        n = max(0, hi - lo)
+        cs = [0] * n
+        add = f._addt
         for src in (self, other):
-            for i, c in enumerate(src.coeffs):
-                k = src.val + i - lo
-                if 0 <= k < len(cs):
-                    cs[k] = f.add(cs[k], c)
+            start = src.val - lo
+            end = min(n, start + len(src.coeffs))
+            if start < end:
+                cs[start:end] = [
+                    add[c][d] for c, d in zip(cs[start:end], src.coeffs)
+                ]
         return self._finish(lo, cs, prec)
 
     def _end(self):
@@ -159,8 +182,9 @@ class LaurentSeries:
         return self.val + len(self.coeffs)
 
     def __neg__(self):
-        return LaurentSeries(
-            self.field, self.val, [self.field.neg(c) for c in self.coeffs], self.exact
+        neg = self.field._negt
+        return LaurentSeries._from_codes(
+            self.field, self.val, [neg[c] for c in self.coeffs], self.exact
         )
 
     def __sub__(self, other):
@@ -181,12 +205,18 @@ class LaurentSeries:
             else prec - lo
         )
         cs = [0] * n
-        for i, a in enumerate(self.coeffs):
+        add = f._addt
+        mult = f._mult
+        xs, ys = self.coeffs, other.coeffs
+        if len(ys) < len(xs):
+            xs, ys = ys, xs
+        for i, a in enumerate(xs[:n]):
             if a:
-                row = f._mult[a]
-                for j, b in enumerate(other.coeffs):
-                    if b and i + j < n:
-                        cs[i + j] = f.add(cs[i + j], row[b])
+                row = mult[a]
+                end = min(n, i + len(ys))
+                cs[i:end] = [
+                    add[c][row[b]] for c, b in zip(cs[i:end], ys)
+                ]
         return self._finish(lo, cs, prec)
 
     __radd__ = __add__
@@ -201,7 +231,9 @@ class LaurentSeries:
             if self.exact:
                 return self
             return LaurentSeries.inexact_zero(self.field, self.val + k)
-        return LaurentSeries(self.field, self.val + k, self.coeffs, self.exact)
+        return LaurentSeries._from_codes(
+            self.field, self.val + k, self.coeffs, self.exact
+        )
 
     def inverse(self):
         f = self.field

@@ -179,10 +179,6 @@ class SplitEmbedding:
         return max(0, -self.valuation_profile()["transfer"])
 
 
-def make_embedding(alg):
-    return SplitEmbedding(alg)
-
-
 def completeness_bound(emb, v, w, slack=2):
     """Degree bound that provably captures every unit carrying v to w.
 
@@ -203,10 +199,19 @@ def hom_units(emb, U, V, B):
     maps the column lattice of U onto a scalar multiple of that of V.
 
     The scalar is pinned by determinant valuations; when those differ by
-    an odd amount no element can work and the list is empty.  Candidates
-    solve the linear system "pi^{-m} V^{-1} iota(lambda) U is integral"
-    over the constant field, then pass the norm filter, and each survivor
-    is re-checked against the lattice condition directly.
+    an odd amount no element can work and the list is empty.  Otherwise
+    m is half the difference, and lambda is the sum of c[image, k] T^k
+    times image over the basis images (1, i, j, ij) and degrees k <= B.
+    "pi^{-m} V^{-1} iota(lambda) U is integral" is then a linear system
+    for the c over the constant field: one column per (image, k), images
+    outermost, and one row per (entry, t) saying that the coefficient of
+    u^t, t < 0, vanishes in that matrix entry.  Its cell is the
+    coefficient of u^(t+k+m) in the entry of the core
+    V^{-1} iota(image) U, so the four cores are computed once and every
+    row is read off their coefficient tuples.  t runs up from the lowest
+    valuation any column reaches, and rows that are entirely zero are
+    dropped.  Candidates from the kernel then pass the norm filter, and
+    each survivor is re-checked against the lattice condition directly.
     """
     alg = emb.alg
     fld = alg.field
@@ -217,39 +222,53 @@ def hom_units(emb, U, V, B):
         return []
     m = diff // 2
     vinv = V.inverse()
-    cand = []
-    for img in emb.images():
-        core = (vinv * img) * U
-        for k in range(B + 1):
-            cand.append(core.scale(LaurentSeries.monomial(fld, -k - m)).entries())
+    cores = [((vinv * img) * U).entries() for img in emb.images()]
+    width = B + 1
     lo = 0
-    for entries in cand:
-        for e in entries:
-            if not e.exact and e.prec_abs < 0:
-                raise PrecisionLoss(
-                    "lattice constraint entry known only to O(u^%d)" % e.prec_abs
-                )
-            if not e.is_zero:
-                lo = min(lo, e.val)
+    for entries in cores:
+        for k in range(width):
+            for e in entries:
+                if not e.exact and e.prec_abs - k - m < 0:
+                    raise PrecisionLoss(
+                        "lattice constraint entry known only to O(u^%d)"
+                        % (e.prec_abs - k - m)
+                    )
+                if not e.is_zero:
+                    lo = min(lo, e.val - k - m)
+    # Exponents t+k+m for t in [lo, 0) and k in [0, B] span [lo+m, B+m).
+    # Each window holds one entry's coefficients there, zero outside what
+    # is stored: the precision check above keeps every exponent that a
+    # row reads below the entry's precision.
+    span = B - lo
     rows = []
     for pos in range(4):
-        for t in range(lo, 0):
-            row = [entries[pos].coeff(t) for entries in cand]
+        windows = []
+        for entries in cores:
+            e = entries[pos]
+            cs = e.coeffs
+            off = lo + m - e.val
+            windows.append(
+                [cs[i] if 0 <= i < len(cs) else 0 for i in range(off, off + span)]
+            )
+        for start in range(-lo):
+            row = []
+            for w in windows:
+                row.extend(w[start : start + width])
             if any(row):
                 rows.append(row)
-    kernel = nullspace(rows, len(cand), fld)
+    ncols = 4 * width
+    kernel = nullspace(rows, ncols, fld)
     if kernel and fld.q ** len(kernel) > 500000:
         raise NonterminationGuard(
             "unit candidate space has dimension %d; refusing to enumerate"
             % len(kernel)
         )
     target = canonical_form(V)
-    width = B + 1
     out = []
     for combo in product(range(fld.q), repeat=len(kernel)):
         if not any(combo):
             continue
-        vec = [0] * len(cand)
+        vec = [0] * ncols
         for c, kv in zip(combo, kernel):
             if c:
                 vec = [fld.add(x, fld.mul(c, y)) for x, y in zip(vec, kv)]
@@ -531,7 +550,7 @@ def build_quotient(
     while True:
         try:
             with working_precision(prec):
-                emb = make_embedding(alg)
+                emb = SplitEmbedding(alg)
                 return _bfs(emb, profile, base, slack, class_limit, log)
         except PrecisionLoss:
             if prec >= MAX_PREC:

@@ -29,10 +29,10 @@ from btquot.laurent import LaurentSeries, embed
 from btquot.order import StandardOrder, solve_torsion, torsion_classes
 from btquot.quat import QuatAlgebra
 from btquot.quotient import (
+    SplitEmbedding,
     are_equivalent,
     build_quotient,
     find_quotient_algebra,
-    make_embedding,
 )
 
 
@@ -207,7 +207,7 @@ def test_acceptance_4_torsion_census_pairing(segment_quotients):
     assert theta2 in elems
 
     graph, _ = segment_quotients[3]
-    emb = make_embedding(alg)
+    emb = SplitEmbedding(alg)
     terminals = [v for v in graph.vertices if graph.degree(v.index) == 1]
     assert len(terminals) == 2
     fibers = {v.index: 0 for v in terminals}
@@ -231,7 +231,7 @@ def test_acceptance_4_torsion_census_pairing(segment_quotients):
 def test_acceptance_5_explicit_generator_orders():
     alg = segment_algebra(3)
     fld = alg.field
-    emb = make_embedding(alg)
+    emb = SplitEmbedding(alg)
     theta1 = alg.elem(0, 1, 0, 0)
     theta2 = alg.elem(0, parse_poly(fld, "2*T - 1"), 0, 2)
     ident = Mat2K.identity(fld)

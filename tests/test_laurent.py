@@ -257,3 +257,57 @@ def test_division():
     quot = num / den
     assert quot.agrees_with(embed(RatFunc(T**2 + 1, T + 2)))
     assert (quot * den).agrees_with(num)
+
+
+def test_constructor_normalises_field_elems_and_out_of_range_ints():
+    fld = make_field(3)
+    s = LaurentSeries(fld, 0, [fld.elem(2), 5], True)
+    assert s.coeffs == (2, 2)
+    assert all(type(c) is int for c in s.coeffs)
+    # zeros in any spelling are stripped from both ends of an exact series
+    t = LaurentSeries(fld, -1, [3, fld.elem(0), -2, 6, 0], True)
+    assert (t.val, t.coeffs) == (1, (1,))
+    # an inexact series keeps its trailing zeros: they are known digits
+    r = LaurentSeries(fld, 0, [fld.elem(0), 4, 9], False)
+    assert (r.val, r.coeffs, r.prec_abs) == (1, (1, 0), 3)
+    z = LaurentSeries(fld, 2, [3, fld.elem(0)], False)
+    assert z.is_zero and (z.val, z.prec_abs) == (4, 4)
+
+
+def rand_series(rng, fld, width=12):
+    """Exact, or inexact with a long enough tail to survive products."""
+    val = rng.randrange(-4, 3)
+    if rng.random() < 0.4:
+        return LaurentSeries(fld, val, [rng.randrange(fld.q) for _ in range(5)], True)
+    cs = [rng.randrange(1, fld.q)] + [rng.randrange(fld.q) for _ in range(width)]
+    return LaurentSeries(fld, val, cs, False)
+
+
+def test_arithmetic_results_are_int_codes_matching_coefficientwise_sums():
+    rng = random.Random(53)
+    for fld in (make_field(3), make_field(5), make_field(3, 2)):
+        for _ in range(40):
+            a = rand_series(rng, fld)
+            b = rand_series(rng, fld)
+            prod = a * b
+            total = a + b
+            results = [prod, total, -a, a.shift(3), a.shift(-2)]
+            if a.coeffs:
+                results.append(a.inverse())
+            for r in results:
+                assert all(type(c) is int and 0 <= c < fld.q for c in r.coeffs)
+                assert not r.coeffs or (r.coeffs[0] and (not r.exact or r.coeffs[-1]))
+            assert prod.prec_abs == min(a.prec_abs + b.val, b.prec_abs + a.val)
+            assert total.prec_abs == min(a.prec_abs, b.prec_abs)
+            ends = [s.val + len(s.coeffs) for s in (a, b)]
+            hi = prod.prec_abs if not prod.exact else sum(ends)
+            for k in range(a.val + b.val, hi):
+                want = 0
+                for i in range(a.val, k - b.val + 1):
+                    want = fld.add(want, fld.mul(a.coeff(i), b.coeff(k - i)))
+                assert prod.coeff(k) == want
+            hi = total.prec_abs if not total.exact else max(ends)
+            for k in range(min(a.val, b.val), hi):
+                assert total.coeff(k) == fld.add(a.coeff(k), b.coeff(k))
+            assert (-a + a).is_zero
+            assert a.shift(3).shift(-3) == a

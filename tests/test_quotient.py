@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -13,6 +14,7 @@ from btquot.errors import (
 from btquot.gfpoly import Poly, make_field, parse_poly
 from btquot.invariants import critical_group, cross_check, graph_h1
 from btquot.laurent import LaurentSeries, embed, working_precision
+from btquot.linalg import nullspace
 from btquot.order import Witness
 from btquot.quat import parse_algebra, ramified_set
 from btquot.quotient import (
@@ -23,7 +25,6 @@ from btquot.quotient import (
     build_quotient,
     completeness_bound,
     hom_units,
-    make_embedding,
     stabilizer,
 )
 
@@ -59,7 +60,7 @@ def rand_elem(rng, alg, deg=1):
 def test_embedding_relations():
     rng = random.Random(11)
     for alg in (segment_algebra(), banana_algebra(), segment_algebra(5)):
-        emb = make_embedding(alg)
+        emb = SplitEmbedding(alg)
         ident, mi, mj, mij = emb.images()
         a_ser = embed(alg.a)
         b_ser = embed(alg.b)
@@ -85,7 +86,7 @@ def test_embedding_relations():
 
 def test_embedding_trace():
     alg = segment_algebra()
-    emb = make_embedding(alg)
+    emb = SplitEmbedding(alg)
     rng = random.Random(13)
     for _ in range(6):
         lam = rand_elem(rng, alg)
@@ -96,7 +97,7 @@ def test_embedding_trace():
 def test_embedding_coords_roundtrip():
     rng = random.Random(17)
     alg = segment_algebra()
-    emb = make_embedding(alg)
+    emb = SplitEmbedding(alg)
     for _ in range(6):
         lam = rand_elem(rng, alg, deg=2)
         got = emb.coords(emb.matrix(lam))
@@ -108,19 +109,19 @@ def test_embedding_even_q_unsupported():
     fld = make_field(2)
     alg = parse_algebra(fld, "H(1, T^2 + T)")
     with pytest.raises(Unsupported):
-        make_embedding(alg)
+        SplitEmbedding(alg)
 
 
 def test_embedding_needs_square():
     fld = make_field(3)
     alg = parse_algebra(fld, "H(2, T)")
     with pytest.raises(NotASquare):
-        make_embedding(alg)
+        SplitEmbedding(alg)
 
 
 def test_valuation_profile_and_bounds():
     alg = segment_algebra()
-    emb = make_embedding(alg)
+    emb = SplitEmbedding(alg)
     prof = emb.valuation_profile()
     assert prof == {"image": -1, "transfer": 0}
     assert emb.bound_constant() == 0
@@ -134,7 +135,7 @@ def test_valuation_profile_and_bounds():
 
 def test_theta2_matrix_shape():
     alg = segment_algebra()
-    emb = make_embedding(alg)
+    emb = SplitEmbedding(alg)
     m = emb.matrix(theta2(alg))
     assert m.a.is_zero and m.d.is_zero
     assert sorted((m.b.ord(), m.c.ord())) == [-1, 1]
@@ -145,7 +146,7 @@ def test_theta2_matrix_shape():
 
 def test_stabilizer_base_q3():
     alg = segment_algebra()
-    emb = make_embedding(alg)
+    emb = SplitEmbedding(alg)
     fld = alg.field
     base = TreeVertex.base(fld)
     group = stabilizer(emb, base)
@@ -161,7 +162,7 @@ def test_stabilizer_base_q3():
 
 def test_stabilizer_neighbors_of_base():
     alg = segment_algebra()
-    emb = make_embedding(alg)
+    emb = SplitEmbedding(alg)
     child = stabilizer(emb, TreeVertex(alg.field, 1))
     assert child.order == 8
     assert theta2(alg) in child.elements
@@ -172,7 +173,7 @@ def test_stabilizer_neighbors_of_base():
 
 def test_hom_units_identity_example():
     alg = segment_algebra()
-    emb = make_embedding(alg)
+    emb = SplitEmbedding(alg)
     ident = Mat2K.identity(alg.field)
     found = hom_units(emb, ident, ident, 1)
     assert len(found) == 8
@@ -185,7 +186,7 @@ def test_hom_units_identity_example():
 def test_hom_units_pi_lattice_example():
     alg = segment_algebra()
     fld = alg.field
-    emb = make_embedding(alg)
+    emb = SplitEmbedding(alg)
     s = embed(alg.b).sqrt()
     pi = embed(parse_poly(fld, "2*T + 2")) + LaurentSeries.scalar(fld, 2) * s
     assert pi.ord() == -1
@@ -203,16 +204,124 @@ def test_hom_units_pi_lattice_example():
 def test_hom_units_parity_empty():
     alg = segment_algebra()
     fld = alg.field
-    emb = make_embedding(alg)
+    emb = SplitEmbedding(alg)
     base = TreeVertex.base(fld)
     parent = TreeVertex(fld, -1)
     assert hom_units(emb, base.matrix(), parent.matrix(), 3) == []
 
 
+def reference_hom_units(emb, U, V, B):
+    """hom_units with the constraint system assembled from full series
+    products, one shifted copy of each core per degree k."""
+    alg = emb.alg
+    fld = alg.field
+    if B < 0:
+        return []
+    diff = U.det().ord() - V.det().ord()
+    if diff % 2:
+        return []
+    m = diff // 2
+    vinv = V.inverse()
+    cand = []
+    for img in emb.images():
+        core = (vinv * img) * U
+        for k in range(B + 1):
+            cand.append(core.scale(LaurentSeries.monomial(fld, -k - m)).entries())
+    lo = 0
+    for entries in cand:
+        for e in entries:
+            if not e.exact and e.prec_abs < 0:
+                raise PrecisionLoss(
+                    "lattice constraint entry known only to O(u^%d)" % e.prec_abs
+                )
+            if not e.is_zero:
+                lo = min(lo, e.val)
+    rows = []
+    for pos in range(4):
+        for t in range(lo, 0):
+            row = [entries[pos].coeff(t) for entries in cand]
+            if any(row):
+                rows.append(row)
+    kernel = nullspace(rows, len(cand), fld)
+    target = canonical_form(V)
+    width = B + 1
+    out = []
+    for combo in product(range(fld.q), repeat=len(kernel)):
+        if not any(combo):
+            continue
+        vec = [0] * len(cand)
+        for c, kv in zip(combo, kernel):
+            if c:
+                vec = [fld.add(x, fld.mul(c, y)) for x, y in zip(vec, kv)]
+        coords = [
+            Poly(fld, vec[cix * width : (cix + 1) * width]) for cix in range(4)
+        ]
+        lam = alg.elem(*coords)
+        nr = lam.norm()
+        if not nr.is_const or nr.is_zero:
+            continue
+        assert canonical_form(emb.matrix(lam) * U) == target
+        out.append(lam)
+    out.sort(key=lambda g: tuple(c.sort_key() for c in g.coords))
+    return out
+
+
+def rand_vertex(rng, fld, depth):
+    n = rng.randrange(-depth, depth + 1)
+    digits = [rng.randrange(fld.q) for _ in range(depth)]
+    return TreeVertex(fld, n, LaurentSeries(fld, n - depth, digits, True))
+
+
+def hom_outcome(fn, emb, v, w, bound):
+    try:
+        return "ok", fn(emb, v.matrix(), w.matrix(), bound)
+    except PrecisionLoss as exc:
+        return "loss", str(exc)
+
+
+def test_hom_units_matches_per_degree_reference():
+    seen = set()
+    for alg, pairs, depth, seed in (
+        (segment_algebra(), 14, 3, 61),
+        (banana_algebra(), 10, 3, 67),
+        (segment_algebra(5), 5, 2, 71),
+    ):
+        fld = alg.field
+        rng = random.Random(seed)
+        emb = SplitEmbedding(alg)
+        base = TreeVertex.base(fld)
+        todo = [(base, base), (base, TreeVertex(fld, 2)), (base, TreeVertex(fld, -1))]
+        while len(todo) < pairs:
+            v = rand_vertex(rng, fld, depth)
+            todo.append((v, v if rng.random() < 0.2 else rand_vertex(rng, fld, depth)))
+        for v, w in todo:
+            bound = completeness_bound(emb, v, w)
+            got = hom_outcome(hom_units, emb, v, w, bound)
+            assert got == hom_outcome(reference_hom_units, emb, v, w, bound)
+            diff = v.n - w.n
+            seen.add(
+                "stabilizer" if v == w
+                else "odd" if diff % 2
+                else "nonzero m" if diff
+                else "zero m"
+            )
+            seen.add("found" if got[1] else "empty")
+        with working_precision(8):
+            for v, w in todo + [(TreeVertex(fld, -6), TreeVertex(fld, -6))]:
+                bound = completeness_bound(emb, v, w)
+                got = hom_outcome(hom_units, emb, v, w, bound)
+                assert got == hom_outcome(reference_hom_units, emb, v, w, bound)
+                # "lattice" is the constraint-system check, "only" a short product
+                seen.add(got[1].split()[0] if got[0] == "loss" else "ok")
+    assert seen >= {
+        "stabilizer", "odd", "nonzero m", "zero m", "found", "empty", "ok", "lattice"
+    }
+
+
 def test_are_equivalent_basics():
     alg = segment_algebra()
     fld = alg.field
-    emb = make_embedding(alg)
+    emb = SplitEmbedding(alg)
     base = TreeVertex.base(fld)
     same = are_equivalent(emb, base, base)
     assert isinstance(same, Witness)
@@ -226,7 +335,7 @@ def test_are_equivalent_basics():
 def test_are_equivalent_same_type_vertices():
     alg = segment_algebra()
     fld = alg.field
-    emb = make_embedding(alg)
+    emb = SplitEmbedding(alg)
     base = TreeVertex.base(fld)
     sibling = TreeVertex(fld, 0, LaurentSeries.monomial(fld, -1))
     verdict = are_equivalent(emb, base, sibling)
@@ -316,11 +425,21 @@ def test_build_quotient_low_precision_retries():
     assert len(graph.edges) == 1
 
 
+def test_build_quotient_retry_gives_default_precision_graph():
+    fld = make_field(3)
+    alg = parse_algebra(fld, "H(T^3 + 2*T + 1, T^2 + 1)")
+    retried = build_quotient(alg, initial_precision=16)
+    retries = [entry for entry in retried.log if entry["event"] == "retry"]
+    assert retries == [{"event": "retry", "precision": 32}]
+    assert retried.to_dict() == build_quotient(alg).to_dict()
+    assert len(retried.vertices) == 26
+
+
 def test_precision_loss_raised_when_window_unreachable():
     alg = segment_algebra()
     fld = alg.field
     with working_precision(8):
-        emb = make_embedding(alg)
+        emb = SplitEmbedding(alg)
         far = TreeVertex(fld, -6)
         with pytest.raises(PrecisionLoss):
             stabilizer(emb, far)
@@ -341,7 +460,7 @@ def test_stabilizer_group_rejects_bad_order():
 
 def test_banana_neighbor_orbits_are_singletons():
     alg = banana_algebra()
-    emb = make_embedding(alg)
+    emb = SplitEmbedding(alg)
     base = TreeVertex.base(alg.field)
     group = stabilizer(emb, base)
     assert group.order == 2

@@ -85,7 +85,7 @@ def _exact_below(x, n):
         return LaurentSeries.zero(x.field)
     hi = min(n, x.val + len(x.coeffs))
     cs = x.coeffs[: max(0, hi - x.val)]
-    return LaurentSeries(x.field, x.val, cs, True)
+    return LaurentSeries._from_codes(x.field, x.val, cs, True)
 
 
 class Mat2K:
@@ -201,7 +201,7 @@ def canonical_form(m):
     # column scalings leave only the shift to reduce modulo u^k
     lo = min(b.val, k) if not b.is_zero else k
     digits = [b.coeff(t) for t in range(lo, k)]
-    x = LaurentSeries(m.field, lo - m_ord, digits, True)
+    x = LaurentSeries._from_codes(m.field, lo - m_ord, digits, True)
     return TreeVertex(m.field, k - m_ord, x)
 
 

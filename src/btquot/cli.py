@@ -10,8 +10,9 @@ Subcommands::
     dot           quotient graph in DOT format
 
 Exit codes: 0 all checks green, 2 a check failed, 3 unsupported or invalid
-input, 4 a resource guard tripped.  All output is byte-deterministic for a
-fixed configuration; JSON objects are emitted with sorted keys.
+input, 4 a resource guard tripped or an internal invariant broke.  All
+output is byte-deterministic for a fixed configuration; JSON objects are
+emitted with sorted keys.
 """
 
 import argparse
@@ -20,6 +21,7 @@ import sys
 
 from .errors import (
     InvalidProfile,
+    InvariantViolation,
     NonIntegral,
     NonterminationGuard,
     NotASquare,
@@ -283,12 +285,6 @@ def _add_quotient_options(p):
     p.add_argument("--slack", type=int, default=2, help="extra degree-bound slack")
     p.add_argument("--guard", type=int, default=3, help="class-count guard factor")
     p.add_argument("--class-limit", dest="class_limit", type=int, default=None)
-    p.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="reserved; the pipeline runs serially",
-    )
     p.add_argument("--out", help="prefix for artifact files")
 
 
@@ -365,6 +361,9 @@ def main(argv=None):
         return 2
     except (NonterminationGuard, PrecisionLoss, StabilizerAnomalousOrder) as exc:
         print("resource guard: %s" % exc, file=sys.stderr)
+        return 4
+    except InvariantViolation as exc:
+        print("invariant violated: %s" % exc, file=sys.stderr)
         return 4
 
 

@@ -29,6 +29,11 @@ class StabilizerAnomalousOrder(Exception):
     """A vertex stabilizer had an order other than q-1 or q^2-1."""
 
 
+class InvariantViolation(Exception):
+    """An internal consistency check failed: a computed object contradicts
+    a property the construction guarantees."""
+
+
 class NonterminationGuard(Exception):
     """The quotient search grew past the formula-predicted size."""
 

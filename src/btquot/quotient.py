@@ -27,6 +27,7 @@ from itertools import combinations, product
 from .bttree import Mat2K, TreeVertex, act, canonical_form, distance
 from .errors import (
     InvalidProfile,
+    InvariantViolation,
     NonterminationGuard,
     PrecisionLoss,
     SearchExhausted,
@@ -279,112 +280,128 @@ def hom_units(emb, U, V, B):
         nr = lam.norm()
         if not nr.is_const or nr.is_zero:
             continue
-        assert canonical_form(emb.matrix(lam) * U) == target
+        if canonical_form(emb.matrix(lam) * U) != target:
+            raise InvariantViolation(
+                "unit from the kernel does not carry the lattice onto the target"
+            )
         out.append(lam)
     out.sort(key=lambda g: tuple(c.sort_key() for c in g.coords))
     return out
 
 
 class StabilizerGroup:
-    """The units fixing one vertex class; always F_q^x or F_{q^2}^x in size."""
+    """The units fixing one vertex: a cyclic group, F_q^x or F_{q^2}^x.
+
+    Everything is read off one generator g of order n = |G|.  Its n
+    powers are the element set, which proves the set is a group; the
+    neighbour orbits are the cycles of g on the link; and the elements
+    fixing a vertex form the subgroup of order n / (its cycle length).
+    """
 
     def __init__(self, alg, elements):
         q = alg.field.q
         self.alg = alg
         self.elements = list(elements)
-        self.order = len(self.elements)
-        if self.order not in (q - 1, q * q - 1):
+        self.order = n = len(self.elements)
+        if n not in (q - 1, q * q - 1):
             raise StabilizerAnomalousOrder(
                 "stabilizer has %d elements; expected %d or %d"
-                % (self.order, q - 1, q * q - 1)
+                % (n, q - 1, q * q - 1)
             )
-        members = set(self.elements)
+        one = alg.one
+        exponents = [n // p for p in _prime_divisors(n)]
         for g in self.elements:
-            nr = g.norm()
-            inv = g.conj().scale(alg.field.inv(nr.lc))
-            if inv not in members:
-                raise StabilizerAnomalousOrder("stabilizer not closed under inverse")
-        for g in self.elements:
-            for h in self.elements:
-                if g * h not in members:
-                    raise StabilizerAnomalousOrder(
-                        "stabilizer not closed under multiplication"
-                    )
+            if n == q * q - 1 and g.is_scalar:
+                continue
+            if all(g ** e != one for e in exponents):
+                break
+        else:
+            raise StabilizerAnomalousOrder(
+                "stabilizer has no element of order %d" % n
+            )
+        powers = [one]
+        for _ in range(n - 1):
+            powers.append(powers[-1] * g)
+        if powers[-1] * g != one or set(powers) != set(self.elements):
+            raise StabilizerAnomalousOrder(
+                "stabilizer is not the cyclic group of its generator"
+            )
+        self.generator = g
 
     def neighbor_orbits(self, emb, vertex):
         """Partition the q+1 tree neighbors into orbits of this group.
 
-        For the large stabilizer the action must be a single cycle on the
-        whole link; anything else is an anomaly worth aborting on.
+        The orbits are the cycles of the generator, each listed in
+        ascending index order.  For the large stabilizer they must form a
+        single (q+1)-cycle; anything else is an anomaly worth aborting on.
         """
         q = self.alg.field.q
         nbs = vertex.neighbors()
         index = {nb: i for i, nb in enumerate(nbs)}
-        perms = []
-        for g in self.elements:
-            mat = emb.matrix(g)
-            perm = []
-            for nb in nbs:
-                moved = act(mat, nb)
-                if moved not in index:
-                    raise StabilizerAnomalousOrder(
-                        "stabilizer element moved a neighbor off the link"
-                    )
-                perm.append(index[moved])
-            perms.append(tuple(perm))
-        parent = list(range(len(nbs)))
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        for perm in perms:
-            for i, j in enumerate(perm):
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-        groups = {}
-        for i in range(len(nbs)):
-            groups.setdefault(find(i), []).append(i)
-        orbits = sorted(groups.values())
-        if self.order == q * q - 1:
-            if len(orbits) != 1:
+        mat = emb.matrix(self.generator)
+        perm = []
+        for nb in nbs:
+            moved = act(mat, nb)
+            if moved not in index:
                 raise StabilizerAnomalousOrder(
-                    "large stabilizer is not transitive on the link"
+                    "stabilizer element moved a neighbor off the link"
                 )
-            full_cycle = any(_is_full_cycle(p) for p in perms)
-            if not full_cycle:
-                raise StabilizerAnomalousOrder(
-                    "no stabilizer element cycles the whole link"
-                )
+            perm.append(index[moved])
+        if len(set(perm)) != len(perm):
+            raise InvariantViolation("stabilizer generator does not permute the link")
+        orbits = []
+        seen = set()
+        for start in range(len(nbs)):
+            if start not in seen:
+                orbit = [start]
+                while perm[orbit[-1]] != start:
+                    orbit.append(perm[orbit[-1]])
+                seen.update(orbit)
+                orbits.append(sorted(orbit))
+        if self.order == q * q - 1 and len(orbits) != 1:
+            raise StabilizerAnomalousOrder(
+                "large stabilizer does not cycle the whole link"
+            )
         for orbit in orbits:
-            rep = nbs[orbit[0]]
-            fixers = sum(1 for p in perms if p[orbit[0]] == orbit[0])
-            assert fixers * len(orbit) == self.order
+            if self.order % len(orbit):
+                raise InvariantViolation(
+                    "orbit of size %d in a stabilizer of order %d"
+                    % (len(orbit), self.order)
+                )
         return orbits
 
     def fixing_count(self, emb, vertex):
-        """How many elements fix the given vertex (an edge stabilizer size)."""
-        return sum(
-            1 for g in self.elements if act(emb.matrix(g), vertex) == vertex
-        )
+        """How many elements fix the given vertex (an edge stabilizer size):
+        n divided by the length of the vertex's cycle under the generator."""
+        mat = emb.matrix(self.generator)
+        length = 1
+        moved = act(mat, vertex)
+        while moved != vertex:
+            length += 1
+            if length > self.order:
+                raise InvariantViolation(
+                    "vertex cycle under the stabilizer generator is longer"
+                    " than the group order %d" % self.order
+                )
+            moved = act(mat, moved)
+        return self.order // length
 
     def __repr__(self):
         return "StabilizerGroup(order=%d)" % self.order
 
 
-def _is_full_cycle(perm):
-    n = len(perm)
-    seen = 1
-    i = perm[0]
-    while i != 0:
-        i = perm[i]
-        seen += 1
-        if seen > n:
-            return False
-    return seen == n
+def _prime_divisors(n):
+    out = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        out.append(n)
+    return out
 
 
 def stabilizer(emb, vertex, slack=2):
@@ -431,7 +448,8 @@ def are_equivalent(emb, v, w, slack=2, log=None):
     if not found:
         return NoEquivalence(bound)
     witness = found[0]
-    assert act(emb.matrix(witness), v) == w
+    if act(emb.matrix(witness), v) != w:
+        raise InvariantViolation("equivalence witness does not carry v to w")
     return Witness(witness)
 
 
@@ -605,9 +623,15 @@ def _bfs(emb, profile, base, slack, class_limit, log):
                         "level": nb.n,
                     }
                 )
-            assert target != cursor, "loop edge contradicts the parity guard"
+            if target == cursor:
+                raise InvariantViolation("loop edge contradicts the parity guard")
             edge_stab = group.order // len(orbit)
-            assert edge_stab == group.fixing_count(emb, nb)
+            fixers = group.fixing_count(emb, nb)
+            if edge_stab != fixers:
+                raise InvariantViolation(
+                    "%d elements fix a neighbor whose orbit has size %d in a"
+                    " stabilizer of order %d" % (fixers, len(orbit), group.order)
+                )
             half_edges.append((cursor, target, edge_stab))
         cursor += 1
 
@@ -617,7 +641,11 @@ def _bfs(emb, profile, base, slack, class_limit, log):
     edges = _pair_half_edges(half_edges, log)
     graph = QuotientGraph(fld.q, alg, profile, vertices, edges, log)
     for i in range(len(reps)):
-        assert graph.degree(i) in (1, fld.q + 1)
+        if graph.degree(i) not in (1, fld.q + 1):
+            raise InvariantViolation(
+                "vertex class %d has degree %d; expected 1 or %d"
+                % (i, graph.degree(i), fld.q + 1)
+            )
     log.append(
         {
             "event": "done",
@@ -642,10 +670,15 @@ def _pair_half_edges(half_edges, log):
         a, b = key
         side = by_pair[key]
         counts = side["out"]
-        assert counts.get(a, 0) == counts.get(b, 0), (
-            "half-edge mismatch between classes %d and %d" % key
-        )
-        assert len(side["stabs"]) == 1
+        if counts.get(a, 0) != counts.get(b, 0):
+            raise InvariantViolation(
+                "half-edge mismatch between classes %d and %d" % key
+            )
+        if len(side["stabs"]) != 1:
+            raise InvariantViolation(
+                "edges between classes %d and %d have different stabilizers"
+                % key
+            )
         stab = side["stabs"].pop()
         for _ in range(counts[a]):
             edges.append(QEdge(len(edges), a, b, stab))

@@ -240,3 +240,28 @@ def test_singular_matrix_rejected():
     one = LaurentSeries.one(fld)
     with pytest.raises(ZeroDivisionError):
         canonical_form(Mat2K(one, one, z, z))
+
+
+def rebuilt(x):
+    """The same series through the normalising public constructor."""
+    return LaurentSeries(x.field, x.val, x.coeffs, x.exact)
+
+
+def series_key(x):
+    return (x.val, x.coeffs, x.exact)
+
+
+def test_vertex_shifts_equal_constructor_built_series():
+    for fld in (make_field(3), make_field(3, 2)):
+        q = fld.q
+        rng = random.Random(q)
+        for _ in range(40):
+            n = rng.randrange(-3, 4)
+            x = LaurentSeries(
+                fld, rng.randrange(-6, 4), [rng.randrange(q) for _ in range(8)], True
+            )
+            for v in (TreeVertex(fld, n, x), canonical_form(rand_poly_matrix(rng, fld))):
+                assert all(type(c) is int and 0 <= c < q for c in v.x.coeffs)
+                assert series_key(v.x) == series_key(rebuilt(v.x))
+                assert all(c for c in v.x.coeffs[:1] + v.x.coeffs[-1:])
+                assert not v.x.coeffs or v.x.val + len(v.x.coeffs) <= v.n

@@ -3,6 +3,7 @@ import subprocess
 import sys
 
 from btquot.cli import main, render_dot
+from btquot.errors import InvariantViolation
 from btquot.quotient import find_quotient_algebra
 from btquot.gfpoly import make_field
 
@@ -212,6 +213,16 @@ def test_exit_code_resource_guard(capsys):
                        "--class-limit", "1")
     assert code == 4
     assert "resource guard" in err
+
+
+def test_exit_code_invariant_violation(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise InvariantViolation("half-edge mismatch between classes 0 and 1")
+
+    monkeypatch.setattr("btquot.cli.build_quotient", broken)
+    code, _, err = run(capsys, "quotient", "--q", "3", "--r", "T*(T-1)")
+    assert code == 4
+    assert "invariant violated: half-edge mismatch" in err
 
 
 def test_no_subcommand_prints_help(capsys):

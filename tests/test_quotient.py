@@ -1,8 +1,12 @@
+import os
 import random
+import subprocess
+import sys
 from itertools import product
 
 import pytest
 
+import btquot
 from btquot.bttree import Mat2K, TreeVertex, act, canonical_form
 from btquot.errors import (
     NonterminationGuard,
@@ -11,12 +15,12 @@ from btquot.errors import (
     StabilizerAnomalousOrder,
     Unsupported,
 )
-from btquot.gfpoly import Poly, make_field, parse_poly
+from btquot.gfpoly import Poly, choose_xi, make_field, parse_poly
 from btquot.invariants import critical_group, cross_check, graph_h1
 from btquot.laurent import LaurentSeries, embed, working_precision
 from btquot.linalg import nullspace
 from btquot.order import Witness
-from btquot.quat import parse_algebra, ramified_set
+from btquot.quat import QuatAlgebra, parse_algebra, ramified_set
 from btquot.quotient import (
     NoEquivalence,
     SplitEmbedding,
@@ -465,3 +469,135 @@ def test_banana_neighbor_orbits_are_singletons():
     group = stabilizer(emb, base)
     assert group.order == 2
     assert group.neighbor_orbits(emb, base) == [[0], [1], [2], [3]]
+
+
+def reference_closure(alg, elements):
+    """The |G|^2 check: closed under inverse and under products."""
+    members = set(elements)
+    for g in elements:
+        inv = g.conj().scale(alg.field.inv(g.norm().lc))
+        if inv not in members:
+            return False
+    return all(g * h in members for g in elements for h in elements)
+
+
+def reference_orbits(emb, group, vertex):
+    """Orbits on the link from the permutations of every element."""
+    nbs = vertex.neighbors()
+    index = {nb: i for i, nb in enumerate(nbs)}
+    parent = list(range(len(nbs)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for g in group.elements:
+        mat = emb.matrix(g)
+        for i, nb in enumerate(nbs):
+            ri, rj = find(i), find(index[act(mat, nb)])
+            if ri != rj:
+                parent[ri] = rj
+    groups = {}
+    for i in range(len(nbs)):
+        groups.setdefault(find(i), []).append(i)
+    return sorted(groups.values())
+
+
+def reference_fixing_count(emb, group, vertex):
+    return sum(1 for g in group.elements if act(emb.matrix(g), vertex) == vertex)
+
+
+def q7_algebra():
+    fld = make_field(7)
+    return QuatAlgebra(fld, choose_xi(fld), parse_poly(fld, "T^2 + 6*T"))
+
+
+def test_stabilizer_generator_matches_all_element_reference():
+    for alg, order, neighbors in (
+        (segment_algebra(), 8, 4),
+        (banana_algebra(), 2, 4),
+        (q7_algebra(), 48, 2),
+    ):
+        emb = SplitEmbedding(alg)
+        base = TreeVertex.base(alg.field)
+        for vertex in [base] + base.neighbors()[:neighbors]:
+            group = stabilizer(emb, vertex)
+            assert group.order == order
+            assert reference_closure(alg, group.elements)
+            orbits = group.neighbor_orbits(emb, vertex)
+            assert orbits == reference_orbits(emb, group, vertex)
+            assert group.fixing_count(emb, vertex) == order
+            nbs = vertex.neighbors()
+            for orbit in orbits:
+                for i in orbit:
+                    got = group.fixing_count(emb, nbs[i])
+                    assert got == reference_fixing_count(emb, group, nbs[i])
+                    assert got * len(orbit) == order
+
+
+def test_stabilizer_generator_powers_are_the_elements():
+    for alg in (segment_algebra(), banana_algebra(), segment_algebra(5)):
+        emb = SplitEmbedding(alg)
+        group = stabilizer(emb, TreeVertex.base(alg.field))
+        g = group.generator
+        powers = [g ** k for k in range(group.order)]
+        assert len(set(powers)) == group.order
+        assert set(powers) == set(group.elements)
+        assert g ** group.order == alg.one
+        if group.order == alg.field.q ** 2 - 1:
+            assert not g.is_scalar
+
+
+def test_stabilizer_group_rejects_full_order_non_group():
+    alg = segment_algebra()
+    emb = SplitEmbedding(alg)
+    fld = alg.field
+    base = stabilizer(emb, TreeVertex.base(fld)).elements
+    child = stabilizer(emb, TreeVertex(fld, 1)).elements
+    outsider = next(g for g in child if g not in base)
+    fake = base[:-1] + [outsider]
+    assert len(set(fake)) == fld.q ** 2 - 1
+    assert all(g.norm().is_const and not g.norm().is_zero for g in fake)
+    assert not reference_closure(alg, fake)
+    with pytest.raises(StabilizerAnomalousOrder):
+        StabilizerGroup(alg, fake)
+
+
+OPTIMIZED_RECHECK = """
+import sys
+from btquot.bttree import TreeVertex
+from btquot.errors import PrecisionLoss
+from btquot.gfpoly import make_field
+from btquot.laurent import working_precision
+from btquot.quat import parse_algebra
+from btquot.quotient import SplitEmbedding, completeness_bound, hom_units
+if __debug__:
+    sys.exit("asserts are enabled; expected python -O")
+fld = make_field(3)
+emb = SplitEmbedding(parse_algebra(fld, "H(2, T^2 + 2*T)"))
+v, w = TreeVertex.base(fld), TreeVertex(fld, 2)
+with working_precision(8):
+    try:
+        hom_units(emb, v.matrix(), w.matrix(), completeness_bound(emb, v, w))
+    except PrecisionLoss as exc:
+        print("PrecisionLoss:", exc)
+        sys.exit(0)
+print("no PrecisionLoss")
+sys.exit(1)
+"""
+
+
+def test_hom_units_recheck_raises_precision_loss_under_optimize():
+    # At precision 8 the constraint system of this pair passes its own
+    # precision check; only the lattice re-check of a candidate runs short.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(btquot.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", OPTIMIZED_RECHECK],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.startswith("PrecisionLoss: only")

@@ -3,7 +3,9 @@ torsion units, and conjugacy testing inside the unit group."""
 
 from __future__ import annotations
 
-from .errors import NotCertified, Unsupported
+from itertools import zip_longest
+
+from .errors import InvariantViolation, NotCertified, Unsupported
 from .gfpoly import Place, Poly, choose_xi, factor, gcd, polys_upto, radical
 from .linalg import nullspace
 from .quat import QuatElem, is_split_at, ram_product, ramified_set
@@ -50,6 +52,7 @@ class StandardOrder:
 
     def __init__(self, alg):
         self.alg = alg
+        self._products = {}
 
     @property
     def field(self):
@@ -57,6 +60,16 @@ class StandardOrder:
 
     def basis(self):
         return self.alg.basis()
+
+    def basis_products(self, el):
+        """([e*el for e in basis], [el*e for e in basis]), computed once per
+        element and kept on this order."""
+        prods = self._products.get(el)
+        if prods is None:
+            bas = self.basis()
+            prods = ([e * el for e in bas], [el * e for e in bas])
+            self._products[el] = prods
+        return prods
 
     def gram_matrix(self):
         bas = self.basis()
@@ -99,19 +112,40 @@ class StandardOrder:
 
 
 def poly_sqrt(f):
-    """The polynomial square root with smallest leading coefficient, or None."""
+    """The polynomial square root with smallest leading coefficient, or None.
+
+    Odd q: the root's coefficients follow from the top down, because the
+    coefficient of T^(2m-i) in r^2 is 2*r_m*r_(m-i) plus products of the
+    coefficients already found; the final r*r == f check rejects
+    non-squares.  Even q: from the factorisation.
+    """
     if f.is_zero:
         return f
     fld = f.field
     s = fld.sqrt_(f.lc)
     if s is None:
         return None
-    root = Poly.const(fld, s)
-    for h, m in factor(f):
-        if m % 2:
-            return None
-        root = root * h ** (m // 2)
-    return root
+    if fld.p == 2:
+        root = Poly.const(fld, s)
+        for h, m in factor(f):
+            if m % 2:
+                return None
+            root = root * h ** (m // 2)
+        return root
+    if f.deg % 2:
+        return None
+    m = f.deg // 2
+    fc = f.coeffs
+    r = [0] * (m + 1)
+    r[m] = s
+    inv_2s = fld.inv(fld.add(s, s))
+    for i in range(1, m + 1):
+        acc = fc[2 * m - i]
+        for a in range(m - i + 1, m):
+            acc = fld.sub(acc, fld.mul(r[a], r[2 * m - i - a]))
+        r[m - i] = fld.mul(acc, inv_2s)
+    root = Poly(fld, r)
+    return root if root * root == f else None
 
 
 def artin_schreier_solve(g):
@@ -241,10 +275,6 @@ class NoneUpToBound:
         return "NoneUpToBound(%d)" % self.bound
 
 
-def _poly_from_vec(fld, vec):
-    return Poly(fld, vec)
-
-
 def conj_search(order, x, y, bound):
     """Search for a unit conjugating x to y, coordinates of degree <= bound.
 
@@ -257,23 +287,32 @@ def conj_search(order, x, y, bound):
     fld = alg.field
     if x == y:
         return Witness(alg.one)
-    basis_elems = alg.basis()
-    images = [e * x - y * e for e in basis_elems]
+    # column image e*x - y*e of each basis element e, as coefficient lists
+    right, _ = order.basis_products(x)
+    _, left = order.basis_products(y)
+    images = []
+    for ex, ye in zip(right, left):
+        im = []
+        for a, b in zip(ex.coords, ye.coords):
+            pairs = zip_longest(a.coeffs, b.coeffs, fillvalue=0)
+            co = [fld.sub(u, v) for u, v in pairs]
+            while co and not co[-1]:
+                co.pop()
+            im.append(co)
+        images.append(im)
     ncols = 4 * (bound + 1)
     maxdeg = bound + 1 + max(
-        max((c.deg for c in im.coords if not c.is_zero), default=0) for im in images
+        (len(co) - 1 for im in images for co in im if co), default=0
     )
     nrows = 4 * (maxdeg + 1)
-    cols = []
-    for mu in range(4):
-        for k in range(bound + 1):
-            shifted = images[mu].scale(Poly.monomial(fld, k))
-            col = [0] * nrows
-            for ci, co in enumerate(shifted.coords):
-                for d, cf in enumerate(co.coeffs):
-                    col[ci * (maxdeg + 1) + d] = cf
-            cols.append(col)
-    rows = [[cols[c][r] for c in range(ncols)] for r in range(nrows)]
+    # row (coordinate ci, degree d + k) x column (basis mu, shift T^k)
+    rows = [[0] * ncols for _ in range(nrows)]
+    for mu, im in enumerate(images):
+        for ci, co in enumerate(im):
+            for d, cf in enumerate(co):
+                if cf:
+                    for k in range(bound + 1):
+                        rows[ci * (maxdeg + 1) + d + k][mu * (bound + 1) + k] = cf
     kern = nullspace(rows, ncols, fld)
     if not kern:
         return NoneUpToBound(bound)
@@ -314,8 +353,14 @@ def conj_search(order, x, y, bound):
             for t in range(k):
                 if vec[t]:
                     lam = lam + gens[t].scale(vec[t])
-            assert lam * x == y * lam
-            assert order.is_unit(lam)
+            if lam * x != y * lam:
+                raise InvariantViolation(
+                    "conjugacy witness %s does not take %s to %s" % (lam, x, y)
+                )
+            if not order.is_unit(lam):
+                raise InvariantViolation(
+                    "conjugacy witness %s has non-unit norm %s" % (lam, lam.norm())
+                )
             return Witness(lam)
     return NoneUpToBound(bound)
 

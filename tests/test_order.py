@@ -1,14 +1,20 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import btquot
 from btquot.errors import NotCertified, RamifiedAtInfinity, Unsupported
-from btquot.gfpoly import Place, Poly, make_field, polys_upto
+from btquot.gfpoly import Place, Poly, factor, gcd, make_field, polys_upto
+from btquot.linalg import nullspace
 from btquot.order import (
     NoneUpToBound,
     StandardOrder,
     TorsionUnit,
     Witness,
+    _projective_vectors,
     artin_schreier_solve,
     conj_search,
     default_conj_bound,
@@ -17,7 +23,7 @@ from btquot.order import (
     solve_torsion,
     torsion_classes,
 )
-from btquot.quat import QuatAlgebra
+from btquot.quat import QuatAlgebra, QuatElem, parse_algebra
 
 
 def order_q3():
@@ -145,6 +151,53 @@ def test_poly_sqrt():
     # canonical choice: leading coefficient is the smaller square root
     assert poly_sqrt((2 * T) * (2 * T)) == T
     assert poly_sqrt(Poly.zero(fld)) == Poly.zero(fld)
+
+
+def reference_poly_sqrt(f):
+    """The factor-based square root: smallest root of lc times the
+    half-multiplicity powers of the monic irreducible factors."""
+    if f.is_zero:
+        return f
+    fld = f.field
+    s = fld.sqrt_(f.lc)
+    if s is None:
+        return None
+    root = Poly.const(fld, s)
+    for h, m in factor(f):
+        if m % 2:
+            return None
+        root = root * h ** (m // 2)
+    return root
+
+
+def test_poly_sqrt_matches_factor_reference():
+    rng = random.Random(4)
+    for p, e in ((3, 1), (5, 1), (3, 2)):
+        fld = make_field(p, e)
+        q = fld.q
+        nonsquare = next(c for c in range(1, q) if not fld.is_square_(c))
+
+        def rand_poly(deg):
+            cs = [rng.randrange(q) for _ in range(deg)]
+            return Poly(fld, cs + [rng.randrange(1, q)])
+
+        cases = []
+        for _ in range(30):
+            g = rand_poly(rng.randrange(0, 4))
+            cases.append(g * g)  # a square, any leading coefficient
+            cases.append((g * g).scale(nonsquare))  # non-square leading coefficient
+            cases.append(rand_poly(rng.randrange(0, 7)))  # mostly non-squares
+            cases.append(rand_poly(2 * rng.randrange(0, 4) + 1))  # odd degree
+            u = rng.randrange(1, q)
+            cases.append(g * g + Poly.const(fld, fld.mul(u, u)))  # constant term off
+        kinds = {"square": 0, "none": 0}
+        for f in cases:
+            got = poly_sqrt(f)
+            assert got == reference_poly_sqrt(f), (q, f)
+            kinds["none" if got is None else "square"] += 1
+            if got is not None:
+                assert got * got == f
+        assert kinds["square"] >= 30 and kinds["none"] >= 60
 
 
 def test_artin_schreier_solve():
@@ -327,3 +380,173 @@ def test_torsion_unit_metadata():
     assert u.norm == Poly.one(om.field)
     assert u.trace.is_zero
     assert paired_unit(u).elem == -om.alg.i
+
+
+def reference_conj_search(order, x, y, bound):
+    """conj_search with the per-call assembly: the images e*x - y*e from
+    QuatElem products, shifted by T^k through scale(Poly.monomial(...))."""
+    alg = order.alg
+    fld = alg.field
+    if x == y:
+        return Witness(alg.one)
+    images = [e * x - y * e for e in alg.basis()]
+    ncols = 4 * (bound + 1)
+    maxdeg = bound + 1 + max(
+        max((c.deg for c in im.coords if not c.is_zero), default=0) for im in images
+    )
+    nrows = 4 * (maxdeg + 1)
+    cols = []
+    for mu in range(4):
+        for k in range(bound + 1):
+            shifted = images[mu].scale(Poly.monomial(fld, k))
+            col = [0] * nrows
+            for ci, co in enumerate(shifted.coords):
+                for d, cf in enumerate(co.coeffs):
+                    col[ci * (maxdeg + 1) + d] = cf
+            cols.append(col)
+    rows = [[cols[c][r] for c in range(ncols)] for r in range(nrows)]
+    kern = nullspace(rows, ncols, fld)
+    if not kern:
+        return NoneUpToBound(bound)
+    gens = [
+        QuatElem(alg, *(Poly(fld, vec[mu * (bound + 1) : (mu + 1) * (bound + 1)])
+                        for mu in range(4)))
+        for vec in kern
+    ]
+    k = len(gens)
+    norms = {(t, t): gens[t].norm() for t in range(k)}
+    for t in range(k):
+        for s in range(t + 1, k):
+            norms[(t, s)] = (gens[t] + gens[s]).norm() - norms[(t, t)] - norms[(s, s)]
+    common = Poly.zero(fld)
+    for p in norms.values():
+        common = gcd(common, p)
+    if common.is_zero or common.deg >= 1:
+        return NoneUpToBound(bound)
+    for vec in _projective_vectors(fld, k):
+        val = Poly.zero(fld)
+        for t in range(k):
+            if vec[t]:
+                val = val + norms[(t, t)].scale(fld.mul(vec[t], vec[t]))
+                for s in range(t + 1, k):
+                    if vec[s]:
+                        val = val + norms[(t, s)].scale(fld.mul(vec[t], vec[s]))
+        if val.is_const and not val.is_zero:
+            lam = alg.zero
+            for t in range(k):
+                if vec[t]:
+                    lam = lam + gens[t].scale(vec[t])
+            return Witness(lam)
+    return NoneUpToBound(bound)
+
+
+def assert_same_verdict(order, x, y, bound):
+    got = conj_search(order, x, y, bound)
+    want = reference_conj_search(order, x, y, bound)
+    assert type(got) is type(want), (x, y, bound)
+    if isinstance(got, Witness):
+        assert got.lam == want.lam
+        assert got.lam * x == y * got.lam
+        assert order.is_unit(got.lam)
+    else:
+        assert got.bound == want.bound == bound
+    return got
+
+
+def test_conj_search_matches_per_call_product_reference():
+    # (field, algebra, census bound, conjugacy bounds)
+    runs = [
+        ((3, 1), "H(xi, T*(T-1))", 1, (0, 1, 2)),
+        ((5, 1), "H(xi, T*(T-1))", 0, (1,)),
+        ((2, 1), "H(xi, T*(T+1))", 1, (2,)),
+    ]
+    for (p, e), text, census, bounds in runs:
+        om = StandardOrder(parse_algebra(make_field(p, e), text))
+        units = solve_torsion(om, census)
+        buckets = {}
+        for u in units:
+            buckets.setdefault((u.trace.coeffs, u.norm.coeffs), []).append(u.elem)
+        witnesses = misses = 0
+        for elems in buckets.values():
+            for a in range(len(elems)):
+                for b in range(a + 1, len(elems)):
+                    for bound in bounds:
+                        res = assert_same_verdict(om, elems[a], elems[b], bound)
+                        if isinstance(res, Witness):
+                            witnesses += 1
+                        else:
+                            misses += 1
+        assert witnesses and misses, (text, witnesses, misses)
+    # Two algebras sharing element coordinates (i, j, i + j, a unit):
+    # each order's products come from its own algebra, whichever order
+    # saw the element first.
+    fld = make_field(3)
+    orders = [
+        StandardOrder(parse_algebra(fld, "H(xi, T*(T-1))")),
+        StandardOrder(parse_algebra(fld, "H(xi, T^4+2*T^2+T)")),
+    ]
+    for om in orders + orders[::-1]:
+        alg = om.alg
+        for x in (alg.i, alg.j, alg.i + alg.j):
+            right, left = om.basis_products(x)
+            assert right == [e * x for e in alg.basis()]
+            assert left == [x * e for e in alg.basis()]
+            assert all(el.alg is alg for el in right + left)
+        units = [u.elem for u in solve_torsion(om, 0)]
+        for y in units:
+            assert_same_verdict(om, alg.i, y, 1)
+
+
+OPTIMIZED_WITNESS_CHECKS = """
+import sys
+from btquot import order
+from btquot.errors import InvariantViolation
+from btquot.gfpoly import Poly, make_field
+from btquot.quat import parse_algebra
+if __debug__:
+    sys.exit("asserts are enabled; expected python -O")
+fld = make_field(3)
+alg = parse_algebra(fld, "H(2, T^2 + 2*T)")
+T = Poly.T(fld)
+theta = alg.elem(0, 2 * T + 2, 0, 2)
+target = theta * alg.i * theta.conj()
+
+
+class NoUnits(order.StandardOrder):
+    def is_unit(self, el):
+        return False
+
+
+def one_only(rows, width, fld):
+    return [[1] + [0] * (width - 1)]
+
+
+caught = []
+try:
+    order.conj_search(NoUnits(alg), alg.i, target, 1)
+except InvariantViolation as exc:
+    caught.append(str(exc))
+order.nullspace = one_only  # the kernel claims 1 commutes i with j
+try:
+    order.conj_search(order.StandardOrder(alg), alg.i, alg.j, 1)
+except InvariantViolation as exc:
+    caught.append(str(exc))
+for message in caught:
+    print(message)
+"""
+
+
+def test_conj_search_witness_checks_raise_under_optimize():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(btquot.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", OPTIMIZED_WITNESS_CHECKS],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 2, proc.stdout
+    assert "non-unit norm" in lines[0]
+    assert lines[1] == "conjugacy witness 1 does not take i to j"

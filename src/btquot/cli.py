@@ -178,7 +178,7 @@ def cmd_ramification(args):
     alg = _algebra_from(args)
     places = ramified_set(alg)
     cert = StandardOrder(alg).certify_maximal()
-    profile = _profile_of(alg)
+    profile = RamProfile(alg.field.q, [pl.degree for pl in places])
     payload = {
         "algebra": str(alg),
         "q": alg.field.q,

@@ -351,6 +351,21 @@ class Poly:
         self.coeffs = tuple(cs)
 
     @classmethod
+    def _from_codes(cls, field, cs):
+        """Polynomial from int codes already in range(q): only trailing
+        zeros are stripped.
+
+        Arithmetic results come through here; their coefficients are table
+        lookups, so the normalisation of the public constructor is skipped.
+        """
+        while cs and cs[-1] == 0:
+            cs.pop()
+        out = cls.__new__(cls)
+        out.field = field
+        out.coeffs = tuple(cs)
+        return out
+
+    @classmethod
     def zero(cls, field):
         return cls(field, ())
 
@@ -400,12 +415,14 @@ class Poly:
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
+        add = f._addt
         for i, c in enumerate(b):
-            out[i] = f.add(out[i], c)
-        return Poly(f, out)
+            out[i] = add[out[i]][c]
+        return Poly._from_codes(f, out)
 
     def __neg__(self):
-        return Poly(self.field, [self.field.neg(c) for c in self.coeffs])
+        neg = self.field._negt
+        return Poly._from_codes(self.field, [neg[c] for c in self.coeffs])
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -417,13 +434,14 @@ class Poly:
         if not a or not b:
             return Poly.zero(f)
         out = [0] * (len(a) + len(b) - 1)
+        add = f._addt
         for i, x in enumerate(a):
             if x:
                 row = f._mult[x]
                 for j, y in enumerate(b):
                     if y:
-                        out[i + j] = f.add(out[i + j], row[y])
-        return Poly(f, out)
+                        out[i + j] = add[out[i + j]][row[y]]
+        return Poly._from_codes(f, out)
 
     __radd__ = __add__
     __rmul__ = __mul__
@@ -448,14 +466,17 @@ class Poly:
         if dq < 0:
             return Poly.zero(f), self
         quot = [0] * (dq + 1)
-        inv_lc = f.inv(other.lc)
+        mult, add = f._mult, f._addt
+        inv_row = mult[f.inv(other.lc)]
+        od = other.deg
         for k in range(dq, -1, -1):
-            c = f.mul(rem[k + other.deg], inv_lc) if len(rem) > k + other.deg else 0
+            c = inv_row[rem[k + od]]
             quot[k] = c
             if c:
+                row = mult[f.neg(c)]
                 for i, oc in enumerate(other.coeffs):
-                    rem[k + i] = f.sub(rem[k + i], f.mul(c, oc))
-        return Poly(f, quot), Poly(f, rem)
+                    rem[k + i] = add[rem[k + i]][row[oc]]
+        return Poly._from_codes(f, quot), Poly._from_codes(f, rem)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -834,9 +855,6 @@ class Place:
     @property
     def degree(self):
         return 1 if self.poly is None else self.poly.deg
-
-    def residue_size(self, q):
-        return q**self.degree
 
     def sort_key(self):
         if self.poly is None:

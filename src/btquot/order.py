@@ -6,7 +6,7 @@ from __future__ import annotations
 from itertools import zip_longest
 
 from .errors import InvariantViolation, NotCertified, Unsupported
-from .gfpoly import Place, Poly, choose_xi, factor, gcd, polys_upto, radical
+from .gfpoly import Place, Poly, choose_xi, factor, gcd, polys_upto
 from .linalg import nullspace
 from .quat import QuatElem, is_split_at, ram_product, ramified_set
 
@@ -85,12 +85,12 @@ class StandardOrder:
         expected = ram_product(self.alg)
         if det.is_zero:
             return CertifyReport(False, det, det, expected, [])
-        reduced = radical(det)
-        split = [
-            Place(h)
-            for h, _ in factor(det)
-            if is_split_at(self.alg, Place(h))
-        ]
+        reduced = Poly.one(det.field)
+        split = []
+        for h, _ in factor(det):
+            reduced = reduced * h
+            if is_split_at(self.alg, Place(h)):
+                split.append(Place(h))
         return CertifyReport(reduced == expected, det, reduced, expected, split)
 
     def ensure_maximal(self):

@@ -7,7 +7,14 @@ j^2 = b, and ji = ij + j.
 
 from __future__ import annotations
 
-from .errors import RamifiedAtInfinity, SearchExhausted, Unsupported
+from itertools import islice
+
+from .errors import (
+    InvariantViolation,
+    RamifiedAtInfinity,
+    SearchExhausted,
+    Unsupported,
+)
 from .gfpoly import (
     FieldElem,
     Place,
@@ -298,7 +305,7 @@ def ramified_set(alg):
                 out.append(pl)
     out.sort(key=Place.sort_key)
     if len(out) % 2:
-        raise AssertionError("odd number of ramified places for %s" % alg)
+        raise InvariantViolation("odd number of ramified places for %s" % alg)
     return out
 
 
@@ -314,8 +321,19 @@ def find_algebra(field, places, bound=4):
     """Smallest H(a, b) split at infinity with the given finite ramified places.
 
     Candidates are scanned in shells by max(deg a, deg b) and inside a shell
-    in lexicographic order of the coefficient codes.  Only pairs with b of
-    even degree, square leading coefficient and a*b squarefree are tried.
+    in lexicographic order of the coefficient codes, a outside and b inside.
+    Only pairs with b of even degree, square leading coefficient and a*b
+    squarefree and divisible by every target place are tried.
+
+    For odd q these filters come from a table of the squarefree nonzero
+    polynomials of degree <= shell, in scan order and extended by one degree
+    per shell, each with a bitmask of the target places dividing it.  Each
+    target v is irreducible, so v | ab exactly when v | a or v | b; F_q is
+    perfect, so ab is squarefree exactly when a and b are squarefree and
+    coprime.  A pair of table entries therefore passes when their masks
+    cover all targets and gcd(a, b) is constant: the same pairs reach
+    ramified_set in the same order as with a product and a gcd per pair,
+    which gives the same first hit and the same SearchExhausted.
     """
     places = sorted(places, key=Place.sort_key)
     for pl in places:
@@ -326,18 +344,26 @@ def find_algebra(field, places, bound=4):
     target = [pl.poly for pl in places]
     if field.p == 2:
         return _find_algebra_even(field, places, target, bound)
+    full = (1 << len(target)) - 1
+    table = []  # (poly, target mask) of the squarefree nonzero polynomials
+    b_cands = []  # entries usable as b: even degree, square leading coeff
     for shell in range(bound + 1):
-        for a in polys_upto(field, shell):
-            if a.is_zero:
+        top_b = []  # the b candidates of degree shell
+        for f in islice(polys_upto(field, shell), field.q**shell, None):
+            if not is_squarefree(f):
                 continue
-            for b in polys_upto(field, shell):
-                if b.is_zero or max(a.deg, b.deg) != shell:
-                    continue
-                if b.deg % 2 or not field.is_square_(b.lc):
-                    continue
-                if not is_squarefree(a * b):
-                    continue
-                if any(not v.divides(a * b) for v in target):
+            mask = 0
+            for k, v in enumerate(target):
+                if v.divides(f):
+                    mask |= 1 << k
+            table.append((f, mask))
+            if shell % 2 == 0 and field.is_square_(f.lc):
+                top_b.append((f, mask))
+        b_cands += top_b
+        for a, mask_a in table:
+            # below the top degree, a needs a partner b of degree shell
+            for b, mask_b in b_cands if a.deg == shell else top_b:
+                if mask_a | mask_b != full or not gcd(a, b).is_const:
                     continue
                 alg = QuatAlgebra(field, a, b)
                 try:

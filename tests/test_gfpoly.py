@@ -166,6 +166,47 @@ def test_poly_divmod_random():
             assert rem.deg < b.deg
 
 
+def test_poly_constructor_normalises_field_elems_and_out_of_range_ints():
+    fld = make_field(3)
+    f = Poly(fld, [fld.elem(2), 5, -1, 3, fld.elem(0)])
+    assert f.coeffs == (2, 2, 2)
+    assert all(type(c) is int for c in f.coeffs)
+    assert Poly(fld, [3, -3, fld.elem(0)]).is_zero
+
+
+def test_poly_arithmetic_results_are_int_codes_matching_coefficientwise_sums():
+    rng = random.Random(59)
+    for fld in (make_field(3), make_field(5), make_field(3, 2), make_field(2, 2)):
+        q = fld.q
+        for _ in range(60):
+            a = Poly(fld, [rng.randrange(q) for _ in range(rng.randrange(7))])
+            b = Poly(fld, [rng.randrange(q) for _ in range(rng.randrange(7))])
+            if rng.random() < 0.2:
+                b = -a + Poly(fld, [rng.randrange(q) for _ in range(2)])
+            results = [a + b, a - b, b - a, -a, a * b]
+            if not b.is_zero:
+                results += list(divmod(a, b))
+            for r in results:
+                assert all(type(c) is int and 0 <= c < q for c in r.coeffs)
+                assert not r.coeffs or r.coeffs[-1]
+            n = max(len(a.coeffs), len(b.coeffs))
+            for k in range(n):
+                assert (a + b).coeff(k) == fld.add(a.coeff(k), b.coeff(k))
+                assert (a - b).coeff(k) == fld.sub(a.coeff(k), b.coeff(k))
+                assert (b - a).coeff(k) == fld.sub(b.coeff(k), a.coeff(k))
+                assert (-a).coeff(k) == fld.neg(a.coeff(k))
+            prod = a * b
+            for k in range(len(a.coeffs) + len(b.coeffs)):
+                want = 0
+                for i in range(k + 1):
+                    want = fld.add(want, fld.mul(a.coeff(i), b.coeff(k - i)))
+                assert prod.coeff(k) == want
+            if not b.is_zero:
+                quo, rem = divmod(a, b)
+                assert quo * b + rem == a and rem.deg < b.deg
+            assert (a - a).is_zero and (a + -a).is_zero
+
+
 def test_poly_derivative_product_rule():
     rng = random.Random(13)
     fld = make_field(3, 2)

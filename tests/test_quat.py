@@ -1,9 +1,23 @@
+import os
 import random
+import subprocess
+import sys
+from itertools import combinations, product
 
 import pytest
 
+import btquot
+from btquot import quat
 from btquot.errors import RamifiedAtInfinity, SearchExhausted, Unsupported
-from btquot.gfpoly import Place, Poly, is_squarefree, make_field, polys_upto
+from btquot.gfpoly import (
+    Place,
+    Poly,
+    gcd,
+    is_irreducible,
+    is_squarefree,
+    make_field,
+    polys_upto,
+)
 from btquot.quat import (
     QuatAlgebra,
     find_algebra,
@@ -324,6 +338,172 @@ def test_find_algebra_result_is_minimal():
                 assert ramified_set(alg) != want
             except RamifiedAtInfinity:
                 pass
+
+
+def full_scan_find_algebra(field, places, bound):
+    """The odd-q scan with a product and a gcd per pair, kept as a reference."""
+    places = sorted(places, key=Place.sort_key)
+    target = [pl.poly for pl in places]
+    for shell in range(bound + 1):
+        for a in polys_upto(field, shell):
+            if a.is_zero:
+                continue
+            for b in polys_upto(field, shell):
+                if b.is_zero or max(a.deg, b.deg) != shell:
+                    continue
+                if b.deg % 2 or not field.is_square_(b.lc):
+                    continue
+                if not is_squarefree(a * b):
+                    continue
+                if any(not v.divides(a * b) for v in target):
+                    continue
+                alg = QuatAlgebra(field, a, b)
+                try:
+                    if quat.ramified_set(alg) == places:
+                        return alg
+                except RamifiedAtInfinity:
+                    continue
+    raise SearchExhausted(
+        "no algebra with ramification {%s} within degree %d"
+        % (", ".join(str(p) for p in places), bound)
+    )
+
+
+def place_sets(field, degrees):
+    pools = []
+    for d in sorted(set(degrees)):
+        pool = [
+            Place(f)
+            for f in polys_upto(field, d)
+            if f.deg == d and f.is_monic and is_irreducible(f)
+        ]
+        pools.append(combinations(pool, degrees.count(d)))
+    for combo in product(*pools):
+        yield [pl for group in combo for pl in group]
+
+
+def outcome(search, field, places, bound):
+    try:
+        return search(field, places, bound)
+    except SearchExhausted as exc:
+        return str(exc)
+
+
+def test_find_algebra_matches_full_scan_reference(monkeypatch):
+    tried = []  # the (a, b) of every algebra handed to ramified_set
+    real_ramified_set = quat.ramified_set
+
+    def recording_ramified_set(alg):
+        tried.append((alg.a, alg.b))
+        return real_ramified_set(alg)
+
+    monkeypatch.setattr(quat, "ramified_set", recording_ramified_set)
+
+    def run(search, field, places, bound):
+        del tried[:]
+        return outcome(search, field, places, bound), list(tried)
+
+    profiles = [
+        (3, [1, 1]),
+        (3, [1, 2]),
+        (3, [2, 2]),
+        (3, [1, 3]),
+        (5, [1, 1]),
+        (5, [1, 2]),
+        (7, [1, 1]),
+    ]
+    hits = exhausted = 0
+    for q, degrees in profiles:
+        fld = make_field(q)
+        for places in place_sets(fld, degrees):
+            ref, ref_tried = run(full_scan_find_algebra, fld, places, 3)
+            for bound in range(4):
+                # the scan to bound k is the scan to bound 3 cut after shell
+                # k, so a hit in a shell <= k is the outcome at k as well
+                want = ref
+                if bound < 3 and (
+                    isinstance(ref, str) or max(ref.a.deg, ref.b.deg) > bound
+                ):
+                    want = outcome(full_scan_find_algebra, fld, places, bound)
+                got, got_tried = run(find_algebra, fld, places, bound)
+                assert got == want, (q, [str(p) for p in places], bound)
+                if bound == 3:
+                    assert got_tried == ref_tried, (q, [str(p) for p in places])
+                if isinstance(want, str):
+                    exhausted += 1
+                else:
+                    hits += 1
+    assert hits and exhausted
+
+
+def test_find_algebra_tries_the_full_scan_pairs_when_nothing_hits(monkeypatch):
+    # with a ramified_set that never matches, both scans run to the bound
+    tried = []
+
+    def never_matching(alg):
+        tried.append((alg.a, alg.b))
+        return []
+
+    monkeypatch.setattr(quat, "ramified_set", never_matching)
+    for q, degrees, bound in ((3, [1, 1], 3), (3, [1, 2], 3), (3, [2, 2], 3), (5, [1, 1], 2)):
+        fld = make_field(q)
+        places = next(place_sets(fld, degrees))
+        runs = []
+        for search in (full_scan_find_algebra, find_algebra):
+            del tried[:]
+            with pytest.raises(SearchExhausted):
+                search(fld, places, bound)
+            runs.append(list(tried))
+        assert runs[0] == runs[1] and runs[0], (q, degrees)
+
+
+def test_squarefree_product_is_squarefree_coprime_factors():
+    # the identity the table-driven find_algebra rests on; F_q is perfect,
+    # and over F_3 degree 3 holds p-th powers such as T^3 + 1.  Neither side
+    # sees unit scalars, so over F_9 the monic polynomials cover every pair.
+    for fld, maxdeg, monic in ((make_field(3), 3, False), (make_field(3, 2), 2, True)):
+        polys = [
+            f
+            for f in polys_upto(fld, maxdeg)
+            if not f.is_zero and (f.is_monic or not monic)
+        ]
+        flags = {f: is_squarefree(f) for f in polys}
+        for a in polys:
+            for b in polys:
+                want = is_squarefree(a * b)
+                assert want == (flags[a] and flags[b] and gcd(a, b).is_const)
+
+
+OPTIMIZED_RAMIFIED_SET_CHECK = """
+import sys
+from btquot import quat
+from btquot.errors import InvariantViolation
+from btquot.gfpoly import Place, Poly, make_field
+if __debug__:
+    sys.exit("asserts are enabled; expected python -O")
+fld = make_field(3)
+T = Poly.T(fld)
+alg = quat.QuatAlgebra(fld, 2, T * T + 2 * T)
+# a symbol that ramifies only at T breaks the product formula
+quat.is_split_at = lambda alg, pl: pl.is_infinity or pl != Place(T)
+try:
+    quat.ramified_set(alg)
+except InvariantViolation as exc:
+    print(exc)
+"""
+
+
+def test_ramified_set_parity_check_raises_under_optimize():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(btquot.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", OPTIMIZED_RAMIFIED_SET_CHECK],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout == "odd number of ramified places for H(2, T^2+2*T)\n"
 
 
 def test_parse_algebra():

@@ -1,5 +1,5 @@
-"""Exact arithmetic over F_q, F_q[T] and F_q(T), plus places of the rational
-function field.
+"""Exact arithmetic over F_q and F_q[T], plus places of the rational
+function field F_q(T).
 
 Field elements are encoded as ints in [0, q): the base-p digits of the code
 are the coefficients of the residue polynomial.  The canonical enumeration
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 
-from .errors import InvalidProfile, Unsupported
+from .errors import InvalidProfile, InvariantViolation, Unsupported
 from .linalg import nullspace
 
 NEG_INF = float("-inf")
@@ -108,7 +108,7 @@ class Field:
                 i += 1
             if _ipoly_irreducible(m, p):
                 return tuple(m)
-        raise AssertionError("no irreducible modulus found")
+        raise InvariantViolation("no irreducible modulus of degree %d" % e)
 
     def _build_tables(self):
         p, e, q = self.p, self.e, self.q
@@ -203,7 +203,8 @@ class Field:
         for _ in range(self.e):
             t = self.add(t, x)
             x = self.pow_(x, self.p)
-        assert t < self.p
+        if t >= self.p:
+            raise InvariantViolation("absolute trace %d is outside F_%d" % (t, self.p))
         return t
 
     # element-level API
@@ -243,24 +244,31 @@ def make_field(p, e=1):
     return Field(p, e)
 
 
+def prime_power(q):
+    """Return (p, e) with q = p**e and p prime, or None."""
+    if q < 2:
+        return None
+    p = 2
+    while p * p <= q:
+        if q % p == 0:
+            e = 0
+            m = q
+            while m % p == 0:
+                m //= p
+                e += 1
+            return (p, e) if m == 1 else None
+        p += 1
+    return (q, 1)
+
+
 def field_from_q(q):
     """Factor q = p^e and build the field."""
     if q < 2:
         raise ValueError("q must be at least 2")
-    p = 2
-    while q % p:
-        p += 1
-        if p * p > q:
-            p = q
-            break
-    e = 0
-    n = q
-    while n % p == 0:
-        n //= p
-        e += 1
-    if n != 1:
+    pe = prime_power(q)
+    if pe is None:
         raise InvalidProfile("q=%d is not a prime power" % q)
-    return make_field(p, e)
+    return make_field(*pe)
 
 
 class FieldElem:
@@ -331,11 +339,11 @@ def choose_xi(field):
         for v in range(1, field.q):
             if not field.is_square_(v):
                 return field.elem(v)
-        raise AssertionError("no non-square in %r" % (field,))
+        raise InvariantViolation("no non-square in %r" % (field,))
     for v in range(field.q):
         if field.trace_abs_(v) == 1:
             return field.elem(v)
-    raise AssertionError("no trace-one element in %r" % (field,))
+    raise InvariantViolation("no trace-one element in %r" % (field,))
 
 
 class Poly:
@@ -512,18 +520,6 @@ class Poly:
             acc = f.add(f.mul(acc, x), c)
         return f.elem(acc)
 
-    def compose(self, inner):
-        """self(inner) for a Poly or RatFunc inner."""
-        if isinstance(inner, Poly):
-            acc = Poly.zero(self.field)
-            for c in reversed(self.coeffs):
-                acc = acc * inner + Poly.const(self.field, c)
-            return acc
-        acc = RatFunc.from_poly(Poly.zero(self.field))
-        for c in reversed(self.coeffs):
-            acc = acc * inner + RatFunc.from_poly(Poly.const(self.field, c))
-        return acc
-
     def sort_key(self):
         return (len(self.coeffs), tuple(reversed(self.coeffs)))
 
@@ -658,7 +654,11 @@ def _berlekamp_split(f):
                 else:
                     nxt.append(g)
             factors = nxt
-    assert len(factors) == want
+    if len(factors) != want:
+        raise InvariantViolation(
+            "Berlekamp split of %s gave %d factors; its kernel has dimension %d"
+            % (f, len(factors), want)
+        )
     return factors
 
 
@@ -692,13 +692,6 @@ def factor(f):
     return sorted(out.items(), key=lambda kv: kv[0].sort_key())
 
 
-def radical(f):
-    r = Poly.one(f.field)
-    for h, _ in factor(f):
-        r = r * h
-    return r
-
-
 def is_squarefree(f):
     if f.is_zero:
         return False
@@ -710,133 +703,14 @@ def is_squarefree(f):
     return gcd(f, d).is_const
 
 
-class RatFunc:
-    """Reduced fraction of polynomials; denominator monic."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=None):
-        if den is None:
-            den = Poly.one(num.field)
-        if den.is_zero:
-            raise ZeroDivisionError("zero denominator")
-        if num.is_zero:
-            den = Poly.one(num.field)
-        else:
-            g = gcd(num, den)
-            if g.deg >= 1:
-                num, den = num // g, den // g
-            if den.lc != 1:
-                inv = num.field.inv(den.lc)
-                num, den = num.scale(inv), den.scale(inv)
-        self.num = num
-        self.den = den
-
-    @classmethod
-    def from_poly(cls, p):
-        return cls(p)
-
-    @property
-    def field(self):
-        return self.num.field
-
-    @property
-    def is_zero(self):
-        return self.num.is_zero
-
-    @property
-    def is_poly(self):
-        return self.den.deg == 0
-
-    def as_poly(self):
-        if not self.is_poly:
-            raise ValueError("%s is not a polynomial" % self)
-        return self.num
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        return RatFunc(self.num * other.den - other.num * self.den, self.den * other.den)
-
-    def __neg__(self):
-        return RatFunc(-self.num, self.den)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        return RatFunc(self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        return RatFunc(self.num * other.den, self.den * other.num)
-
-    __radd__ = __add__
-    __rmul__ = __mul__
-
-    def __pow__(self, n):
-        if n < 0:
-            return RatFunc(self.den, self.num) ** (-n)
-        return RatFunc(self.num**n, self.den**n)
-
-    def inverse(self):
-        return RatFunc(self.den, self.num)
-
-    def ord_at(self, place):
-        """Valuation at a place; the place at infinity uses deg(den) - deg(num)."""
-        if self.is_zero:
-            raise ValueError("valuation of 0")
-        if place.is_infinity:
-            return self.den.deg - self.num.deg
-
-        def mult(p):
-            m = 0
-            q, r = divmod(p, place.poly)
-            while r.is_zero:
-                p = q
-                m += 1
-                q, r = divmod(p, place.poly)
-            return m
-
-        return mult(self.num) - mult(self.den)
-
-    def _coerce(self, other):
-        if isinstance(other, RatFunc):
-            return other
-        if isinstance(other, Poly):
-            return RatFunc(other)
-        if isinstance(other, (int, FieldElem)):
-            return RatFunc(Poly.const(self.field, other))
-        return NotImplemented
-
-    def __eq__(self, other):
-        if isinstance(other, (int, FieldElem, Poly)):
-            other = self._coerce(other)
-        if not isinstance(other, RatFunc):
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        return hash((hash(self.num), hash(self.den)))
-
-    def __str__(self):
-        if self.is_poly:
-            return str(self.num)
-        return "(%s)/(%s)" % (self.num, self.den)
-
-    def __repr__(self):
-        return "RatFunc(%s)" % self
-
-
 class Place:
     """A place of F_q(T): a monic irreducible polynomial, or infinity."""
 
     __slots__ = ("poly",)
 
     def __init__(self, poly=None):
-        if poly is not None:
-            assert poly.is_monic and poly.deg >= 1
+        if poly is not None and not (poly.is_monic and poly.deg >= 1):
+            raise InvariantViolation("place %s is not monic of positive degree" % poly)
         self.poly = poly
 
     @classmethod
@@ -845,7 +719,8 @@ class Place:
 
     @classmethod
     def finite(cls, poly):
-        assert is_irreducible(poly), "%s is not irreducible" % poly
+        if not is_irreducible(poly):
+            raise InvariantViolation("%s is not irreducible" % poly)
         return cls(poly.monic())
 
     @property
@@ -892,113 +767,7 @@ def sqr_test_residue(f, g):
         return 1
     if t == Poly.const(fld, fld.neg(1)):
         return -1
-    raise AssertionError("power residue was not 0 or +-1")
-
-
-class MobiusSub:
-    """A fractional-linear substitution T -> (a*T + b)/(c*T + d) over F_q.
-
-    The matrix is normalized so the first nonzero of (a, b, c, d) is 1.
-    Applying the substitution to a function performs the matching change of
-    coordinates, so zeros and poles move exactly where the points do.
-    """
-
-    __slots__ = ("field", "m")
-
-    def __init__(self, field, a, b, c, d):
-        a, b, c, d = (_val(x) % field.q for x in (a, b, c, d))
-        det = field.sub(field.mul(a, d), field.mul(b, c))
-        if det == 0:
-            raise ValueError("singular substitution")
-        for x in (a, b, c, d):
-            if x:
-                inv = field.inv(x)
-                break
-        self.field = field
-        self.m = tuple(field.mul(inv, x) for x in (a, b, c, d))
-
-    @classmethod
-    def identity(cls, field):
-        return cls(field, 1, 0, 0, 1)
-
-    @property
-    def fixes_infinity(self):
-        return self.m[2] == 0
-
-    def compose(self, other):
-        f = self.field
-        a, b, c, d = self.m
-        e, g, h, i = other.m
-        return MobiusSub(
-            f,
-            f.add(f.mul(a, e), f.mul(b, h)),
-            f.add(f.mul(a, g), f.mul(b, i)),
-            f.add(f.mul(c, e), f.mul(d, h)),
-            f.add(f.mul(c, g), f.mul(d, i)),
-        )
-
-    def inverse(self):
-        a, b, c, d = self.m
-        f = self.field
-        return MobiusSub(f, d, f.neg(b), f.neg(c), a)
-
-    def is_identity(self):
-        return self.m == (1, 0, 0, 1)
-
-    def _inverse_point_map(self):
-        # T -> (d*T - b)/(-c*T + a) as a RatFunc
-        a, b, c, d = self.m
-        fld = self.field
-        num = Poly(fld, [fld.neg(b), d])
-        den = Poly(fld, [a, fld.neg(c)])
-        return RatFunc(num, den)
-
-    def apply(self, f):
-        """Push a Poly or RatFunc through the coordinate change."""
-        if isinstance(f, Poly):
-            f = RatFunc(f)
-        s = self._inverse_point_map()
-        return f.num.compose(s) / f.den.compose(s)
-
-    def apply_to_place(self, place):
-        if place.is_infinity:
-            if not self.fixes_infinity:
-                raise ValueError("substitution moves infinity")
-            return place
-        img = self.apply(place.poly)
-        return Place(img.num.monic())
-
-    def __eq__(self, other):
-        if not isinstance(other, MobiusSub):
-            return NotImplemented
-        return self.field == other.field and self.m == other.m
-
-    def __hash__(self):
-        return hash((self.field.q, self.m))
-
-    def __str__(self):
-        a, b, c, d = self.m
-        fld = self.field
-        num = Poly(fld, [b, a])
-        den = Poly(fld, [d, c])
-        if c == 0 and d == 1:
-            return "T -> %s" % num
-        return "T -> (%s)/(%s)" % (num, den)
-
-
-def mobius_two_points(x1, x2):
-    """Substitution fixing infinity that carries two distinct rational places
-    to the places at 0 and 1."""
-    for x in (x1, x2):
-        if x.is_infinity or x.degree != 1:
-            raise ValueError("need finite places of degree 1")
-    if x1 == x2:
-        raise ValueError("places must be distinct")
-    fld = x1.poly.field
-    r1 = fld.neg(x1.poly.coeff(0))
-    r2 = fld.neg(x2.poly.coeff(0))
-    # point map t -> (t - r1)/(r2 - r1)
-    return MobiusSub(fld, 1, fld.neg(r1), 0, fld.sub(r2, r1))
+    raise InvariantViolation("power residue was not 0 or +-1")
 
 
 def parse_poly(field, text):

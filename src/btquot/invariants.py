@@ -19,7 +19,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .errors import InvalidProfile, NonIntegral
+from .errors import InvalidProfile, InvariantViolation, NonIntegral
+from .gfpoly import prime_power
 
 
 def _mobius(n):
@@ -47,32 +48,16 @@ def _divisors(n):
 def count_monic_irreducibles(q, d):
     """Number of monic irreducible polynomials of degree d over F_q."""
     total = sum(_mobius(e) * q ** (d // e) for e in _divisors(d))
-    assert total % d == 0
+    if total % d:
+        raise InvariantViolation("irreducible count %d/%d is fractional" % (total, d))
     return total // d
-
-
-def _prime_power_root(q):
-    """Return (p, e) with q = p**e and p prime, or None."""
-    if q < 2:
-        return None
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            e = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                e += 1
-            return (p, e) if m == 1 else None
-        p += 1
-    return (q, 1)
 
 
 class RamProfile:
     """Size of the constant field plus the multiset of ramified degrees."""
 
     def __init__(self, q, degrees):
-        if _prime_power_root(q) is None:
+        if prime_power(q) is None:
             raise InvalidProfile("q = %r is not a prime power" % (q,))
         degs = tuple(sorted(degrees))
         if not degs or any(not isinstance(d, int) or d < 1 for d in degs):
@@ -156,7 +141,10 @@ def eichler_count(profile):
     count is the bare power of two with no class-group factor.
     """
     count = 2 ** len(profile.degrees) * wp(profile)
-    assert count == 2 * v1(profile)
+    if count != 2 * v1(profile):
+        raise InvariantViolation(
+            "Eichler count %d is not twice V1 = %d" % (count, v1(profile))
+        )
     return count
 
 
@@ -358,18 +346,26 @@ def smith_normal_form(mat):
         top += 1
 
     for k in range(1, len(factors)):
-        assert factors[k] % factors[k - 1] == 0
+        if factors[k] % factors[k - 1]:
+            raise InvariantViolation("invariant factors %r do not divide" % factors)
     entries = [x for row in mat for x in row if x]
     if factors:
         want = 0
         for x in entries:
             want = gcd(want, x)
-        assert factors[0] == want
+        if factors[0] != want:
+            raise InvariantViolation(
+                "first invariant factor %d is not the entry gcd %d" % (factors[0], want)
+            )
     if rows == cols and len(factors) == rows:
         prod = 1
         for d in factors:
             prod *= d
-        assert prod == abs(_det_int([list(map(int, r)) for r in mat]))
+        det = abs(_det_int([list(map(int, r)) for r in mat]))
+        if prod != det:
+            raise InvariantViolation(
+                "invariant factors multiply to %d, not |det| = %d" % (prod, det)
+            )
     return factors
 
 

@@ -11,7 +11,7 @@ import contextlib
 import math
 
 from .errors import NotASquare, PrecisionLoss, Unsupported
-from .gfpoly import FieldElem, Poly, RatFunc, _val
+from .gfpoly import FieldElem, Poly, _val
 
 DEFAULT_PREC = 64
 MAX_PREC = 4096
@@ -115,10 +115,6 @@ class LaurentSeries:
     def is_zero(self):
         """True when every known coefficient vanishes (exactly zero if exact)."""
         return not self.coeffs
-
-    @property
-    def known_terms(self):
-        return len(self.coeffs)
 
     def ord(self):
         if self.coeffs:
@@ -296,14 +292,6 @@ class LaurentSeries:
             r.append(f.mul(inv2s, s))
         return self._finish(self.val // 2, r, self.val // 2 + n)
 
-    def truncate(self, prec):
-        """Forget everything from u^prec on (never raises)."""
-        if not self.exact and prec >= self.prec_abs:
-            return self
-        lo = min(self.val, prec)
-        cs = [self.coeff(k) for k in range(lo, prec)]
-        return LaurentSeries(self.field, lo, cs, False)
-
     def _coerce(self, other):
         if isinstance(other, LaurentSeries):
             return other
@@ -359,13 +347,7 @@ class LaurentSeries:
 
 
 def embed(x):
-    """Expand a Poly or RatFunc at infinity: T becomes u^-1.
-
-    Polynomials (and monomial denominators) give exact series; a general
-    denominator is inverted to the working precision.
-    """
-    if isinstance(x, RatFunc):
-        return embed(x.num) * embed(x.den).inverse()
+    """Expand a Poly at infinity: T becomes u^-1, and the series is exact."""
     if not isinstance(x, Poly):
         raise TypeError("cannot embed %r" % (x,))
     if x.is_zero:

@@ -154,19 +154,6 @@ class SplitEmbedding:
         ws = we * s
         return Mat2K(xe + zs, ye - ws, (ye + ws) * self._a_series, xe - zs)
 
-    def coords(self, mat):
-        """Invert the embedding entrywise (series, not polynomials)."""
-        rows = self.transfer()
-        entries = mat.entries()
-        out = []
-        for row in rows:
-            acc = LaurentSeries.zero(self.alg.field)
-            for c, e in zip(row, entries):
-                if not c.is_zero:
-                    acc = acc + c * e
-            out.append(acc)
-        return tuple(out)
-
     def valuation_profile(self):
         """Worst entry valuations of the images and of the inverse transfer."""
         _, images, transfer = self._images()
@@ -638,7 +625,7 @@ def _bfs(emb, profile, base, slack, class_limit, log):
     vertices = [
         QVertex(i, reps[i], stabs[i].order) for i in range(len(reps))
     ]
-    edges = _pair_half_edges(half_edges, log)
+    edges = _pair_half_edges(half_edges)
     graph = QuotientGraph(fld.q, alg, profile, vertices, edges, log)
     for i in range(len(reps)):
         if graph.degree(i) not in (1, fld.q + 1):
@@ -657,7 +644,7 @@ def _bfs(emb, profile, base, slack, class_limit, log):
     return graph
 
 
-def _pair_half_edges(half_edges, log):
+def _pair_half_edges(half_edges):
     by_pair = {}
     for src, dst, stab in half_edges:
         key = (min(src, dst), max(src, dst))

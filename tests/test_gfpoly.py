@@ -2,14 +2,12 @@ import random
 
 import pytest
 
-from btquot.errors import Unsupported
+from btquot.errors import InvalidProfile, Unsupported
 from btquot.gfpoly import (
     Field,
-    MobiusSub,
     NEG_INF,
     Place,
     Poly,
-    RatFunc,
     choose_xi,
     factor,
     field_from_q,
@@ -17,11 +15,10 @@ from btquot.gfpoly import (
     is_irreducible,
     is_squarefree,
     make_field,
-    mobius_two_points,
     parse_poly,
     polys_upto,
     powmod,
-    radical,
+    prime_power,
     sqr_test_residue,
 )
 
@@ -88,10 +85,16 @@ def test_frobenius_is_additive():
 
 
 def test_field_from_q_rejects_non_prime_powers():
-    with pytest.raises(Exception):
+    with pytest.raises(ValueError, match="q must be at least 2"):
+        field_from_q(1)
+    with pytest.raises(InvalidProfile, match="q=6 is not a prime power"):
         field_from_q(6)
-    with pytest.raises(Exception):
+    with pytest.raises(InvalidProfile):
         field_from_q(12)
+    primes = [p for p in range(2, 300) if all(p % d for d in range(2, p))]
+    powers = {p**e: (p, e) for p in primes for e in range(1, 9)}
+    for q in range(-2, 300):
+        assert prime_power(q) == powers.get(q)
 
 
 def test_elem_wrappers():
@@ -241,16 +244,6 @@ def test_powmod_matches_naive():
     assert powmod(base, 0, m) == Poly.one(fld)
 
 
-def test_compose():
-    fld = make_field(5)
-    T = Poly.T(fld)
-    f = T**2 + 1
-    g = 2 * T + 3
-    assert f.compose(g) == g * g + 1
-    for x in range(5):
-        assert f.compose(g).evaluate(x) == f.evaluate(g.evaluate(x).v)
-
-
 def test_polys_upto_enumeration():
     fld = make_field(3)
     ps = list(polys_upto(fld, 2))
@@ -310,60 +303,9 @@ def test_radical_and_squarefree():
     fld = make_field(3)
     T = Poly.T(fld)
     f = (T**2 + 1) * T**2 * (T + 1)
-    assert radical(f) == (T**2 + 1) * T * (T + 1)
     assert not is_squarefree(f)
     assert is_squarefree(T * (T + 1) * (T + 2))
-    assert is_squarefree(radical(f))
-
-
-def test_ratfunc_normalization():
-    fld = make_field(5)
-    T = Poly.T(fld)
-    r = RatFunc(2 * T + 2, 4 * T**2 + 4)
-    # (2(T+1)) / (4(T^2+1)) reduces with monic denominator
-    assert r.den.is_monic
-    assert r == RatFunc(3 * Poly.one(fld), T**2 + 1) * (T + 1)
-    assert RatFunc(Poly.zero(fld), T).is_zero
-    assert RatFunc(Poly.zero(fld), T).den == Poly.one(fld)
-
-
-def test_ratfunc_field_ops():
-    rng = random.Random(29)
-    fld = make_field(3, 2)
-
-    def rand_rf():
-        num = Poly(fld, [rng.randrange(9) for _ in range(4)])
-        den = Poly.zero(fld)
-        while den.is_zero:
-            den = Poly(fld, [rng.randrange(9) for _ in range(3)])
-        return RatFunc(num, den)
-
-    for _ in range(60):
-        a, b, c = rand_rf(), rand_rf(), rand_rf()
-        assert a + b == b + a
-        assert (a + b) * c == a * c + b * c
-        assert a - a == RatFunc(Poly.zero(fld))
-        if not b.is_zero:
-            assert (a / b) * b == a
-            assert b * b.inverse() == RatFunc(Poly.one(fld))
-
-
-def test_ratfunc_ord_at():
-    fld = make_field(3)
-    T = Poly.T(fld)
-    inf = Place.infinity()
-    pT = Place.finite(T)
-    p1 = Place.finite(T + 2)  # the place at T = 1
-    r = RatFunc((T**2 + 2), T**3)  # (T-1)(T+1) / T^3
-    assert r.ord_at(pT) == -3
-    assert r.ord_at(p1) == 1
-    assert r.ord_at(inf) == 1
-    assert RatFunc(T).ord_at(inf) == -1
-    assert RatFunc(Poly.one(fld), T).ord_at(inf) == 1
-    # product rule for valuations
-    s = RatFunc(T + 1, T + 2)
-    for pl in (inf, pT, p1):
-        assert (r * s).ord_at(pl) == r.ord_at(pl) + s.ord_at(pl)
+    assert is_squarefree((T**2 + 1) * T * (T + 1))
 
 
 def test_place_ordering_and_identity():
@@ -408,54 +350,6 @@ def test_sqr_test_residue_rejects_even_q():
     T = Poly.T(fld)
     with pytest.raises(Unsupported):
         sqr_test_residue(T, Poly.one(fld))
-
-
-def test_mobius_two_points():
-    fld = make_field(5)
-    T = Poly.T(fld)
-    s = mobius_two_points(Place.finite(T + 3), Place.finite(T + 2))  # roots 2 and 3
-    assert s.fixes_infinity
-    assert s.apply_to_place(Place.finite(T + 3)) == Place.finite(T)
-    assert s.apply_to_place(Place.finite(T + 2)) == Place.finite(T + 4)
-    # the polynomial with zeros at 2, 3 moves to one with zeros at 0, 1
-    f = (T + 3) * (T + 2)
-    img = s.apply(f)
-    assert img.is_poly
-    assert img.as_poly() == T * (T + 4)
-
-
-def test_mobius_group_laws():
-    rng = random.Random(31)
-    fld = make_field(7)
-    subs = []
-    while len(subs) < 12:
-        a, b, c, d = (rng.randrange(7) for _ in range(4))
-        try:
-            subs.append(MobiusSub(fld, a, b, c, d))
-        except ValueError:
-            continue
-    ident = MobiusSub.identity(fld)
-    for s in subs:
-        assert s.compose(s.inverse()).is_identity()
-        assert s.inverse().compose(s).is_identity()
-        assert s.compose(ident) == s
-    for s in subs:
-        for t in subs[:4]:
-            u = s.compose(t)
-            # applying a composite equals applying the parts in order
-            f = RatFunc(Poly.T(fld) ** 2 + 1, Poly.T(fld) + 3)
-            assert u.apply(f) == s.apply(t.apply(f))
-
-
-def test_mobius_apply_moves_valuations():
-    fld = make_field(5)
-    T = Poly.T(fld)
-    s = mobius_two_points(Place.finite(T + 3), Place.finite(T + 2))
-    r = RatFunc((T + 3) ** 2, (T + 2))
-    img = s.apply(r)
-    assert img.ord_at(Place.finite(T)) == 2
-    assert img.ord_at(Place.finite(T + 4)) == -1
-    assert img.ord_at(Place.infinity()) == r.ord_at(Place.infinity())
 
 
 def test_parse_poly():

@@ -1,7 +1,12 @@
+import ast
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import btquot
 from btquot.errors import InvalidProfile
 from btquot.gfpoly import is_irreducible, make_field, polys_upto
 from btquot.invariants import (
@@ -91,8 +96,10 @@ def test_irreducible_count_values():
 
 
 def test_profile_validation():
-    with pytest.raises(InvalidProfile):
+    with pytest.raises(InvalidProfile, match="q = 6 is not a prime power"):
         RamProfile(6, (1, 1))
+    with pytest.raises(InvalidProfile, match="q = 1 is not a prime power"):
+        RamProfile(1, (1, 1))
     with pytest.raises(InvalidProfile):
         RamProfile(3, (1, 1, 1))
     with pytest.raises(InvalidProfile):
@@ -311,3 +318,58 @@ def test_report_schema_keys():
         "q",
         "wp",
     ]
+
+
+OPTIMIZED_INVARIANT_CHECKS = """
+import sys
+from btquot import invariants
+from btquot.errors import InvariantViolation
+from btquot.gfpoly import Place, Poly, make_field
+if __debug__:
+    sys.exit("asserts are enabled; expected python -O")
+invariants.v1 = lambda profile: 0
+try:
+    invariants.eichler_count(invariants.RamProfile(3, (1, 1)))
+except InvariantViolation as exc:
+    print(exc)
+T = Poly.T(make_field(3))
+try:
+    Place.finite(T * (T + 1))
+except InvariantViolation as exc:
+    print(exc)
+"""
+
+
+def test_invariant_checks_raise_under_optimize():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(btquot.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", OPTIMIZED_INVARIANT_CHECKS],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout == (
+        "Eichler count 4 is not twice V1 = 0\nT^2+T is not irreducible\n"
+    )
+
+
+def test_package_has_no_bare_asserts():
+    # Internal checks raise InvariantViolation: an assert vanishes under
+    # python -O, and an AssertionError escapes the CLI's exit-code mapping.
+    pkg = os.path.dirname(os.path.abspath(btquot.__file__))
+    found = []
+    for name in sorted(os.listdir(pkg)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(pkg, name)) as fh:
+            tree = ast.parse(fh.read(), name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise):
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name) and exc.id == "AssertionError":
+                    found.append("%s:%d" % (name, node.lineno))
+            elif isinstance(node, ast.Assert):
+                found.append("%s:%d" % (name, node.lineno))
+    assert found == []

@@ -15,7 +15,7 @@ from btquot.errors import (
     StabilizerAnomalousOrder,
     Unsupported,
 )
-from btquot.gfpoly import Poly, choose_xi, make_field, parse_poly
+from btquot.gfpoly import Poly, choose_xi, field_from_q, make_field, parse_poly
 from btquot.invariants import critical_group, cross_check, graph_h1
 from btquot.laurent import LaurentSeries, embed, working_precision
 from btquot.linalg import nullspace
@@ -99,12 +99,22 @@ def test_embedding_trace():
 
 
 def test_embedding_coords_roundtrip():
+    # The transfer rows invert the embedding entrywise; completeness_bound
+    # reads its constant off their valuations, so check them directly.
     rng = random.Random(17)
     alg = segment_algebra()
     emb = SplitEmbedding(alg)
+    zero = LaurentSeries.zero(alg.field)
+
+    def coords(mat):
+        return [
+            sum((c * e for c, e in zip(row, mat.entries())), zero)
+            for row in emb.transfer()
+        ]
+
     for _ in range(6):
         lam = rand_elem(rng, alg, deg=2)
-        got = emb.coords(emb.matrix(lam))
+        got = coords(emb.matrix(lam))
         for series, poly in zip(got, lam.coords):
             assert series.agrees_with(embed(poly))
 
@@ -415,6 +425,29 @@ def test_build_quotient_translated_base():
     assert [e.stabilizer_order for e in moved.edges] == [
         e.stabilizer_order for e in default.edges
     ]
+
+
+@pytest.mark.parametrize(
+    "q, text",
+    [
+        (3, "H(xi, T*(T-1))"),
+        (5, "H(xi, T*(T-1))"),
+        (7, "H(xi, T*(T-1))"),
+        (3, "H(xi, T^4+2*T^2+T)"),
+        (9, "H(4, T^2+T)"),
+        (5, "H(T^2+3*T, T^2+3*T+2)"),
+    ],
+)
+def test_completeness_bound_needs_no_slack(q, text):
+    # The default slack of 2 must not be what finds the classes: without it
+    # the graph and the cross-check are the same.
+    alg = parse_algebra(field_from_q(q), text)
+    tight = build_quotient(alg, slack=0)
+    default = build_quotient(alg)
+    assert tight.to_dict() == default.to_dict()
+    report = cross_check(tight.profile, tight).to_dict()
+    assert report == cross_check(default.profile, default).to_dict()
+    assert all(report["checks"].values())
 
 
 def test_build_quotient_class_limit_guard():

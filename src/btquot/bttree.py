@@ -186,12 +186,14 @@ def canonical_form(m):
     if oc < od:
         a, b = b, a
         c, d = d, c
+    d_inv = d.inverse()
     if not (c.is_zero and c.exact):
-        t = c * d.inverse()
+        t = c * d_inv
         a = a - t * b
         # the bottom-left entry is zero by construction
     m_ord = d.ord()
-    b = b * d.shift(-m_ord).inverse()
+    # the inverse of d * u^(-m_ord), valuation and precision included
+    b = b * d_inv.shift(m_ord)
     k = a.ord()
     if not b.exact and b.prec_abs < k:
         raise PrecisionLoss(

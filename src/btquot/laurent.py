@@ -241,13 +241,23 @@ class LaurentSeries:
         if self.exact and len(a) == 1:
             return LaurentSeries.monomial(f, -self.val, f.inv(a[0]))
         n = _PREC[-1] if self.exact else len(a)
+        add = f._addt
+        mult = f._mult
         inv0 = f.inv(a[0])
-        b = [inv0]
-        for k in range(1, n):
-            s = 0
-            for i in range(1, min(k, len(a) - 1) + 1):
-                s = f.add(s, f.mul(a[i], b[k - i]))
-            b.append(f.neg(f.mul(inv0, s)))
+        scale = mult[f._negt[inv0]]
+        tail = a[1:]
+        # acc[k] collects sum(a[i] * b[k - i], i >= 1) as the b are found
+        acc = [0] * n
+        b = []
+        for k in range(n):
+            bk = scale[acc[k]] if k else inv0
+            b.append(bk)
+            if bk:
+                row = mult[bk]
+                end = min(n, k + 1 + len(tail))
+                acc[k + 1 : end] = [
+                    add[c][row[x]] for c, x in zip(acc[k + 1 : end], tail)
+                ]
         return self._finish(-self.val, b, -self.val + n)
 
     def __truediv__(self, other):

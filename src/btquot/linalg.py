@@ -1,37 +1,47 @@
-"""Dense linear algebra over a small finite field.
+"""Sparse row reduction over a small finite field.
 
 Rows are lists of int-encoded field elements; the field object supplies
-the table-driven scalar arithmetic.
+the addition, multiplication, negation and inverse tables.
 """
 
 
 def rref(rows, width, fld):
-    """Reduce rows in place to reduced row echelon form.
+    """Reduce rows to reduced row echelon form.
 
-    Returns (rows, pivot_columns) with zero rows dropped.
+    Returns (rows, pivot_columns) with zero rows dropped.  Each normalised
+    pivot row is listed once as its nonzero (column, value) pairs past the
+    pivot, and only those cells are updated in the rows that have a
+    nonzero entry in the pivot column.  The pivot row is zero left of its
+    pivot, so no other cell can change.
     """
+    add, mult, negt, invt = fld._addt, fld._mult, fld._negt, fld._invt
     rows = [list(r) for r in rows]
+    nrows = len(rows)
     pivots = []
     r = 0
     for c in range(width):
-        pr = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                pr = i
-                break
-        if pr is None:
+        if r == nrows:
+            break
+        pr = r
+        while pr < nrows and not rows[pr][c]:
+            pr += 1
+        if pr == nrows:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        inv = fld.inv(rows[r][c])
+        prow = rows[r]
+        inv = invt[prow[c]]
         if inv != 1:
-            rows[r] = [fld.mul(inv, x) for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                ri, rr = rows[i], rows[r]
-                for j in range(c, width):
-                    if rr[j]:
-                        ri[j] = fld.sub(ri[j], fld.mul(f, rr[j]))
+            scale = mult[inv]
+            prow = rows[r] = [scale[x] for x in prow]
+        cells = [(j, prow[j]) for j in range(c + 1, width) if prow[j]]
+        for i in range(nrows):
+            row = rows[i]
+            f = row[c]
+            if f and i != r:
+                row[c] = 0
+                scale = mult[negt[f]]
+                for j, x in cells:
+                    row[j] = add[row[j]][scale[x]]
         pivots.append(c)
         r += 1
     return rows[:r], pivots

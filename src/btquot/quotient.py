@@ -63,13 +63,14 @@ def find_quotient_algebra(field, degrees, bound=4):
         need[d] = need.get(d, 0) + 1
     pools = []
     for d in sorted(need):
+        # the filter is each polynomial's one irreducibility check
         pool = sorted(
             (
-                f
+                Place(f)
                 for f in polys_upto(field, d)
                 if f.deg == d and f.is_monic and is_irreducible(f)
             ),
-            key=Poly.sort_key,
+            key=Place.sort_key,
         )
         if len(pool) < need[d]:
             raise InvalidProfile(
@@ -78,7 +79,7 @@ def find_quotient_algebra(field, degrees, bound=4):
             )
         pools.append(combinations(pool, need[d]))
     for combo in product(*pools):
-        places = [Place.finite(f) for group in combo for f in group]
+        places = [pl for group in combo for pl in group]
         try:
             alg = find_algebra(field, places, bound)
         except SearchExhausted:
@@ -96,7 +97,8 @@ class SplitEmbedding:
 
     i goes to [[0,1],[a,0]] and j to diag(s, -s) with s a fixed square
     root of b in K; the branch is whatever laurent.sqrt returns, so all
-    derived data is deterministic.  Images and the inverse transfer are
+    derived data is deterministic.  Images, the inverse transfer and the
+    left images V^{-1} * image of each lattice basis V asked for are
     cached per working precision.
     """
 
@@ -134,13 +136,26 @@ class SplitEmbedding:
             (inv_2s, zero, zero, -inv_2s),
             (zero, -inv_2s, inv_2s * a_inv, zero),
         )
-        got = (s, (ident, mat_i, mat_j, mat_ij), transfer)
+        got = (s, (ident, mat_i, mat_j, mat_ij), transfer, {})
         self._cache[prec] = got
         return got
 
     def images(self):
         """Images of (1, i, j, ij) at the current working precision."""
         return self._images()[1]
+
+    def left_images(self, V):
+        """The products V^{-1} * image over images(), memoised per V.
+
+        hom_units asks with the same few class representatives V over and
+        over; the memo lives as long as this embedding at this precision.
+        """
+        _, images, _, memo = self._images()
+        got = memo.get(V)
+        if got is None:
+            vinv = V.inverse()
+            got = memo[V] = tuple(vinv * img for img in images)
+        return got
 
     def transfer(self):
         """Rows mapping matrix entries (m11, m12, m21, m22) back to coords."""
@@ -156,7 +171,7 @@ class SplitEmbedding:
 
     def valuation_profile(self):
         """Worst entry valuations of the images and of the inverse transfer."""
-        _, images, transfer = self._images()
+        _, images, transfer, _ = self._images()
         img = min(
             e.ord() for m in images for e in m.entries() if not e.is_zero
         )
@@ -195,11 +210,14 @@ def hom_units(emb, U, V, B):
     outermost, and one row per (entry, t) saying that the coefficient of
     u^t, t < 0, vanishes in that matrix entry.  Its cell is the
     coefficient of u^(t+k+m) in the entry of the core
-    V^{-1} iota(image) U, so the four cores are computed once and every
-    row is read off their coefficient tuples.  t runs up from the lowest
-    valuation any column reaches, and rows that are entirely zero are
-    dropped.  Candidates from the kernel then pass the norm filter, and
-    each survivor is re-checked against the lattice condition directly.
+    (V^{-1} iota(image)) U, so the four cores are computed once and every
+    row is read off their coefficient tuples.  The left factors
+    V^{-1} iota(image) come from the embedding's memo, since V is one of
+    a few class representatives, so each core costs one product.  t runs
+    up from the lowest valuation any column reaches, and rows that are
+    entirely zero are dropped.  Candidates from the kernel then pass the
+    norm filter, and each survivor is re-checked against the lattice
+    condition directly.
     """
     alg = emb.alg
     fld = alg.field
@@ -209,8 +227,7 @@ def hom_units(emb, U, V, B):
     if diff % 2:
         return []
     m = diff // 2
-    vinv = V.inverse()
-    cores = [((vinv * img) * U).entries() for img in emb.images()]
+    cores = [(left * U).entries() for left in emb.left_images(V)]
     width = B + 1
     lo = 0
     for entries in cores:
@@ -251,7 +268,7 @@ def hom_units(emb, U, V, B):
             "unit candidate space has dimension %d; refusing to enumerate"
             % len(kernel)
         )
-    target = canonical_form(V)
+    target = None
     out = []
     for combo in product(range(fld.q), repeat=len(kernel)):
         if not any(combo):
@@ -267,6 +284,8 @@ def hom_units(emb, U, V, B):
         nr = lam.norm()
         if not nr.is_const or nr.is_zero:
             continue
+        if target is None:
+            target = canonical_form(V)
         if canonical_form(emb.matrix(lam) * U) != target:
             raise InvariantViolation(
                 "unit from the kernel does not carry the lattice onto the target"

@@ -1,10 +1,19 @@
+import math
 import random
 
 import pytest
 
-from btquot.bttree import Mat2K, TreeVertex, act, canonical_form, distance
+from btquot.bttree import (
+    Mat2K,
+    TreeVertex,
+    _ord_or_inf,
+    act,
+    canonical_form,
+    distance,
+)
+from btquot.errors import PrecisionLoss
 from btquot.gfpoly import Poly, make_field
-from btquot.laurent import LaurentSeries, embed
+from btquot.laurent import LaurentSeries, embed, working_precision
 
 
 def rand_vertex(rng, fld):
@@ -265,3 +274,82 @@ def test_vertex_shifts_equal_constructor_built_series():
                 assert series_key(v.x) == series_key(rebuilt(v.x))
                 assert all(c for c in v.x.coeffs[:1] + v.x.coeffs[-1:])
                 assert not v.x.coeffs or v.x.val + len(v.x.coeffs) <= v.n
+
+
+def reference_canonical_form(m):
+    """canonical_form with its two inverses, d^-1 and (d u^-m)^-1, that the
+    single shifted inverse replaced."""
+    a, b, c, d = m.a, m.b, m.c, m.d
+    oc, od = _ord_or_inf(c), _ord_or_inf(d)
+    if oc == math.inf and od == math.inf:
+        raise ZeroDivisionError("bottom row vanishes; matrix is singular")
+    if oc < od:
+        a, b = b, a
+        c, d = d, c
+    if not (c.is_zero and c.exact):
+        t = c * d.inverse()
+        a = a - t * b
+    m_ord = d.ord()
+    b = b * d.shift(-m_ord).inverse()
+    k = a.ord()
+    if not b.exact and b.prec_abs < k:
+        raise PrecisionLoss(
+            "shift entry known to O(u^%d) but digits below u^%d are needed"
+            % (b.prec_abs, k)
+        )
+    lo = min(b.val, k) if not b.is_zero else k
+    digits = [b.coeff(t) for t in range(lo, k)]
+    x = LaurentSeries._from_codes(m.field, lo - m_ord, digits, True)
+    return TreeVertex(m.field, k - m_ord, x)
+
+
+def canonical_outcome(fn, m):
+    try:
+        v = fn(m)
+    except PrecisionLoss as exc:
+        return "loss", str(exc).split(" ")[0], str(exc)
+    except (ZeroDivisionError, ValueError) as exc:
+        return "singular", type(exc).__name__, str(exc)
+    return "ok", v.n, series_key(v.x)
+
+
+def rand_entry(rng, fld):
+    """Exact polynomial-like, sparse exact, inexact or zero series."""
+    kind = rng.randrange(5)
+    val = rng.randrange(-4, 4)
+    if kind == 0:
+        return LaurentSeries.zero(fld)
+    if kind == 1:
+        return LaurentSeries.monomial(fld, val, rng.randrange(1, fld.q))
+    width = rng.choice((2, 4, 9, 14))
+    cs = [rng.randrange(1, fld.q)] + [rng.randrange(fld.q) for _ in range(width)]
+    return LaurentSeries(fld, val, cs, kind == 2)
+
+
+def test_canonical_form_matches_two_inverse_reference():
+    rng = random.Random(137)
+    seen = set()
+    for fld in (make_field(3), make_field(5), make_field(3, 2)):
+        for prec in (64, 8):
+            with working_precision(prec):
+                for _ in range(80):
+                    m = Mat2K(*(rand_entry(rng, fld) for _ in range(4)))
+                    got = canonical_outcome(canonical_form, m)
+                    assert got == canonical_outcome(reference_canonical_form, m)
+                    seen.add(got[:2] if got[0] == "loss" else got[0])
+                for _ in range(40):
+                    if rng.random() < 0.5:
+                        m = rand_poly_matrix(rng, fld) * rand_gl2o(rng, fld)
+                    else:
+                        # a deep lattice whose shift is known only shortly
+                        m = Mat2K(
+                            LaurentSeries.monomial(fld, rng.randrange(20)),
+                            rand_entry(rng, fld),
+                            LaurentSeries.zero(fld),
+                            rand_entry(rng, fld),
+                        )
+                    got = canonical_outcome(canonical_form, m)
+                    assert got == canonical_outcome(reference_canonical_form, m)
+                    seen.add(got[:2] if got[0] == "loss" else got[0])
+    # "only": a short inverse or product; "shift": the digits run out
+    assert seen == {"ok", "singular", ("loss", "only"), ("loss", "shift")}

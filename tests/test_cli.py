@@ -1,6 +1,9 @@
+import hashlib
 import json
 import subprocess
 import sys
+
+import pytest
 
 from btquot.cli import main, render_dot
 from btquot.errors import InvariantViolation
@@ -153,6 +156,38 @@ def test_quotient_artifacts_deterministic(tmp_path, capsys):
     run(capsys, "quotient", "--q", "3", "--r", "T*(T-1)", "--out", prefix)
     for p in wrote:
         assert open(p, "rb").read() == first[p]
+
+
+# sha256 of the four --out artifacts; any change to what a quotient run
+# computes or writes shows up here
+PINNED_ARTIFACTS = {
+    ("--r", "T^4+2*T^2+T"): {
+        ".graph.json": "c3de8220bc8d89fddd7df3b981c37f07df3902b32dc8d71e867a35e2d8d61cb3",
+        ".dot": "a7e470b09979e30ddbd84aac51db152f98d2f3c3a3fcad1b7cdfdb330f26c121",
+        ".log.jsonl": "9ce925b37c9773e101993a02befa639c9d681f1aa78cf429f825a7fa409e3260",
+        ".report.json": "0463e7719d37a018fb08902d123c6edfd9d5d4cb1da3771b7a16b8caa5831b21",
+    },
+    # starts at precision 16 and logs one retry
+    ("--a", "T^3+2*T+1", "--b", "T^2+1", "--precision", "16"): {
+        ".graph.json": "c768343081f1bd1b1e911a5758f83df77360bdde0a710ecd09828f2a919a5be0",
+        ".dot": "66952320e972cadec070584d6851830b6cd36c0acd1b3f2d280aa703e15c18d1",
+        ".log.jsonl": "f20a13b1bb6d2ea3aaba678687ce04ce256a6abdc5a3c5e61af559be140791d0",
+        ".report.json": "dcf06b4a775a3ccdba3eed72d1ebe8d658bd4883f8a3ffeab394f383cff9411b",
+    },
+}
+
+
+@pytest.mark.parametrize("spec", sorted(PINNED_ARTIFACTS))
+def test_quotient_artifacts_match_pinned_digests(spec, tmp_path, capsys):
+    prefix = str(tmp_path / "q")
+    code, out, _ = run(capsys, "quotient", "--q", "3", *spec, "--out", prefix)
+    assert code == 0
+    assert json.loads(out)["ok"] is True
+    digests = {
+        ext: hashlib.sha256(open(prefix + ext, "rb").read()).hexdigest()
+        for ext in PINNED_ARTIFACTS[spec]
+    }
+    assert digests == PINNED_ARTIFACTS[spec]
 
 
 def test_report_banana(capsys):

@@ -294,3 +294,58 @@ def test_arithmetic_results_are_int_codes_matching_coefficientwise_sums():
                 assert total.coeff(k) == fld.add(a.coeff(k), b.coeff(k))
             assert (-a + a).is_zero
             assert a.shift(3).shift(-3) == a
+
+
+def reference_inverse(s):
+    """The O(n^2) inverse through the field's method calls that the
+    one-pass accumulator version replaced."""
+    f = s.field
+    if s.is_zero:
+        if s.exact:
+            raise ZeroDivisionError("inverse of zero series")
+        raise PrecisionLoss("inverse of a series that is zero to known precision")
+    a = s.coeffs
+    if s.exact and len(a) == 1:
+        return LaurentSeries.monomial(f, -s.val, f.inv(a[0]))
+    n = current_precision() if s.exact else len(a)
+    inv0 = f.inv(a[0])
+    b = [inv0]
+    for k in range(1, n):
+        t = 0
+        for i in range(1, min(k, len(a) - 1) + 1):
+            t = f.add(t, f.mul(a[i], b[k - i]))
+        b.append(f.neg(f.mul(inv0, t)))
+    return s._finish(-s.val, b, -s.val + n)
+
+
+def inverse_outcome(fn, s):
+    try:
+        r = fn(s)
+    except PrecisionLoss as exc:
+        return "loss", str(exc)
+    return "ok", (r.val, r.coeffs, r.exact, r.prec_abs)
+
+
+def test_inverse_matches_quadratic_reference():
+    rng = random.Random(89)
+    seen = set()
+    for fld in (make_field(3), make_field(5), make_field(3, 2)):
+        for prec in (DEFAULT_PREC, 8):
+            with working_precision(prec):
+                for _ in range(40):
+                    exact = rng.random() < 0.5
+                    width = rng.choice((1, 2, 3, 7, 9, 30, 80))
+                    cs = [rng.randrange(1, fld.q)] + [
+                        rng.randrange(fld.q) if rng.random() < 0.7 else 0
+                        for _ in range(width - 1)
+                    ]
+                    s = LaurentSeries(fld, rng.randrange(-5, 5), cs, exact)
+                    got = inverse_outcome(LaurentSeries.inverse, s)
+                    assert got == inverse_outcome(reference_inverse, s)
+                    seen.add((exact, got[0]))
+                    if got[0] == "ok":
+                        one = LaurentSeries.one(fld)
+                        assert (s * s.inverse()).agrees_with(one)
+    # exact inputs expand to the working precision, inexact ones keep
+    # their own length and lose precision below MIN_TERMS
+    assert seen == {(True, "ok"), (False, "ok"), (False, "loss")}

@@ -332,6 +332,40 @@ def test_hom_units_matches_per_degree_reference():
     }
 
 
+def test_hom_units_left_image_memo():
+    # A fresh embedding (cold memo), a shared one's first call and its
+    # repeat (warm memo) give the same answers, at precision 64 and at 8,
+    # where some pairs lose precision; each memo belongs to one precision.
+    alg = banana_algebra()
+    fld = alg.field
+    rng = random.Random(73)
+    base = TreeVertex.base(fld)
+    todo = [(base, base), (TreeVertex(fld, 2), base), (TreeVertex(fld, -6), base)]
+    while len(todo) < 12:
+        todo.append((rand_vertex(rng, fld, 3), rng.choice(todo)[1]))
+        todo.append((rand_vertex(rng, fld, 3), rand_vertex(rng, fld, 2)))
+    emb = SplitEmbedding(alg)
+    seen = set()
+    left_at = {}
+    for prec in (64, 8):
+        with working_precision(prec):
+            for v, w in todo:
+                bound = completeness_bound(emb, v, w)
+                cold = hom_outcome(hom_units, SplitEmbedding(alg), v, w, bound)
+                first = hom_outcome(hom_units, emb, v, w, bound)
+                warm = hom_outcome(hom_units, emb, v, w, bound)
+                assert cold == first == warm
+                seen.add(warm[0])
+            V = base.matrix()
+            left = emb.left_images(V)
+            assert emb.left_images(V) is left
+            assert left == tuple(V.inverse() * img for img in emb.images())
+            left_at[prec] = left
+    assert seen == {"ok", "loss"}
+    assert left_at[64] != left_at[8]
+    assert left_at[64] == emb.left_images(base.matrix())
+
+
 def test_are_equivalent_basics():
     alg = segment_algebra()
     fld = alg.field

@@ -87,14 +87,7 @@ def _algebra_from(args):
 
 
 def _build_graph(args):
-    alg = _algebra_from(args)
-    return build_quotient(
-        alg,
-        slack=args.slack,
-        guard_factor=args.guard,
-        class_limit=args.class_limit,
-        initial_precision=args.precision,
-    )
+    return build_quotient(_algebra_from(args))
 
 
 def _profile_of(alg):
@@ -281,10 +274,6 @@ def _add_algebra_options(p):
 
 
 def _add_quotient_options(p):
-    p.add_argument("--precision", type=int, default=None, help="initial series precision")
-    p.add_argument("--slack", type=int, default=2, help="extra degree-bound slack")
-    p.add_argument("--guard", type=int, default=3, help="class-count guard factor")
-    p.add_argument("--class-limit", dest="class_limit", type=int, default=None)
     p.add_argument("--out", help="prefix for artifact files")
 
 

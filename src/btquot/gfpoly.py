@@ -301,15 +301,9 @@ class FieldElem:
     def inverse(self):
         return self.field._elems[self.field.inv(self.v)]
 
-    def is_square(self):
-        return self.field.is_square_(self.v)
-
     def sqrt(self):
         r = self.field.sqrt_(self.v)
         return None if r is None else self.field._elems[r]
-
-    def trace_abs(self):
-        return self.field.trace_abs_(self.v)
 
     def __eq__(self, other):
         if isinstance(other, FieldElem):
@@ -511,14 +505,6 @@ class Poly:
         for k in range(1, len(self.coeffs)):
             out.append(f.mul(self.coeffs[k], k % f.p))
         return Poly(f, out)
-
-    def evaluate(self, x):
-        x = _val(x)
-        f = self.field
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = f.add(f.mul(acc, x), c)
-        return f.elem(acc)
 
     def sort_key(self):
         return (len(self.coeffs), tuple(reversed(self.coeffs)))

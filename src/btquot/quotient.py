@@ -13,7 +13,9 @@ the other.  The lattice condition is linear over the constant field — it
 says certain Laurent coefficients vanish — so candidates come out of a
 nullspace computation followed by a norm-is-a-unit filter.  The degree
 bound is derived from valuations, not guessed, which is what makes empty
-answers definitive.
+answers definitive.  The build takes no tuning: the bound carries no
+margin, series precision doubles on loss, and the class guard is the
+constant GUARD_FACTOR.
 
 Only odd q is supported: for even q neither quadratic subfield of the
 algebra embeds into K, so there is no splitting of this shape to work
@@ -47,6 +49,10 @@ from .laurent import (
 from .linalg import nullspace
 from .order import StandardOrder, Witness
 from .quat import find_algebra, ramified_set
+
+# The class count may exceed the formula prediction V1 + Vq1 only by
+# this factor (plus two) before the BFS aborts with NonterminationGuard.
+GUARD_FACTOR = 3
 
 
 def find_quotient_algebra(field, degrees, bound=4):
@@ -97,9 +103,9 @@ class SplitEmbedding:
 
     i goes to [[0,1],[a,0]] and j to diag(s, -s) with s a fixed square
     root of b in K; the branch is whatever laurent.sqrt returns, so all
-    derived data is deterministic.  Images, the inverse transfer and the
-    left images V^{-1} * image of each lattice basis V asked for are
-    cached per working precision.
+    derived data is deterministic.  Images and the left images V^{-1} *
+    image of each lattice basis V asked for are cached per working
+    precision.
     """
 
     def __init__(self, alg):
@@ -127,16 +133,7 @@ class SplitEmbedding:
         mat_i = Mat2K(zero, one, a_ser, zero)
         mat_j = Mat2K(s, zero, zero, -s)
         mat_ij = Mat2K(zero, -s, a_ser * s, zero)
-        half = LaurentSeries.scalar(fld, fld.inv(fld.elem(2).v))
-        a_inv = a_ser.inverse()
-        inv_2s = half * s.inverse()
-        transfer = (
-            (half, zero, zero, half),
-            (zero, half, half * a_inv, zero),
-            (inv_2s, zero, zero, -inv_2s),
-            (zero, -inv_2s, inv_2s * a_inv, zero),
-        )
-        got = (s, (ident, mat_i, mat_j, mat_ij), transfer, {})
+        got = (s, (ident, mat_i, mat_j, mat_ij), {})
         self._cache[prec] = got
         return got
 
@@ -150,16 +147,12 @@ class SplitEmbedding:
         hom_units asks with the same few class representatives V over and
         over; the memo lives as long as this embedding at this precision.
         """
-        _, images, _, memo = self._images()
+        _, images, memo = self._images()
         got = memo.get(V)
         if got is None:
             vinv = V.inverse()
             got = memo[V] = tuple(vinv * img for img in images)
         return got
-
-    def transfer(self):
-        """Rows mapping matrix entries (m11, m12, m21, m22) back to coords."""
-        return self._images()[2]
 
     def matrix(self, el):
         """The image of an algebra element, entries in K."""
@@ -169,32 +162,27 @@ class SplitEmbedding:
         ws = we * s
         return Mat2K(xe + zs, ye - ws, (ye + ws) * self._a_series, xe - zs)
 
-    def valuation_profile(self):
-        """Worst entry valuations of the images and of the inverse transfer."""
-        _, images, transfer, _ = self._images()
-        img = min(
-            e.ord() for m in images for e in m.entries() if not e.is_zero
-        )
-        tra = min(c.ord() for row in transfer for c in row if not c.is_zero)
-        return {"image": img, "transfer": tra}
 
-    def bound_constant(self):
-        return max(0, -self.valuation_profile()["transfer"])
-
-
-def completeness_bound(emb, v, w, slack=2):
+def completeness_bound(v, w):
     """Degree bound that provably captures every unit carrying v to w.
 
-    Any such unit's matrix image is a product (lattice basis of w) * (an
-    integral unit) * (inverse lattice basis of v), up to the scalar fixed
-    by determinants, so its entry valuations are at least
-    -(d(base,v)+d(base,w))/2.  Applying the inverse transfer turns that
-    into a coordinate degree bound; its valuation constant is folded in
-    and a slack of two is added on top.
+    With V = v.matrix() and W = w.matrix(), such a unit lambda has
+    iota(lambda) = c W k V^{-1} with k in GL2(O_inf), and since its norm
+    is a nonzero constant, ord c = (n_v - n_w)/2.  Rescale the lattices
+    within their classes so that u^d L_o <= L <= L_o, with o the base
+    vertex and d = d(o,v) or d(o,w).  Then iota(lambda) maps L_v onto
+    c' L_w with ord c' = (d(o,v) - d(o,w))/2, hence L_o into
+    u^(-d(o,v)) c' L_o, so every entry has valuation
+    >= -(d(o,v) + d(o,w))/2.  The inverse transfer gives the coordinates
+    on (1, i, j, ij) as (m11 + m22)/2, (m12 + m21/a)/2, (m11 - m22)/(2s)
+    and (m21/a - m12)/(2s): its coefficients 1/2, 1/(2a), 1/(2s) and
+    1/(2as) have no negative valuation, because a and b are nonzero
+    polynomials.  A coordinate P has ord P = -deg P, so
+    deg P <= (d(o,v) + d(o,w))/2, and the floor of that is complete with
+    no margin on top.
     """
-    base = TreeVertex.base(emb.alg.field)
-    d = distance(base, v) + distance(base, w)
-    return d // 2 + emb.bound_constant() + slack
+    base = TreeVertex.base(v.field)
+    return (distance(base, v) + distance(base, w)) // 2
 
 
 def hom_units(emb, U, V, B):
@@ -216,8 +204,9 @@ def hom_units(emb, U, V, B):
     a few class representatives, so each core costs one product.  t runs
     up from the lowest valuation any column reaches, and rows that are
     entirely zero are dropped.  Candidates from the kernel then pass the
-    norm filter, and each survivor is re-checked against the lattice
-    condition directly.
+    norm filter.  A survivor meets the lattice condition by construction;
+    callers check what they use (the stabilizer its generator,
+    are_equivalent its witness).
     """
     alg = emb.alg
     fld = alg.field
@@ -268,7 +257,6 @@ def hom_units(emb, U, V, B):
             "unit candidate space has dimension %d; refusing to enumerate"
             % len(kernel)
         )
-    target = None
     out = []
     for combo in product(range(fld.q), repeat=len(kernel)):
         if not any(combo):
@@ -284,12 +272,6 @@ def hom_units(emb, U, V, B):
         nr = lam.norm()
         if not nr.is_const or nr.is_zero:
             continue
-        if target is None:
-            target = canonical_form(V)
-        if canonical_form(emb.matrix(lam) * U) != target:
-            raise InvariantViolation(
-                "unit from the kernel does not carry the lattice onto the target"
-            )
         out.append(lam)
     out.sort(key=lambda g: tuple(c.sort_key() for c in g.coords))
     return out
@@ -410,11 +392,15 @@ def _prime_divisors(n):
     return out
 
 
-def stabilizer(emb, vertex, slack=2):
+def stabilizer(emb, vertex):
+    """The units fixing vertex.  Every element is a power of the group's
+    generator, so checking that the generator fixes vertex checks all."""
     mat = vertex.matrix()
-    bound = completeness_bound(emb, vertex, vertex, slack)
-    found = hom_units(emb, mat, mat, bound)
-    return StabilizerGroup(emb.alg, found)
+    found = hom_units(emb, mat, mat, completeness_bound(vertex, vertex))
+    group = StabilizerGroup(emb.alg, found)
+    if canonical_form(emb.matrix(group.generator) * mat) != vertex:
+        raise InvariantViolation("stabilizer generator does not fix the vertex")
+    return group
 
 
 class NoEquivalence:
@@ -430,7 +416,7 @@ class NoEquivalence:
         return "NoEquivalence(bound=%r)" % (self.bound,)
 
 
-def are_equivalent(emb, v, w, slack=2, log=None):
+def are_equivalent(emb, v, w, log=None):
     """Witness(unit carrying v to w) or a definitive NoEquivalence."""
     if v == w:
         return Witness(emb.alg.one)
@@ -440,7 +426,7 @@ def are_equivalent(emb, v, w, slack=2, log=None):
                 {"event": "equivalence", "outcome": "no", "reason": "parity"}
             )
         return NoEquivalence(None)
-    bound = completeness_bound(emb, v, w, slack)
+    bound = completeness_bound(v, w)
     found = hom_units(emb, v.matrix(), w.matrix(), bound)
     if log is not None:
         log.append(
@@ -505,9 +491,6 @@ class QuotientGraph:
         lo, hi = min(a, b), max(a, b)
         return sum(1 for e in self.edges if (e.a, e.b) == (lo, hi))
 
-    def terminal_indices(self):
-        return [i for i in range(len(self.vertices)) if self.degree(i) == 1]
-
     def to_dict(self):
         return {
             "q": self.q,
@@ -532,19 +515,12 @@ class QuotientGraph:
         return "QuotientGraph(V=%d, E=%d)" % (len(self.vertices), len(self.edges))
 
 
-def build_quotient(
-    alg,
-    base=None,
-    slack=2,
-    guard_factor=3,
-    class_limit=None,
-    initial_precision=None,
-):
+def build_quotient(alg, base=None):
     """BFS construction of the vertex classes and edge orbits.
 
     Precision starts at the default and doubles on PrecisionLoss up to the
     module maximum; the run log records each retry.  The class count is
-    capped by the formula prediction times guard_factor (plus two), so a
+    capped by the formula prediction times GUARD_FACTOR (plus two), so a
     bound or precision bug aborts instead of spinning.
     """
     if alg.field.p == 2:
@@ -558,8 +534,7 @@ def build_quotient(
     profile = RamProfile(
         alg.field.q, [pl.degree for pl in ramified_set(alg)]
     )
-    if class_limit is None:
-        class_limit = guard_factor * (formula_v1(profile) + formula_vq1(profile)) + 2
+    class_limit = GUARD_FACTOR * (formula_v1(profile) + formula_vq1(profile)) + 2
 
     log = [
         {
@@ -567,15 +542,14 @@ def build_quotient(
             "algebra": str(alg),
             "q": alg.field.q,
             "class_limit": class_limit,
-            "slack": slack,
         }
     ]
-    prec = initial_precision if initial_precision is not None else DEFAULT_PREC
+    prec = DEFAULT_PREC
     while True:
         try:
             with working_precision(prec):
                 emb = SplitEmbedding(alg)
-                return _bfs(emb, profile, base, slack, class_limit, log)
+                return _bfs(emb, profile, base, class_limit, log)
         except PrecisionLoss:
             if prec >= MAX_PREC:
                 raise
@@ -583,13 +557,13 @@ def build_quotient(
             log.append({"event": "retry", "precision": prec})
 
 
-def _bfs(emb, profile, base, slack, class_limit, log):
+def _bfs(emb, profile, base, class_limit, log):
     alg = emb.alg
     fld = alg.field
     if base is None:
         base = TreeVertex.base(fld)
     reps = [base]
-    stabs = [stabilizer(emb, base, slack)]
+    stabs = [stabilizer(emb, base)]
     log.append(
         {
             "event": "vertex",
@@ -607,7 +581,7 @@ def _bfs(emb, profile, base, slack, class_limit, log):
             nb = vertex.neighbors()[orbit[0]]
             target = None
             for j, other in enumerate(reps):
-                verdict = are_equivalent(emb, nb, other, slack, log)
+                verdict = are_equivalent(emb, nb, other, log)
                 if verdict:
                     target = j
                     break
@@ -619,7 +593,7 @@ def _bfs(emb, profile, base, slack, class_limit, log):
                         % (class_limit, formula_v1(profile), formula_vq1(profile))
                     )
                 reps.append(nb)
-                stabs.append(stabilizer(emb, nb, slack))
+                stabs.append(stabilizer(emb, nb))
                 target = len(reps) - 1
                 log.append(
                     {

@@ -5,8 +5,9 @@ import sys
 
 import pytest
 
-from btquot.cli import main, render_dot
+from btquot.cli import build_parser, main, render_dot
 from btquot.errors import InvariantViolation
+from btquot.laurent import DEFAULT_PREC
 from btquot.quotient import find_quotient_algebra
 from btquot.gfpoly import make_field
 
@@ -159,28 +160,31 @@ def test_quotient_artifacts_deterministic(tmp_path, capsys):
 
 
 # sha256 of the four --out artifacts; any change to what a quotient run
-# computes or writes shows up here
+# computes or writes shows up here.  A key is (starting series precision,
+# algebra options).
 PINNED_ARTIFACTS = {
-    ("--r", "T^4+2*T^2+T"): {
+    (DEFAULT_PREC, ("--r", "T^4+2*T^2+T")): {
         ".graph.json": "c3de8220bc8d89fddd7df3b981c37f07df3902b32dc8d71e867a35e2d8d61cb3",
         ".dot": "a7e470b09979e30ddbd84aac51db152f98d2f3c3a3fcad1b7cdfdb330f26c121",
-        ".log.jsonl": "9ce925b37c9773e101993a02befa639c9d681f1aa78cf429f825a7fa409e3260",
+        ".log.jsonl": "00d7fbb0f7a05128457472fd7bac77584e9f31369e407d454bdeb3213108038c",
         ".report.json": "0463e7719d37a018fb08902d123c6edfd9d5d4cb1da3771b7a16b8caa5831b21",
     },
     # starts at precision 16 and logs one retry
-    ("--a", "T^3+2*T+1", "--b", "T^2+1", "--precision", "16"): {
+    (16, ("--a", "T^3+2*T+1", "--b", "T^2+1")): {
         ".graph.json": "c768343081f1bd1b1e911a5758f83df77360bdde0a710ecd09828f2a919a5be0",
         ".dot": "66952320e972cadec070584d6851830b6cd36c0acd1b3f2d280aa703e15c18d1",
-        ".log.jsonl": "f20a13b1bb6d2ea3aaba678687ce04ce256a6abdc5a3c5e61af559be140791d0",
+        ".log.jsonl": "8a978c9c6989e36ac3f4fbac1ddfb654d2bf5d743eafbd2ee9f356df3c43c402",
         ".report.json": "dcf06b4a775a3ccdba3eed72d1ebe8d658bd4883f8a3ffeab394f383cff9411b",
     },
 }
 
 
 @pytest.mark.parametrize("spec", sorted(PINNED_ARTIFACTS))
-def test_quotient_artifacts_match_pinned_digests(spec, tmp_path, capsys):
+def test_quotient_artifacts_match_pinned_digests(spec, tmp_path, capsys, monkeypatch):
+    prec, algebra = spec
+    monkeypatch.setattr("btquot.quotient.DEFAULT_PREC", prec)
     prefix = str(tmp_path / "q")
-    code, out, _ = run(capsys, "quotient", "--q", "3", *spec, "--out", prefix)
+    code, out, _ = run(capsys, "quotient", "--q", "3", *algebra, "--out", prefix)
     assert code == 0
     assert json.loads(out)["ok"] is True
     digests = {
@@ -243,11 +247,32 @@ def test_exit_code_check_failure(capsys):
     assert "not certified maximal" in err
 
 
-def test_exit_code_resource_guard(capsys):
-    code, _, err = run(capsys, "quotient", "--q", "3", "--r", "T*(T-1)",
-                       "--class-limit", "1")
+def test_exit_code_resource_guard(capsys, monkeypatch):
+    # Guard factor 0 allows 2 classes; this profile has 8.
+    monkeypatch.setattr("btquot.quotient.GUARD_FACTOR", 0)
+    code, _, err = run(capsys, "quotient", "--q", "3", "--r", "T^4+2*T^2+T")
     assert code == 4
     assert "resource guard" in err
+
+
+def test_quotient_commands_take_no_tuning_options(capsys):
+    # The degree bound is proven, the class guard and the precision ladder
+    # are constants: the graph commands take the algebra and --out only.
+    parser = build_parser()
+    sub = next(a for a in parser._actions if a.dest == "command")
+    for name in ("quotient", "report", "dot"):
+        options = [
+            opt for action in sub.choices[name]._actions
+            for opt in action.option_strings
+        ]
+        assert options == [
+            "-h", "--help", "--q", "--a", "--b", "--r", "--R-degrees",
+            "--search-bound", "--out",
+        ]
+    code, _, err = run(capsys, "quotient", "--q", "3", "--r", "T*(T-1)",
+                       "--slack", "2")
+    assert code == 3
+    assert "usage error" in err
 
 
 def test_exit_code_invariant_violation(capsys, monkeypatch):

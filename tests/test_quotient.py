@@ -98,18 +98,36 @@ def test_embedding_trace():
         assert (m.a + m.d).agrees_with(embed(lam.trace()))
 
 
+def transfer_rows(alg):
+    """Rows mapping matrix entries (m11, m12, m21, m22) back to coords."""
+    fld = alg.field
+    s = embed(alg.b).sqrt()
+    zero = LaurentSeries.zero(fld)
+    half = LaurentSeries.scalar(fld, fld.inv(fld.elem(2).v))
+    a_inv = embed(alg.a).inverse()
+    inv_2s = half * s.inverse()
+    return (
+        (half, zero, zero, half),
+        (zero, half, half * a_inv, zero),
+        (inv_2s, zero, zero, -inv_2s),
+        (zero, -inv_2s, inv_2s * a_inv, zero),
+    )
+
+
 def test_embedding_coords_roundtrip():
-    # The transfer rows invert the embedding entrywise; completeness_bound
-    # reads its constant off their valuations, so check them directly.
+    # The transfer rows invert the embedding entrywise, and none has a
+    # coefficient of negative valuation: completeness_bound adds no
+    # constant for them.
     rng = random.Random(17)
     alg = segment_algebra()
     emb = SplitEmbedding(alg)
     zero = LaurentSeries.zero(alg.field)
+    rows = transfer_rows(alg)
 
     def coords(mat):
         return [
             sum((c * e for c, e in zip(row, mat.entries())), zero)
-            for row in emb.transfer()
+            for row in rows
         ]
 
     for _ in range(6):
@@ -117,6 +135,20 @@ def test_embedding_coords_roundtrip():
         got = coords(emb.matrix(lam))
         for series, poly in zip(got, lam.coords):
             assert series.agrees_with(embed(poly))
+    for q, a, b in (
+        (3, "2", "T^2 + 2*T"),
+        (3, "T", "T^2 + T + 2"),
+        (3, "T^3 + 2*T + 1", "T^2 + 1"),
+        (3, "T^2 + T + 2", "T^4 + T^3 + T^2 + T"),
+        (5, "T^2 + 3*T", "T^2 + 3*T + 2"),
+        (7, "3", "T^2 + 6*T"),
+        (9, "4", "T^2 + T"),
+        (11, "2", "T^2 + 10*T"),
+    ):
+        fld = field_from_q(q)
+        alg = QuatAlgebra(fld, parse_poly(fld, a), parse_poly(fld, b))
+        for row in transfer_rows(alg):
+            assert all(c.is_zero or c.ord() >= 0 for c in row)
 
 
 def test_embedding_even_q_unsupported():
@@ -133,18 +165,15 @@ def test_embedding_needs_square():
         SplitEmbedding(alg)
 
 
-def test_valuation_profile_and_bounds():
-    alg = segment_algebra()
-    emb = SplitEmbedding(alg)
-    prof = emb.valuation_profile()
-    assert prof == {"image": -1, "transfer": 0}
-    assert emb.bound_constant() == 0
-    fld = alg.field
+def test_completeness_bound_values():
+    fld = make_field(3)
     base = TreeVertex.base(fld)
-    assert completeness_bound(emb, base, base) == 2
+    assert completeness_bound(base, base) == 0
     v = TreeVertex(fld, -1)
-    assert completeness_bound(emb, v, v) == 3
-    assert completeness_bound(emb, base, v, slack=0) == 0
+    assert completeness_bound(v, v) == 1
+    assert completeness_bound(base, v) == 0
+    deep = TreeVertex(fld, 2, LaurentSeries.monomial(fld, 1))
+    assert completeness_bound(deep, v) == 1  # distances 2 and 1
 
 
 def test_theta2_matrix_shape():
@@ -257,7 +286,6 @@ def reference_hom_units(emb, U, V, B):
             if any(row):
                 rows.append(row)
     kernel = nullspace(rows, len(cand), fld)
-    target = canonical_form(V)
     width = B + 1
     out = []
     for combo in product(range(fld.q), repeat=len(kernel)):
@@ -274,7 +302,6 @@ def reference_hom_units(emb, U, V, B):
         nr = lam.norm()
         if not nr.is_const or nr.is_zero:
             continue
-        assert canonical_form(emb.matrix(lam) * U) == target
         out.append(lam)
     out.sort(key=lambda g: tuple(c.sort_key() for c in g.coords))
     return out
@@ -309,9 +336,11 @@ def test_hom_units_matches_per_degree_reference():
             v = rand_vertex(rng, fld, depth)
             todo.append((v, v if rng.random() < 0.2 else rand_vertex(rng, fld, depth)))
         for v, w in todo:
-            bound = completeness_bound(emb, v, w)
+            bound = completeness_bound(v, w)
             got = hom_outcome(hom_units, emb, v, w, bound)
             assert got == hom_outcome(reference_hom_units, emb, v, w, bound)
+            for lam in got[1] if got[0] == "ok" else []:
+                assert canonical_form(emb.matrix(lam) * v.matrix()) == w
             diff = v.n - w.n
             seen.add(
                 "stabilizer" if v == w
@@ -322,7 +351,7 @@ def test_hom_units_matches_per_degree_reference():
             seen.add("found" if got[1] else "empty")
         with working_precision(8):
             for v, w in todo + [(TreeVertex(fld, -6), TreeVertex(fld, -6))]:
-                bound = completeness_bound(emb, v, w)
+                bound = completeness_bound(v, w)
                 got = hom_outcome(hom_units, emb, v, w, bound)
                 assert got == hom_outcome(reference_hom_units, emb, v, w, bound)
                 # "lattice" is the constraint-system check, "only" a short product
@@ -350,7 +379,7 @@ def test_hom_units_left_image_memo():
     for prec in (64, 8):
         with working_precision(prec):
             for v, w in todo:
-                bound = completeness_bound(emb, v, w)
+                bound = completeness_bound(v, w)
                 cold = hom_outcome(hom_units, SplitEmbedding(alg), v, w, bound)
                 first = hom_outcome(hom_units, emb, v, w, bound)
                 warm = hom_outcome(hom_units, emb, v, w, bound)
@@ -407,7 +436,6 @@ def test_build_quotient_segment_q3():
     assert [v.stabilizer_order for v in graph.vertices] == [8, 8]
     assert graph.edges[0].stabilizer_order == 2
     assert graph.degrees() == [1, 1]
-    assert graph.terminal_indices() == [0, 1]
     assert graph_h1(graph) == 0
     report = cross_check(graph.profile, graph)
     assert report.ok()
@@ -472,37 +500,49 @@ def test_build_quotient_translated_base():
         (5, "H(T^2+3*T, T^2+3*T+2)"),
     ],
 )
-def test_completeness_bound_needs_no_slack(q, text):
-    # The default slack of 2 must not be what finds the classes: without it
-    # the graph and the cross-check are the same.
+def test_completeness_bound_needs_no_slack(q, text, monkeypatch):
+    # Reference: the bound with the old margin of two on top.  Every unit
+    # search a build makes returns the same units at both bounds.
+    calls = []
+
+    def with_margin(emb, U, V, B):
+        got = hom_units(emb, U, V, B)
+        assert got == hom_units(emb, U, V, B + 2)
+        calls.append(B)
+        return got
+
+    monkeypatch.setattr("btquot.quotient.hom_units", with_margin)
     alg = parse_algebra(field_from_q(q), text)
-    tight = build_quotient(alg, slack=0)
-    default = build_quotient(alg)
-    assert tight.to_dict() == default.to_dict()
-    report = cross_check(tight.profile, tight).to_dict()
-    assert report == cross_check(default.profile, default).to_dict()
-    assert all(report["checks"].values())
+    graph = build_quotient(alg)
+    assert calls
+    assert all(cross_check(graph.profile, graph).to_dict()["checks"].values())
 
 
-def test_build_quotient_class_limit_guard():
-    with pytest.raises(NonterminationGuard):
-        build_quotient(banana_algebra(), class_limit=1)
+def test_build_quotient_class_limit_guard(monkeypatch):
+    # Guard factor 0 allows 2 classes; this profile has 8.
+    monkeypatch.setattr("btquot.quotient.GUARD_FACTOR", 0)
+    alg = parse_algebra(field_from_q(3), "H(xi, T^4+2*T^2+T)")
+    with pytest.raises(NonterminationGuard, match="more than 2 vertex classes"):
+        build_quotient(alg)
 
 
-def test_build_quotient_low_precision_retries():
-    alg = segment_algebra()
-    graph = build_quotient(alg, initial_precision=8)
+def test_build_quotient_low_precision_retries(monkeypatch):
+    monkeypatch.setattr("btquot.quotient.DEFAULT_PREC", 8)
+    graph = build_quotient(segment_algebra())
+    assert [e for e in graph.log if e["event"] == "retry"]
     assert len(graph.vertices) == 2
     assert len(graph.edges) == 1
 
 
-def test_build_quotient_retry_gives_default_precision_graph():
+def test_build_quotient_retry_gives_default_precision_graph(monkeypatch):
     fld = make_field(3)
     alg = parse_algebra(fld, "H(T^3 + 2*T + 1, T^2 + 1)")
-    retried = build_quotient(alg, initial_precision=16)
+    default = build_quotient(alg)
+    monkeypatch.setattr("btquot.quotient.DEFAULT_PREC", 16)
+    retried = build_quotient(alg)
     retries = [entry for entry in retried.log if entry["event"] == "retry"]
     assert retries == [{"event": "retry", "precision": 32}]
-    assert retried.to_dict() == build_quotient(alg).to_dict()
+    assert retried.to_dict() == default.to_dict()
     assert len(retried.vertices) == 26
 
 
@@ -631,40 +671,39 @@ def test_stabilizer_group_rejects_full_order_non_group():
         StabilizerGroup(alg, fake)
 
 
-OPTIMIZED_RECHECK = """
+OPTIMIZED_GENERATOR_CHECK = """
 import sys
+from btquot import quotient
 from btquot.bttree import TreeVertex
-from btquot.errors import PrecisionLoss
+from btquot.errors import InvariantViolation
 from btquot.gfpoly import make_field
-from btquot.laurent import working_precision
 from btquot.quat import parse_algebra
-from btquot.quotient import SplitEmbedding, completeness_bound, hom_units
 if __debug__:
     sys.exit("asserts are enabled; expected python -O")
 fld = make_field(3)
-emb = SplitEmbedding(parse_algebra(fld, "H(2, T^2 + 2*T)"))
-v, w = TreeVertex.base(fld), TreeVertex(fld, 2)
-with working_precision(8):
-    try:
-        hom_units(emb, v.matrix(), w.matrix(), completeness_bound(emb, v, w))
-    except PrecisionLoss as exc:
-        print("PrecisionLoss:", exc)
-        sys.exit(0)
-print("no PrecisionLoss")
+emb = quotient.SplitEmbedding(parse_algebra(fld, "H(2, T^2 + 2*T)"))
+base = TreeVertex.base(fld)
+base_group = quotient.stabilizer(emb, base).elements
+# a cyclic group of the right order, but the base's: it moves the child
+quotient.hom_units = lambda emb, U, V, B: base_group
+try:
+    quotient.stabilizer(emb, TreeVertex(fld, 1))
+except InvariantViolation as exc:
+    print("InvariantViolation:", exc)
+    sys.exit(0)
+print("no InvariantViolation")
 sys.exit(1)
 """
 
 
-def test_hom_units_recheck_raises_precision_loss_under_optimize():
-    # At precision 8 the constraint system of this pair passes its own
-    # precision check; only the lattice re-check of a candidate runs short.
+def test_stabilizer_generator_check_raises_under_optimize():
     src = os.path.dirname(os.path.dirname(os.path.abspath(btquot.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
-        [sys.executable, "-O", "-c", OPTIMIZED_RECHECK],
+        [sys.executable, "-O", "-c", OPTIMIZED_GENERATOR_CHECK],
         capture_output=True,
         text=True,
         env=env,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.startswith("PrecisionLoss: only")
+    assert proc.stdout.startswith("InvariantViolation: stabilizer generator")

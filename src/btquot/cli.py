@@ -70,6 +70,17 @@ def _int_list(text):
         raise UsageError("expected comma-separated integers, got %r" % text)
 
 
+def _degree_bound(text):
+    """argparse type of --bound and --search-bound: an int that is >= 0."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text)
+    if n < 0:
+        raise argparse.ArgumentTypeError("a degree bound must be >= 0, got %d" % n)
+    return n
+
+
 def _algebra_from(args):
     fld = field_from_q(args.q)
     pair = [args.a is not None, args.b is not None]
@@ -267,7 +278,7 @@ def _add_algebra_options(p):
     )
     p.add_argument(
         "--search-bound",
-        type=int,
+        type=_degree_bound,
         default=4,
         help="degree shell limit for the --R-degrees search",
     )
@@ -296,7 +307,9 @@ def build_parser():
 
     p = sub.add_parser("torsion", help="torsion units and conjugacy classes")
     _add_algebra_options(p)
-    p.add_argument("--bound", type=int, default=2, help="coordinate degree bound")
+    p.add_argument(
+        "--bound", type=_degree_bound, default=2, help="coordinate degree bound"
+    )
     p.add_argument(
         "--no-classes",
         action="store_true",

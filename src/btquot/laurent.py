@@ -201,18 +201,7 @@ class LaurentSeries:
             else prec - lo
         )
         cs = [0] * n
-        add = f._addt
-        mult = f._mult
-        xs, ys = self.coeffs, other.coeffs
-        if len(ys) < len(xs):
-            xs, ys = ys, xs
-        for i, a in enumerate(xs[:n]):
-            if a:
-                row = mult[a]
-                end = min(n, i + len(ys))
-                cs[i:end] = [
-                    add[c][row[b]] for c, b in zip(cs[i:end], ys)
-                ]
+        _convolve_into(cs, 0, self.coeffs, other.coeffs, f)
         return self._finish(lo, cs, prec)
 
     __radd__ = __add__
@@ -354,6 +343,86 @@ class LaurentSeries:
 
     def __repr__(self):
         return "LaurentSeries(%s)" % self
+
+
+def _convolve_into(cs, off, xs, ys, f):
+    """Add the product of the code tuples xs and ys into cs from index off
+    on, dropping the terms past the end of cs."""
+    n = len(cs) - off
+    add = f._addt
+    mult = f._mult
+    if len(ys) < len(xs):
+        xs, ys = ys, xs
+    for i, a in enumerate(xs[:n]):
+        if a:
+            row = mult[a]
+            lo = off + i
+            hi = off + min(n, i + len(ys))
+            cs[lo:hi] = [add[c][row[b]] for c, b in zip(cs[lo:hi], ys)]
+
+
+def dot_head(x1, y1, x2, y2, end):
+    """x1*y1 + x2*y2 below u^end, without computing the full products.
+
+    Returns (val, prec, head): the valuation of the sum (None when it is
+    zero), its absolute precision (math.inf when it is exact) and its
+    coefficients of u^val up to u^(min(end, prec) - 1), all equal to what
+    the full products and their sum give.  A product of nonzero series has
+    the sum of their valuations as its own, and its precision follows from
+    theirs.  The sum's valuation is found by scanning up from its lowest
+    exponent; the scan goes past u^end only when everything below is zero.
+    PrecisionLoss is raised where the two products and then their sum
+    would raise it, with the same message.
+    """
+    terms = []  # (coeffs, coeffs, val) of the nonzero products
+    low = prec = math.inf
+    for x, y in ((x1, y1), (x2, y2)):
+        xs, ys = x.coeffs, y.coeffs
+        if (x.exact and not xs) or (y.exact and not ys):
+            continue
+        p = min(x.prec_abs + y.val, y.prec_abs + x.val)
+        if p < prec:
+            prec = p
+        if xs and ys:
+            val = x.val + y.val
+            if p - val < MIN_TERMS:
+                raise PrecisionLoss(
+                    "only %d terms survive (need %d)" % (p - val, MIN_TERMS)
+                )
+            terms.append((xs, ys, val))
+        else:
+            val = p  # an inexact zero starts at its precision
+        if val < low:
+            low = val
+    if low == math.inf:
+        return None, math.inf, []
+    if prec == math.inf:  # exact: nothing past the longest product
+        top = max(val + len(xs) + len(ys) - 1 for xs, ys, val in terms)
+    else:
+        top = prec
+    stop = max(low, min(end, top))
+    cs = _sum_codes(terms, low, stop, x1.field)
+    j = next((j for j, c in enumerate(cs) if c), None)
+    if j is None and stop < top:  # zero below u^end: look above it
+        cs = _sum_codes(terms, low, top, x1.field)
+        j = next((j for j, c in enumerate(cs) if c), None)
+    if j is None:
+        return None, prec, []
+    val = low + j
+    if prec - val < MIN_TERMS:
+        raise PrecisionLoss(
+            "only %d terms survive (need %d)" % (prec - val, MIN_TERMS)
+        )
+    return val, prec, cs[j : stop - low]
+
+
+def _sum_codes(terms, low, hi, f):
+    """Coefficients of u^low .. u^(hi-1) of a sum of products (xs, ys, val)."""
+    cs = [0] * (hi - low)
+    for xs, ys, val in terms:
+        if val < hi:
+            _convolve_into(cs, val - low, xs, ys, f)
+    return cs
 
 
 def embed(x):

@@ -317,7 +317,33 @@ def ram_product(alg):
     return r
 
 
-def find_algebra(field, places, bound=4):
+class SquarefreeShells:
+    """The squarefree nonzero polynomials over a field, one list per degree
+    in polys_upto order; each degree is computed once, on first use.
+
+    Squarefreeness does not depend on the target places, so one instance
+    can serve every find_algebra call of a search over place sets.
+    """
+
+    def __init__(self, field):
+        self.field = field
+        self._by_degree = []
+
+    def __getitem__(self, deg):
+        fld = self.field
+        while len(self._by_degree) <= deg:
+            d = len(self._by_degree)
+            self._by_degree.append(
+                [
+                    f
+                    for f in islice(polys_upto(fld, d), fld.q**d, None)
+                    if is_squarefree(f)
+                ]
+            )
+        return self._by_degree[deg]
+
+
+def find_algebra(field, places, bound=4, shells=None):
     """Smallest H(a, b) split at infinity with the given finite ramified places.
 
     Candidates are scanned in shells by max(deg a, deg b) and inside a shell
@@ -333,7 +359,9 @@ def find_algebra(field, places, bound=4):
     coprime.  A pair of table entries therefore passes when their masks
     cover all targets and gcd(a, b) is constant: the same pairs reach
     ramified_set in the same order as with a product and a gcd per pair,
-    which gives the same first hit and the same SearchExhausted.
+    which gives the same first hit and the same SearchExhausted.  The
+    squarefree polynomials come from shells, a SquarefreeShells of the
+    field that a caller may share across calls (a fresh one by default).
     """
     places = sorted(places, key=Place.sort_key)
     for pl in places:
@@ -342,16 +370,16 @@ def find_algebra(field, places, bound=4):
     if len(places) % 2:
         raise ValueError("need an even number of ramified places")
     target = [pl.poly for pl in places]
+    if shells is None:
+        shells = SquarefreeShells(field)
     if field.p == 2:
-        return _find_algebra_even(field, places, target, bound)
+        return _find_algebra_even(field, places, target, bound, shells)
     full = (1 << len(target)) - 1
     table = []  # (poly, target mask) of the squarefree nonzero polynomials
     b_cands = []  # entries usable as b: even degree, square leading coeff
     for shell in range(bound + 1):
         top_b = []  # the b candidates of degree shell
-        for f in islice(polys_upto(field, shell), field.q**shell, None):
-            if not is_squarefree(f):
-                continue
+        for f in shells[shell]:
             mask = 0
             for k, v in enumerate(target):
                 if v.divides(f):
@@ -377,18 +405,14 @@ def find_algebra(field, places, bound=4):
     )
 
 
-def _find_algebra_even(field, places, target, bound):
+def _find_algebra_even(field, places, target, bound, shells):
     if any(pl.degree % 2 == 0 for pl in places):
         raise SearchExhausted(
             "even q: only odd-degree places can ramify in the supported shape"
         )
     xi = choose_xi(field)
-    for shell in range(bound + 1):
-        for b in polys_upto(field, shell):
-            if b.is_zero or b.deg != shell or b.deg % 2:
-                continue
-            if not is_squarefree(b):
-                continue
+    for shell in range(0, bound + 1, 2):
+        for b in shells[shell]:
             if any(not v.divides(b) for v in target):
                 continue
             alg = QuatAlgebra(field, xi, b)

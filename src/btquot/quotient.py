@@ -43,12 +43,13 @@ from .laurent import (
     MAX_PREC,
     LaurentSeries,
     current_precision,
+    dot_head,
     embed,
     working_precision,
 )
 from .linalg import nullspace
 from .order import StandardOrder, Witness
-from .quat import find_algebra, ramified_set
+from .quat import SquarefreeShells, find_algebra, ramified_set
 
 # The class count may exceed the formula prediction V1 + Vq1 only by
 # this factor (plus two) before the BFS aborts with NonterminationGuard.
@@ -64,6 +65,8 @@ def find_quotient_algebra(field, degrees, bound=4):
     order that is a proper suborder (its discriminant picks up a split
     prime), and such hits are skipped.
     """
+    if any(d < 1 for d in degrees):
+        raise InvalidProfile("degrees must be positive integers")
     need = {}
     for d in degrees:
         need[d] = need.get(d, 0) + 1
@@ -84,10 +87,11 @@ def find_quotient_algebra(field, degrees, bound=4):
                 % (len(pool), d, field.q)
             )
         pools.append(combinations(pool, need[d]))
+    shells = SquarefreeShells(field)  # shared: it does not depend on places
     for combo in product(*pools):
         places = [pl for group in combo for pl in group]
         try:
-            alg = find_algebra(field, places, bound)
+            alg = find_algebra(field, places, bound, shells)
         except SearchExhausted:
             continue
         if StandardOrder(alg).certify_maximal():
@@ -198,15 +202,17 @@ def hom_units(emb, U, V, B):
     outermost, and one row per (entry, t) saying that the coefficient of
     u^t, t < 0, vanishes in that matrix entry.  Its cell is the
     coefficient of u^(t+k+m) in the entry of the core
-    (V^{-1} iota(image)) U, so the four cores are computed once and every
-    row is read off their coefficient tuples.  The left factors
-    V^{-1} iota(image) come from the embedding's memo, since V is one of
-    a few class representatives, so each core costs one product.  t runs
-    up from the lowest valuation any column reaches, and rows that are
-    entirely zero are dropped.  Candidates from the kernel then pass the
-    norm filter.  A survivor meets the lattice condition by construction;
-    callers check what they use (the stabilizer its generator,
-    are_equivalent its witness).
+    (V^{-1} iota(image)) U, so the rows read only the exponents in
+    [lo+m, B+m) of each core entry.  The left factors V^{-1} iota(image)
+    come from the embedding's memo, since V is one of a few class
+    representatives, and each core entry is a sum of two products that
+    dot_head evaluates below u^(B+m) only, with the valuation, precision
+    and PrecisionLoss of the full product.  t runs up from the lowest
+    valuation any column reaches, and rows that are entirely zero are
+    dropped.  Candidates from the kernel then pass the norm filter.  A
+    survivor meets the lattice condition by construction; callers check
+    what they use (the stabilizer its generator, are_equivalent its
+    witness).
     """
     alg = emb.alg
     fld = alg.field
@@ -216,34 +222,50 @@ def hom_units(emb, U, V, B):
     if diff % 2:
         return []
     m = diff // 2
-    cores = [(left * U).entries() for left in emb.left_images(V)]
-    width = B + 1
-    lo = 0
+    end = B + m
+    ua, ub, uc, ud = U.entries()
+    cores = []
+    for left in emb.left_images(V):
+        la, lb, lc, ld = left.entries()
+        cores.append(
+            (
+                dot_head(la, ua, lb, uc, end),
+                dot_head(la, ub, lb, ud, end),
+                dot_head(lc, ua, ld, uc, end),
+                dot_head(lc, ub, ld, ud, end),
+            )
+        )
+    # Degree k reads each entry up to u^(k+m-1), so an entry known to
+    # O(u^p) fails from k = p - m + 1 on.  The loss reported is the first
+    # failure with the cores outermost, then k, then the entries.
     for entries in cores:
-        for k in range(width):
-            for e in entries:
-                if not e.exact and e.prec_abs - k - m < 0:
-                    raise PrecisionLoss(
-                        "lattice constraint entry known only to O(u^%d)"
-                        % (e.prec_abs - k - m)
-                    )
-                if not e.is_zero:
-                    lo = min(lo, e.val - k - m)
+        short = [prec for _, prec, _ in entries if prec < end]
+        if short:
+            k = max(0, min(short) - m + 1)
+            prec = next(p for _, p, _ in entries if p - k - m < 0)
+            raise PrecisionLoss(
+                "lattice constraint entry known only to O(u^%d)" % (prec - k - m)
+            )
+    width = B + 1
+    lo = min(
+        [0]
+        + [val - end for entries in cores for val, _, _ in entries if val is not None]
+    )
     # Exponents t+k+m for t in [lo, 0) and k in [0, B] span [lo+m, B+m).
-    # Each window holds one entry's coefficients there, zero outside what
-    # is stored: the precision check above keeps every exponent that a
-    # row reads below the entry's precision.
+    # Each window holds one entry's coefficients there: every nonzero
+    # entry starts at or above lo+m, and the precision check above keeps
+    # the window below its precision.
     span = B - lo
     rows = []
     for pos in range(4):
         windows = []
         for entries in cores:
-            e = entries[pos]
-            cs = e.coeffs
-            off = lo + m - e.val
-            windows.append(
-                [cs[i] if 0 <= i < len(cs) else 0 for i in range(off, off + span)]
-            )
+            val, _, head = entries[pos]
+            w = [0] * span
+            if head:
+                off = val - lo - m
+                w[off : off + len(head)] = head
+            windows.append(w)
         for start in range(-lo):
             row = []
             for w in windows:

@@ -230,6 +230,31 @@ def test_find_quotient_algebra_skips_uncertified():
     assert str(alg) == "H(T, T^2+T+2)"
 
 
+def test_torsion_negative_bound_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "torsion", "--q", "3", "--r", "T*(T-1)", "--bound", "-1")
+    assert (code, out) == (3, "")
+    assert err.startswith("usage error:") and "--bound" in err
+
+
+def test_ramification_negative_search_bound_is_a_usage_error(capsys):
+    code, out, err = run(
+        capsys, "ramification", "--q", "3", "--R-degrees", "1,1", "--search-bound", "-1"
+    )
+    assert (code, out) == (3, "")
+    assert err.startswith("usage error:") and "--search-bound" in err
+
+
+def test_ramification_nonpositive_degrees_checked_before_pools(capsys, monkeypatch):
+    def no_pools(f):
+        raise AssertionError("a place pool was scanned")
+
+    monkeypatch.setattr("btquot.quotient.is_irreducible", no_pools)
+    for degrees in ("0,1", "-1,1"):
+        code, out, err = run(capsys, "ramification", "--q", "3", "--R-degrees=" + degrees)
+        assert (code, out) == (3, "")
+        assert err == "unsupported: degrees must be positive integers\n"
+
+
 def test_exit_code_unsupported(capsys):
     code, _, err = run(capsys, "quotient", "--q", "2", "--r", "T^2+T")
     assert code == 3

@@ -349,15 +349,18 @@ def test_hom_units_matches_per_degree_reference():
                 else "zero m"
             )
             seen.add("found" if got[1] else "empty")
-        with working_precision(8):
-            for v, w in todo + [(TreeVertex(fld, -6), TreeVertex(fld, -6))]:
-                bound = completeness_bound(v, w)
-                got = hom_outcome(hom_units, emb, v, w, bound)
-                assert got == hom_outcome(reference_hom_units, emb, v, w, bound)
-                # "lattice" is the constraint-system check, "only" a short product
-                seen.add(got[1].split()[0] if got[0] == "loss" else "ok")
+        for prec in (8, 16):
+            with working_precision(prec):
+                for v, w in todo + [(TreeVertex(fld, -6), TreeVertex(fld, -6))]:
+                    bound = completeness_bound(v, w)
+                    got = hom_outcome(hom_units, emb, v, w, bound)
+                    assert got == hom_outcome(reference_hom_units, emb, v, w, bound)
+                    # "lattice" is the constraint-system check, "only" a short
+                    # product or sum in a core entry
+                    seen.add(got[1].split()[0] if got[0] == "loss" else "ok")
     assert seen >= {
-        "stabilizer", "odd", "nonzero m", "zero m", "found", "empty", "ok", "lattice"
+        "stabilizer", "odd", "nonzero m", "zero m", "found", "empty", "ok",
+        "lattice", "only",
     }
 
 
@@ -516,6 +519,31 @@ def test_completeness_bound_needs_no_slack(q, text, monkeypatch):
     graph = build_quotient(alg)
     assert calls
     assert all(cross_check(graph.profile, graph).to_dict()["checks"].values())
+
+
+def test_build_quotient_work_is_pinned(monkeypatch):
+    # The unit searches and eliminations of one V=26 build, counted; a
+    # cheaper assembly of the constraint rows must leave all four alone.
+    counts = {"hom_units": 0, "units": 0, "nullspace": 0, "kernel_dim": 0}
+
+    def counted_hom_units(emb, U, V, B):
+        got = hom_units(emb, U, V, B)
+        counts["hom_units"] += 1
+        counts["units"] += len(got)
+        return got
+
+    def counted_nullspace(rows, ncols, fld):
+        kernel = nullspace(rows, ncols, fld)
+        counts["nullspace"] += 1
+        counts["kernel_dim"] += len(kernel)
+        return kernel
+
+    monkeypatch.setattr("btquot.quotient.hom_units", counted_hom_units)
+    monkeypatch.setattr("btquot.quotient.nullspace", counted_nullspace)
+    alg = parse_algebra(make_field(3), "H(T^3+2*T+1, T^2+1)")
+    graph = build_quotient(alg)
+    assert len(graph.vertices) == 26
+    assert counts == {"hom_units": 704, "units": 160, "nullspace": 704, "kernel_dim": 80}
 
 
 def test_build_quotient_class_limit_guard(monkeypatch):

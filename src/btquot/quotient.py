@@ -63,10 +63,10 @@ def find_quotient_algebra(field, degrees, bound=4):
     Place sets realizing the degrees are tried in ascending order; for a
     given set the smallest matching algebra can still have a standard
     order that is a proper suborder (its discriminant picks up a split
-    prime), and such hits are skipped.
+    prime), and such hits are skipped.  The degrees are validated as a
+    RamProfile (positive, an even count) before any place pool is built.
     """
-    if any(d < 1 for d in degrees):
-        raise InvalidProfile("degrees must be positive integers")
+    RamProfile(field.q, degrees)
     need = {}
     for d in degrees:
         need[d] = need.get(d, 0) + 1
@@ -439,8 +439,13 @@ class NoEquivalence:
 
 
 def are_equivalent(emb, v, w, log=None):
-    """Witness(unit carrying v to w) or a definitive NoEquivalence."""
+    """Witness(unit carrying v to w) or a definitive NoEquivalence; with a
+    log, exactly one equivalence event is appended."""
     if v == w:
+        if log is not None:
+            log.append(
+                {"event": "equivalence", "outcome": "witness", "reason": "same vertex"}
+            )
         return Witness(emb.alg.one)
     if (v.n - w.n) % 2:
         if log is not None:
@@ -580,12 +585,45 @@ def build_quotient(alg, base=None):
 
 
 def _bfs(emb, profile, base, class_limit, log):
+    """Vertex classes in discovery order, and the half-edges between them.
+
+    Class `cursor` is expanded by taking the first neighbour of each orbit
+    of its stabilizer on the link, in neighbor_orbits order, and finding
+    that neighbour's class; the orbit is one half-edge.  A neighbour of no
+    known class becomes the next class.
+
+    Each edge orbit is looked up once, not once from each end.  By Serre's
+    *Trees*, an edge orbit between classes a and b is one Stab(a)-orbit on
+    the link of reps[a] and one Stab(b)-orbit on the link of reps[b].
+    When the lookup of nb from class a finds class b > a with witness
+    gamma (gamma * nb = reps[b]), the tree automorphism gamma carries the
+    edge (reps[a], nb) to (gamma * reps[a], reps[b]), so gamma * reps[a]
+    is a neighbour of reps[b] in class a; it is recorded for b.  When nb
+    becomes the new class b, reps[a] itself is recorded.  Expanding b,
+    each record settles its Stab(b)-orbit with no test, and the settled
+    orbits are exactly b's half-edges to earlier classes:
+    - an edge orbit between b and an earlier class a was looked up from a,
+      because a settles only orbits that lead below a, and its record lies
+      in its own Stab(b)-orbit;
+    - two records x = gamma * reps[a] and x' = gamma' * reps[a] with
+      x' = s * x, s in Stab(b), would make gamma'^-1 * s * gamma fix
+      reps[a] and carry nb to nb', so the two lookups of a would have been
+      one Stab(a)-orbit.
+    The orbits left open lead to later classes (never to b itself:
+    adjacent vertices differ in level parity), so they are tested against
+    reps[cursor + 1:] only.  A record off the link, or two in one orbit,
+    raise InvariantViolation.  Every equivalence event names the class it
+    tests or settles under "class".
+    """
     alg = emb.alg
     fld = alg.field
     if base is None:
         base = TreeVertex.base(fld)
     reps = [base]
     stabs = [stabilizer(emb, base)]
+    # reverse[b]: (neighbour of reps[b], its class) for each half-edge of b
+    # into an earlier class, recorded by the lookup that found it
+    reverse = [[]]
     log.append(
         {
             "event": "vertex",
@@ -599,14 +637,44 @@ def _bfs(emb, profile, base, class_limit, log):
     while cursor < len(reps):
         vertex = reps[cursor]
         group = stabs[cursor]
-        for orbit in group.neighbor_orbits(emb, vertex):
-            nb = vertex.neighbors()[orbit[0]]
-            target = None
-            for j, other in enumerate(reps):
-                verdict = are_equivalent(emb, nb, other, log)
-                if verdict:
-                    target = j
-                    break
+        nbs = vertex.neighbors()
+        orbits = group.neighbor_orbits(emb, vertex)
+        orbit_of = {nbs[i]: k for k, orbit in enumerate(orbits) for i in orbit}
+        settled = {}
+        for x, source in reverse[cursor]:
+            k = orbit_of.get(x)
+            if k is None:
+                raise InvariantViolation(
+                    "reverse edge from class %d is off the link of class %d"
+                    % (source, cursor)
+                )
+            if k in settled:
+                raise InvariantViolation(
+                    "reverse edges from classes %d and %d share a neighbour"
+                    " orbit of class %d" % (settled[k], source, cursor)
+                )
+            settled[k] = source
+        for k, orbit in enumerate(orbits):
+            nb = nbs[orbit[0]]
+            target = settled.get(k)
+            if target is not None:
+                log.append(
+                    {
+                        "event": "equivalence",
+                        "class": target,
+                        "outcome": "witness",
+                        "reason": "reverse edge",
+                    }
+                )
+            else:
+                for j in range(cursor + 1, len(reps)):
+                    verdict = are_equivalent(emb, nb, reps[j], log)
+                    log[-1]["class"] = j
+                    if verdict:
+                        target = j
+                        back = act(emb.matrix(verdict.lam), vertex)
+                        reverse[j].append((back, cursor))
+                        break
             if target is None:
                 if len(reps) >= class_limit:
                     raise NonterminationGuard(
@@ -616,6 +684,7 @@ def _bfs(emb, profile, base, class_limit, log):
                     )
                 reps.append(nb)
                 stabs.append(stabilizer(emb, nb))
+                reverse.append([(vertex, cursor)])
                 target = len(reps) - 1
                 log.append(
                     {
@@ -625,8 +694,6 @@ def _bfs(emb, profile, base, class_limit, log):
                         "level": nb.n,
                     }
                 )
-            if target == cursor:
-                raise InvariantViolation("loop edge contradicts the parity guard")
             edge_stab = group.order // len(orbit)
             fixers = group.fixing_count(emb, nb)
             if edge_stab != fixers:

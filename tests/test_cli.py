@@ -166,14 +166,14 @@ PINNED_ARTIFACTS = {
     (DEFAULT_PREC, ("--r", "T^4+2*T^2+T")): {
         ".graph.json": "c3de8220bc8d89fddd7df3b981c37f07df3902b32dc8d71e867a35e2d8d61cb3",
         ".dot": "a7e470b09979e30ddbd84aac51db152f98d2f3c3a3fcad1b7cdfdb330f26c121",
-        ".log.jsonl": "00d7fbb0f7a05128457472fd7bac77584e9f31369e407d454bdeb3213108038c",
+        ".log.jsonl": "d77457c53343e59a12b1a892c3e11dbba3b94f7bb7d37519d91a162fd9dd3b7f",
         ".report.json": "0463e7719d37a018fb08902d123c6edfd9d5d4cb1da3771b7a16b8caa5831b21",
     },
     # starts at precision 16 and logs one retry
     (16, ("--a", "T^3+2*T+1", "--b", "T^2+1")): {
         ".graph.json": "c768343081f1bd1b1e911a5758f83df77360bdde0a710ecd09828f2a919a5be0",
         ".dot": "66952320e972cadec070584d6851830b6cd36c0acd1b3f2d280aa703e15c18d1",
-        ".log.jsonl": "8a978c9c6989e36ac3f4fbac1ddfb654d2bf5d743eafbd2ee9f356df3c43c402",
+        ".log.jsonl": "17de43023be55981dceaf2ee29f7c5ab17f99af09bf0633a746e67a08a55033f",
         ".report.json": "dcf06b4a775a3ccdba3eed72d1ebe8d658bd4883f8a3ffeab394f383cff9411b",
     },
 }
@@ -253,6 +253,17 @@ def test_ramification_nonpositive_degrees_checked_before_pools(capsys, monkeypat
         code, out, err = run(capsys, "ramification", "--q", "3", "--R-degrees=" + degrees)
         assert (code, out) == (3, "")
         assert err == "unsupported: degrees must be positive integers\n"
+
+
+def test_ramification_odd_degree_count_checked_before_pools(capsys, monkeypatch):
+    def no_pools(f):
+        raise AssertionError("a place pool was scanned")
+
+    monkeypatch.setattr("btquot.quotient.is_irreducible", no_pools)
+    for degrees, count in (("1", 1), ("1,1,2", 3)):
+        code, out, err = run(capsys, "ramification", "--q", "3", "--R-degrees", degrees)
+        assert (code, out) == (3, "")
+        assert err == "unsupported: a ramification set has even size, got %d places\n" % count
 
 
 def test_exit_code_unsupported(capsys):

@@ -7,8 +7,10 @@ from itertools import product
 import pytest
 
 import btquot
-from btquot.bttree import Mat2K, TreeVertex, act, canonical_form
+from btquot import quotient
+from btquot.bttree import Mat2K, TreeVertex, act, canonical_form, distance
 from btquot.errors import (
+    InvariantViolation,
     NonterminationGuard,
     NotASquare,
     PrecisionLoss,
@@ -403,9 +405,11 @@ def test_are_equivalent_basics():
     fld = alg.field
     emb = SplitEmbedding(alg)
     base = TreeVertex.base(fld)
-    same = are_equivalent(emb, base, base)
+    log = []
+    same = are_equivalent(emb, base, base, log=log)
     assert isinstance(same, Witness)
     assert same.lam == alg.one
+    assert log == [{"event": "equivalence", "outcome": "witness", "reason": "same vertex"}]
     for nb in base.neighbors():
         verdict = are_equivalent(emb, base, nb)
         assert isinstance(verdict, NoEquivalence)
@@ -543,7 +547,145 @@ def test_build_quotient_work_is_pinned(monkeypatch):
     alg = parse_algebra(make_field(3), "H(T^3+2*T+1, T^2+1)")
     graph = build_quotient(alg)
     assert len(graph.vertices) == 26
-    assert counts == {"hom_units": 704, "units": 160, "nullspace": 704, "kernel_dim": 80}
+    assert counts == {"hom_units": 173, "units": 106, "nullspace": 173, "kernel_dim": 53}
+
+
+def reference_bfs(emb, profile, base, class_limit, log):
+    """The all-classes search: each neighbour orbit is tested against every
+    representative from class 0 up, so each edge is looked up from both
+    ends.  Graph and half-edges go through the module's _pair_half_edges."""
+    fld = emb.alg.field
+    if base is None:
+        base = TreeVertex.base(fld)
+    reps = [base]
+    stabs = [stabilizer(emb, base)]
+    half_edges = []
+    cursor = 0
+    while cursor < len(reps):
+        vertex = reps[cursor]
+        group = stabs[cursor]
+        for orbit in group.neighbor_orbits(emb, vertex):
+            nb = vertex.neighbors()[orbit[0]]
+            target = None
+            for j, other in enumerate(reps):
+                if are_equivalent(emb, nb, other):
+                    target = j
+                    break
+            if target is None:
+                assert len(reps) < class_limit
+                reps.append(nb)
+                stabs.append(stabilizer(emb, nb))
+                target = len(reps) - 1
+            assert target != cursor
+            half_edges.append((cursor, target, group.order // len(orbit)))
+        cursor += 1
+    vertices = [quotient.QVertex(i, reps[i], stabs[i].order) for i in range(len(reps))]
+    edges = quotient._pair_half_edges(half_edges)
+    return quotient.QuotientGraph(fld.q, emb.alg, profile, vertices, edges, log)
+
+
+# The seven seed-0 benchmark quotients, the two segments and the banana
+# (q=3 --R-degrees 1,2).
+REFERENCE_CASES = [
+    (3, "H(xi, T^4+2*T^2+T)"),
+    (3, "H(T^3+2*T+1, T^2+1)"),
+    (3, "H(T^2+T+2, T^4+T^3+T^2+T)"),
+    (7, "H(xi, T*(T-1))"),
+    (9, "H(4, T^2+T)"),
+    (11, "H(xi, T*(T-1))"),
+    (5, "H(T^2+3*T, T^2+3*T+2)"),
+    (3, "H(xi, T*(T-1))"),
+    (5, "H(xi, T*(T-1))"),
+    (3, "H(T, T^2+T+2)"),
+]
+
+
+@pytest.mark.parametrize("q, text", REFERENCE_CASES)
+def test_bfs_matches_all_classes_reference(q, text, monkeypatch):
+    captured = []
+
+    def capture(half_edges):
+        captured.append(list(half_edges))
+        return pair_half_edges(half_edges)
+
+    pair_half_edges = quotient._pair_half_edges
+    monkeypatch.setattr("btquot.quotient._pair_half_edges", capture)
+    alg = parse_algebra(field_from_q(q), text)
+    graph = build_quotient(alg)
+    monkeypatch.setattr("btquot.quotient._bfs", reference_bfs)
+    reference = build_quotient(alg)
+    assert graph.to_dict() == reference.to_dict()
+    assert len(captured) == 2
+    assert captured[0] == captured[1]
+
+
+@pytest.mark.parametrize(
+    "q, text",
+    [(3, "H(xi, T^4+2*T^2+T)"), (3, "H(T^3+2*T+1, T^2+1)"), (5, "H(T^2+3*T, T^2+3*T+2)")],
+)
+def test_bfs_looks_up_each_edge_once(q, text, monkeypatch):
+    # Every test made while class c is expanded names a class above c.  An
+    # edge a--b with a < b is looked up once from a, where the lookup ends
+    # in a witness or in a new class, and settled once from b, naming a;
+    # each equivalence event names the class it tests or settles.
+    expanding = []
+    tests = []
+
+    def orbits(group, emb, vertex):
+        expanding.append(vertex)
+        return neighbor_orbits(group, emb, vertex)
+
+    def counted(emb, v, w, log=None):
+        verdict = are_equivalent(emb, v, w, log)
+        tests.append((expanding[-1], w, bool(verdict)))
+        return verdict
+
+    neighbor_orbits = StabilizerGroup.neighbor_orbits
+    monkeypatch.setattr(StabilizerGroup, "neighbor_orbits", orbits)
+    monkeypatch.setattr("btquot.quotient.are_equivalent", counted)
+    graph = build_quotient(parse_algebra(field_from_q(q), text))
+    index = {v.lift: v.index for v in graph.vertices}
+    assert expanding == [v.lift for v in graph.vertices]
+    assert tests and all(index[w] > index[c] for c, w, _ in tests)
+    events = [e for e in graph.log if e["event"] == "equivalence"]
+    settled = [e["class"] for e in events if e.get("reason") == "reverse edge"]
+    assert [e["class"] for e in events if e.get("reason") != "reverse edge"] == [
+        index[w] for _, w, _ in tests
+    ]
+    assert sorted(settled) == sorted(e.a for e in graph.edges)
+    looked_up = sum(found for _, _, found in tests) + len(graph.vertices) - 1
+    assert len(settled) == looked_up == len(graph.edges)
+    assert len(settled) + looked_up == sum(graph.degrees())
+
+
+def test_bfs_rejects_two_reverse_edges_in_one_orbit(monkeypatch):
+    # With the identity as every witness, class 0 records the base vertex
+    # for class 1 once per lookup that finds it.
+    def identity_witness(emb, v, w, log=None):
+        verdict = are_equivalent(emb, v, w, log)
+        return Witness(emb.alg.one) if verdict else verdict
+
+    monkeypatch.setattr("btquot.quotient.are_equivalent", identity_witness)
+    with pytest.raises(
+        InvariantViolation,
+        match="reverse edges from classes 0 and 0 share a neighbour orbit of class 1",
+    ):
+        build_quotient(banana_algebra())
+
+
+def test_bfs_rejects_reverse_edge_off_the_link(monkeypatch):
+    # The identity carries nb's neighbour to a vertex at distance >= 2 from
+    # w when d(nb, w) >= 3, so that record cannot lie on the link of w.
+    def identity_when_far(emb, v, w, log=None):
+        verdict = are_equivalent(emb, v, w, log)
+        return Witness(emb.alg.one) if verdict and distance(v, w) >= 3 else verdict
+
+    monkeypatch.setattr("btquot.quotient.are_equivalent", identity_when_far)
+    alg = parse_algebra(field_from_q(3), "H(xi, T^4+2*T^2+T)")
+    with pytest.raises(
+        InvariantViolation, match="reverse edge from class 3 is off the link of class 4"
+    ):
+        build_quotient(alg)
 
 
 def test_build_quotient_class_limit_guard(monkeypatch):

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 
 from .errors import PrecisionLoss
-from .laurent import LaurentSeries
+from .laurent import MIN_TERMS, LaurentSeries
 
 
 class TreeVertex:
@@ -147,8 +147,11 @@ class Mat2K:
     def trace(self):
         return self.a + self.d
 
-    def inverse(self):
-        inv = self.det().inverse()
+    def inverse(self, terms=None):
+        """The inverse matrix; `terms` is the term count for the inverse of
+        an exact determinant with more than one term (see
+        LaurentSeries.inverse)."""
+        inv = self.det().inverse(terms)
         return Mat2K(self.d * inv, -self.b * inv, -self.c * inv, self.a * inv)
 
     def __eq__(self, other):
@@ -166,35 +169,55 @@ class Mat2K:
         return "Mat2K%s" % (self,)
 
 
-def _ord_or_inf(s):
-    if s.is_zero and s.exact:
-        return math.inf
-    return s.ord()
+def _left_is_pivot(c, d):
+    """Whether c, the bottom-left entry, has the strictly smaller valuation.
+
+    Each entry is read only as far as it is known: a series that is zero to
+    O(u^p) has valuation at least p, and an exact zero counts as infinite.  So c wins
+    when its valuation is known and below d's lower bound, and d wins when
+    its valuation is known and at most c's lower bound.
+    """
+    oc = c.val if c.coeffs or not c.exact else math.inf
+    od = d.val if d.coeffs or not d.exact else math.inf
+    if oc == od == math.inf:
+        raise ZeroDivisionError("bottom row vanishes; matrix is singular")
+    if c.coeffs and oc < od:
+        return True
+    if (d.coeffs or d.exact) and od <= oc:
+        return False
+    raise PrecisionLoss("cannot choose a pivot between %s and %s" % (c, d))
 
 
 def canonical_form(m):
     """The vertex fixed by the column lattice of m, up to homothety.
 
-    Reduction picks the column whose bottom entry has smaller valuation as
-    the pivot, clears the other bottom entry, and normalizes both columns
-    to monomials before reducing the shift.
+    Reduction picks the column whose bottom entry d has the smaller
+    valuation as the pivot (d wins ties, and the comparison reads each entry
+    only as far as it is known), clears the other bottom entry c, and
+    normalizes both columns to monomials before reducing the shift.  The
+    reduced top-left entry is det/d, and the shift is b/d modulo u^k for
+    its valuation k.  For an exact matrix k comes from the exact
+    determinant, and d^-1 is expanded just far enough for the shift's
+    digits below u^k.  Otherwise the entry is a - (c/d)*b, and an exact
+    pivot is expanded as far as the inexact entries are known.
     """
     a, b, c, d = m.a, m.b, m.c, m.d
-    oc, od = _ord_or_inf(c), _ord_or_inf(d)
-    if oc == math.inf and od == math.inf:
-        raise ZeroDivisionError("bottom row vanishes; matrix is singular")
-    if oc < od:
-        a, b = b, a
-        c, d = d, c
-    d_inv = d.inverse()
-    if not (c.is_zero and c.exact):
-        t = c * d_inv
-        a = a - t * b
-        # the bottom-left entry is zero by construction
+    if _left_is_pivot(c, d):
+        a, b, c, d = b, a, d, c
     m_ord = d.ord()
+    exact = a.exact and b.exact and c.exact and d.exact
+    if exact:
+        k = (a * d - b * c).ord() - m_ord
+        terms = k - b.val if b.coeffs else 0
+    else:
+        terms = min(e.prec_abs for e in (a, b, c, d)) - m_ord
+    d_inv = d.inverse(max(terms, MIN_TERMS))
+    if not exact:
+        if not (c.is_zero and c.exact):
+            a = a - c * d_inv * b
+        k = a.ord()
     # the inverse of d * u^(-m_ord), valuation and precision included
     b = b * d_inv.shift(m_ord)
-    k = a.ord()
     if not b.exact and b.prec_abs < k:
         raise PrecisionLoss(
             "shift entry known to O(u^%d) but digits below u^%d are needed"

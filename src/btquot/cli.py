@@ -26,7 +26,6 @@ from .errors import (
     NonterminationGuard,
     NotASquare,
     NotCertified,
-    PrecisionLoss,
     RamifiedAtInfinity,
     SearchExhausted,
     StabilizerAnomalousOrder,
@@ -361,7 +360,7 @@ def main(argv=None):
     except (NotCertified, NonIntegral) as exc:
         print("check failed: %s" % exc, file=sys.stderr)
         return 2
-    except (NonterminationGuard, PrecisionLoss, StabilizerAnomalousOrder) as exc:
+    except (NonterminationGuard, StabilizerAnomalousOrder) as exc:
         print("resource guard: %s" % exc, file=sys.stderr)
         return 4
     except InvariantViolation as exc:

@@ -3,37 +3,19 @@
 A series is either exact (finitely many terms, all later coefficients zero)
 or known only up to O(u^prec).  Arithmetic tracks the guaranteed precision
 and raises PrecisionLoss rather than silently returning too few digits.
+There is no working precision: the inverse or square root of an exact
+series with more than one term is expanded to a term count its caller
+passes, and an inexact series keeps the count it has.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 
 from .errors import NotASquare, PrecisionLoss, Unsupported
 from .gfpoly import FieldElem, Poly, _val
 
-DEFAULT_PREC = 64
-MAX_PREC = 4096
 MIN_TERMS = 8
-
-_PREC = [DEFAULT_PREC]
-
-
-def current_precision():
-    return _PREC[-1]
-
-
-@contextlib.contextmanager
-def working_precision(n):
-    """Temporarily set the expansion precision used for exact inputs."""
-    if not MIN_TERMS <= n <= MAX_PREC:
-        raise ValueError("precision %d outside [%d, %d]" % (n, MIN_TERMS, MAX_PREC))
-    _PREC.append(n)
-    try:
-        yield n
-    finally:
-        _PREC.pop()
 
 
 class LaurentSeries:
@@ -220,7 +202,21 @@ class LaurentSeries:
             self.field, self.val + k, self.coeffs, self.exact
         )
 
-    def inverse(self):
+    def _expansion(self, terms, what):
+        """How many terms an inverse or square root of self gets."""
+        if not self.exact:
+            return len(self.coeffs)
+        if terms is None:
+            raise ValueError(
+                "the %s of an exact series with %d terms needs a term count"
+                % (what, len(self.coeffs))
+            )
+        return terms
+
+    def inverse(self, terms=None):
+        """1/self.  A monomial has an exact inverse; any other exact series
+        is expanded to `terms` terms, and an inexact one to as many terms as
+        it has itself."""
         f = self.field
         if self.is_zero:
             if self.exact:
@@ -229,7 +225,7 @@ class LaurentSeries:
         a = self.coeffs
         if self.exact and len(a) == 1:
             return LaurentSeries.monomial(f, -self.val, f.inv(a[0]))
-        n = _PREC[-1] if self.exact else len(a)
+        n = self._expansion(terms, "inverse")
         add = f._addt
         mult = f._mult
         inv0 = f.inv(a[0])
@@ -249,23 +245,9 @@ class LaurentSeries:
                 ]
         return self._finish(-self.val, b, -self.val + n)
 
-    def __truediv__(self, other):
-        return self * self._coerce(other).inverse()
-
-    def __pow__(self, n):
-        if n < 0:
-            return self.inverse() ** (-n)
-        r = LaurentSeries.one(self.field)
-        b = self
-        while n:
-            if n & 1:
-                r = r * b
-            b = b * b
-            n >>= 1
-        return r
-
-    def sqrt(self):
-        """Canonical square root: leading coefficient is the smallest root."""
+    def sqrt(self, terms=None):
+        """Canonical square root: leading coefficient is the smallest root.
+        The term count follows the rules of inverse."""
         f = self.field
         if f.p == 2:
             raise Unsupported("series square root needs odd q")
@@ -281,7 +263,7 @@ class LaurentSeries:
         if self.exact and len(self.coeffs) == 1:
             return LaurentSeries.monomial(f, self.val // 2, s0)
         a = self.coeffs
-        n = _PREC[-1] if self.exact else len(a)
+        n = self._expansion(terms, "square root")
         inv2s = f.inv(f.mul(2 % f.p, s0))
         r = [s0]
         for k in range(1, n):
@@ -364,15 +346,15 @@ def _convolve_into(cs, off, xs, ys, f):
 def dot_head(x1, y1, x2, y2, end):
     """x1*y1 + x2*y2 below u^end, without computing the full products.
 
-    Returns (val, prec, head): the valuation of the sum (None when it is
-    zero), its absolute precision (math.inf when it is exact) and its
-    coefficients of u^val up to u^(min(end, prec) - 1), all equal to what
-    the full products and their sum give.  A product of nonzero series has
-    the sum of their valuations as its own, and its precision follows from
-    theirs.  The sum's valuation is found by scanning up from its lowest
-    exponent; the scan goes past u^end only when everything below is zero.
-    PrecisionLoss is raised where the two products and then their sum
-    would raise it, with the same message.
+    Returns (val, prec, head): the valuation of the sum when it has a
+    nonzero coefficient below u^end (None otherwise), its absolute
+    precision (math.inf when it is exact) and its coefficients of u^val up
+    to u^(min(end, prec) - 1), all equal to what the full products and
+    their sum give.  A product of nonzero series has the sum of their
+    valuations as its own, and its precision follows from theirs.  Digits
+    at u^end and above are never looked at.  PrecisionLoss is raised where
+    one of the two products would raise it, and where a sum with a
+    valuation below u^end keeps fewer than MIN_TERMS known terms.
     """
     terms = []  # (coeffs, coeffs, val) of the nonzero products
     low = prec = math.inf
@@ -403,9 +385,6 @@ def dot_head(x1, y1, x2, y2, end):
     stop = max(low, min(end, top))
     cs = _sum_codes(terms, low, stop, x1.field)
     j = next((j for j, c in enumerate(cs) if c), None)
-    if j is None and stop < top:  # zero below u^end: look above it
-        cs = _sum_codes(terms, low, top, x1.field)
-        j = next((j for j, c in enumerate(cs) if c), None)
     if j is None:
         return None, prec, []
     val = low + j

@@ -13,9 +13,12 @@ the other.  The lattice condition is linear over the constant field — it
 says certain Laurent coefficients vanish — so candidates come out of a
 nullspace computation followed by a norm-is-a-unit filter.  The degree
 bound is derived from valuations, not guessed, which is what makes empty
-answers definitive.  The build takes no tuning: the bound carries no
-margin, series precision doubles on loss, and the class guard is the
-constant GUARD_FACTOR.
+answers definitive.  The series precision is derived too: series_terms
+gives each search and each action the number of terms of sqrt(b) that
+provably decides it, from the distances of the vertices involved, the
+degree bound, deg a and deg b.  The build takes no tuning: the bound
+carries no margin, nothing is retried, and the class guard is the constant
+GUARD_FACTOR.
 
 Only odd q is supported: for even q neither quadratic subfield of the
 algebra embeds into K, so there is no splitting of this shape to work
@@ -38,15 +41,7 @@ from .errors import (
 )
 from .gfpoly import Place, Poly, is_irreducible, polys_upto
 from .invariants import RamProfile, v1 as formula_v1, vq1 as formula_vq1
-from .laurent import (
-    DEFAULT_PREC,
-    MAX_PREC,
-    LaurentSeries,
-    current_precision,
-    dot_head,
-    embed,
-    working_precision,
-)
+from .laurent import MIN_TERMS, LaurentSeries, dot_head, embed
 from .linalg import nullspace
 from .order import StandardOrder, Witness
 from .quat import SquarefreeShells, find_algebra, ramified_set
@@ -107,9 +102,11 @@ class SplitEmbedding:
 
     i goes to [[0,1],[a,0]] and j to diag(s, -s) with s a fixed square
     root of b in K; the branch is whatever laurent.sqrt returns, so all
-    derived data is deterministic.  Images and the left images V^{-1} *
-    image of each lattice basis V asked for are cached per working
-    precision.
+    derived data is deterministic.  s is an infinite series, so every image
+    is asked for at an explicit number of terms of s, and series_terms
+    derives the number one search or action needs.  The images, and the
+    left images V^{-1} * image of each class representative asked for, are
+    cached per precision.
     """
 
     def __init__(self, alg):
@@ -120,16 +117,26 @@ class SplitEmbedding:
             )
         self.alg = alg
         self._a_series = embed(alg.a)
+        self._b_series = embed(alg.b)
         self._cache = {}
-        self._images()  # validates that sqrt(b) exists, else NotASquare
+        self._left = {}
+        # (terms, bound) of the last precision derived, for error messages
+        self.request = None
+        self._images(MIN_TERMS)  # validates that sqrt(b) exists, else NotASquare
 
-    def _images(self):
-        prec = current_precision()
-        got = self._cache.get(prec)
+    def terms(self, bound, vertices):
+        """series_terms for one operation of this algebra, kept as the last
+        request so that build_quotient can name it if a step loses
+        precision."""
+        self.request = (series_terms(self.alg, bound, vertices), bound)
+        return self.request[0]
+
+    def _images(self, terms):
+        got = self._cache.get(terms)
         if got is not None:
             return got
         fld = self.alg.field
-        s = embed(self.alg.b).sqrt()
+        s = self._b_series.sqrt(terms)
         zero = LaurentSeries.zero(fld)
         one = LaurentSeries.one(fld)
         a_ser = self._a_series
@@ -137,34 +144,107 @@ class SplitEmbedding:
         mat_i = Mat2K(zero, one, a_ser, zero)
         mat_j = Mat2K(s, zero, zero, -s)
         mat_ij = Mat2K(zero, -s, a_ser * s, zero)
-        got = (s, (ident, mat_i, mat_j, mat_ij), {})
-        self._cache[prec] = got
+        got = self._cache[terms] = (s, (ident, mat_i, mat_j, mat_ij))
         return got
 
-    def images(self):
-        """Images of (1, i, j, ij) at the current working precision."""
-        return self._images()[1]
+    def images(self, terms):
+        """Images of (1, i, j, ij) with `terms` terms of s."""
+        return self._images(terms)[1]
 
-    def left_images(self, V):
-        """The products V^{-1} * image over images(), memoised per V.
+    def left_images(self, w, terms):
+        """The products V^{-1} * image over images(terms) for the matrix V
+        of the vertex w, memoised per (w, terms).
 
-        hom_units asks with the same few class representatives V over and
-        over; the memo lives as long as this embedding at this precision.
+        hom_units asks with the same few class representatives w over and
+        over; the memo lives as long as this embedding.
         """
-        _, images, memo = self._images()
-        got = memo.get(V)
+        key = (w, terms)
+        got = self._left.get(key)
         if got is None:
-            vinv = V.inverse()
-            got = memo[V] = tuple(vinv * img for img in images)
+            vinv = w.matrix().inverse()
+            got = self._left[key] = tuple(vinv * img for img in self.images(terms))
         return got
 
-    def matrix(self, el):
-        """The image of an algebra element, entries in K."""
-        s = self._images()[0]
+    def matrix(self, el, terms):
+        """The image of an algebra element, entries in K, with `terms`
+        terms of s."""
+        s = self._images(terms)[0]
         xe, ye, ze, we = (embed(c) for c in el.coords)
         zs = ze * s
         ws = we * s
         return Mat2K(xe + zs, ye - ws, (ye + ws) * self._a_series, xe - zs)
+
+    def act(self, lam, v):
+        """The vertex lam * v, through the image of lam at the precision
+        derived from its coordinate degree and from v."""
+        return act(self.matrix(lam, self.terms(coordinate_degree(lam), [v])), v)
+
+
+def coordinate_degree(lam):
+    """The largest degree of the coordinates of an algebra element."""
+    return max(max(c.deg, 0) for c in lam.coords)
+
+
+def series_terms(alg, bound, vertices):
+    """Terms of s = sqrt(b) that decide one unit search or one action:
+
+        P = 2*(deg a + deg b / 2 + bound) + max(d(o,x) + |n_x|) + MIN_TERMS
+
+    over the given vertices x = (n_x, x_x).  hom_units(v, w, B) passes B and
+    the vertices v and w; the action of a unit lam on v passes the
+    coordinate degree of lam and v alone.
+
+    Proof that no PrecisionLoss can be raised at P.  Write alpha = deg a,
+    beta = deg b / 2 = -ord s, D = bound, and for a vertex x let
+    mu_x = min(n_x, 0, ord x_x) = (n_x - d(o,x)) / 2: the entries of its
+    matrix X have valuation >= mu_x, those of X^-1 >= mu_x - n_x.  s is
+    known to O(u^(P - beta)), and P >= MIN_TERMS terms survive sqrt.
+
+    Searches.  A core entry (V^-1 iota(e)) U of hom_units, e in
+    (1, i, j, ij), is a sum of products f * s^k with f exact, k = 0 or 1,
+    and ord f >= mu_w - n_w - alpha + mu_v.  So it is known to O(u^pi),
+    pi >= P - beta - alpha - (d_v + d_w)/2 + m with m = (n_v - n_w)/2.
+    Its rows read only below u^(D+m), and P exceeds alpha + beta + D +
+    max(d_v, d_w) + MIN_TERMS, so pi >= D + m + MIN_TERMS: no entry is
+    short, and a valuation that dot_head finds below u^(D+m) leaves
+    MIN_TERMS known terms.  Each entry of V^-1 iota(e) is a single product,
+    and each product keeps the P terms of s.
+
+    Actions.  An entry of iota(lam) = [[x + zs, y - ws], [a(y + ws), x - zs]]
+    with coordinates of degree <= D, or of M = iota(lam) V, is
+    theta = A + B s with A, B in F_q[T, 1/T] whose u-exponents lie in
+    [-L, h], L = D + alpha - mu_v and h = max(n_v, 0), and it is computed
+    to O(u^pi), pi = P - beta - L.  If theta != 0 then A^2 - B^2 b != 0,
+    because b is not a square in F_q(T) (the algebra ramifies at the
+    places of its profile); that norm has valuation <= 2h, and
+    ord(A - B s) >= -L - beta, so ord theta <= 2h + L + beta (Liouville).
+    A nonzero entry thus keeps at least
+    P - 2(beta + L + h) = P - 2(alpha + beta + D) - d_v - |n_v| >= MIN_TERMS
+    known terms, and a zero entry is a series zero to O(u^pi).
+    Then canonical_form(M).  M = c V' k with w' = lam v, k in GL2(O) and
+    ord c = m0 = (n_v - n_w')/2; so the bottom entries have valuation m0
+    (the pivot) or more, and all entries valuation >= m0 + mu_w'.  The
+    pivot shows its valuation, and a zero partner is known to
+    O(u^pi) with pi >= m0 + MIN_TERMS (by the condition below, as
+    n_w' >= mu_w'), so the pivot is decided.  c/d, (c/d)*b and b/d are
+    formed from factors with MIN_TERMS terms, or from zeros.  d^-1 is known to
+    O(u^(pi - 2 m0)) and c/d to O(u^(pi - m0)), hence (c/d)*b and the shift
+    b/d to O(u^(pi + mu_w')).  So a - (c/d)*b = det M / d, of valuation
+    (n_v + n_w')/2, keeps MIN_TERMS terms, and the shift its digits below
+    that valuation, when P >= alpha + beta + D + (d_v + d(o,w'))/2 +
+    MIN_TERMS.  iota(lam) has a unit determinant and entries of valuation
+    >= -(D + alpha + beta), so d(o, w') <= d_v + 2(D + alpha + beta), and
+    P meets this as well.  An exact M (z = w = 0) reads the valuation off
+    its exact determinant and expands d^-1 just to the digits the shift
+    needs; an exact pivot of an inexact M is expanded as far as the other
+    entries are known, which is the case above.
+
+    Every condition bounds P from below, and the results (units, vertices)
+    are exact, so any larger precision gives the same results.
+    """
+    base = TreeVertex.base(alg.field)
+    reach = max(distance(base, x) + abs(x.n) for x in vertices)
+    return 2 * (alg.a.deg + alg.b.deg // 2 + bound) + reach + MIN_TERMS
 
 
 def completeness_bound(v, w):
@@ -189,43 +269,44 @@ def completeness_bound(v, w):
     return (distance(base, v) + distance(base, w)) // 2
 
 
-def hom_units(emb, U, V, B):
-    """Unit-norm order elements of coordinate degree <= B whose image
-    maps the column lattice of U onto a scalar multiple of that of V.
+def hom_units(emb, v, w, B):
+    """Unit-norm order elements of coordinate degree <= B that carry the
+    vertex v to the vertex w: their image maps the column lattice U of v
+    onto a scalar multiple of the lattice V of w.
 
-    The scalar is pinned by determinant valuations; when those differ by
-    an odd amount no element can work and the list is empty.  Otherwise
-    m is half the difference, and lambda is the sum of c[image, k] T^k
-    times image over the basis images (1, i, j, ij) and degrees k <= B.
-    "pi^{-m} V^{-1} iota(lambda) U is integral" is then a linear system
-    for the c over the constant field: one column per (image, k), images
-    outermost, and one row per (entry, t) saying that the coefficient of
-    u^t, t < 0, vanishes in that matrix entry.  Its cell is the
-    coefficient of u^(t+k+m) in the entry of the core
+    The scalar is pinned by the levels, since det U = u^(n_v) and
+    det V = u^(n_w): when n_v - n_w is odd no element can work and the list
+    is empty.  Otherwise m = (n_v - n_w)/2, and lambda is the sum of
+    c[image, k] T^k times image over the basis images (1, i, j, ij) and
+    degrees k <= B.  "pi^{-m} V^{-1} iota(lambda) U is integral" is then a
+    linear system for the c over the constant field: one column per
+    (image, k), images outermost, and one row per (entry, t) saying that
+    the coefficient of u^t, t < 0, vanishes in that matrix entry.  Its
+    cell is the coefficient of u^(t+k+m) in the entry of the core
     (V^{-1} iota(image)) U, so the rows read only the exponents in
-    [lo+m, B+m) of each core entry.  The left factors V^{-1} iota(image)
-    come from the embedding's memo, since V is one of a few class
-    representatives, and each core entry is a sum of two products that
-    dot_head evaluates below u^(B+m) only, with the valuation, precision
-    and PrecisionLoss of the full product.  t runs up from the lowest
-    valuation any column reaches, and rows that are entirely zero are
-    dropped.  Candidates from the kernel then pass the norm filter.  A
-    survivor meets the lattice condition by construction; callers check
-    what they use (the stabilizer its generator, are_equivalent its
-    witness).
+    [lo+m, B+m) of each core entry.  The series carry the precision
+    series_terms derives from v, w and B.  The left factors
+    V^{-1} iota(image) come from the embedding's memo, since w is one of a
+    few class representatives, and each core entry is a sum of two
+    products that dot_head evaluates below u^(B+m) only.  t runs up from
+    the lowest valuation any column reaches, and rows that are entirely
+    zero are dropped.  Candidates from the kernel then pass the norm
+    filter.  A survivor meets the lattice condition by construction;
+    callers check what they use (the stabilizer its generator,
+    are_equivalent its witness).
     """
     alg = emb.alg
     fld = alg.field
     if B < 0:
         return []
-    diff = U.det().ord() - V.det().ord()
+    diff = v.n - w.n
     if diff % 2:
         return []
     m = diff // 2
     end = B + m
-    ua, ub, uc, ud = U.entries()
+    ua, ub, uc, ud = v.matrix().entries()
     cores = []
-    for left in emb.left_images(V):
+    for left in emb.left_images(w, emb.terms(B, (v, w))):
         la, lb, lc, ld = left.entries()
         cores.append(
             (
@@ -235,17 +316,12 @@ def hom_units(emb, U, V, B):
                 dot_head(lc, ub, ld, ud, end),
             )
         )
-    # Degree k reads each entry up to u^(k+m-1), so an entry known to
-    # O(u^p) fails from k = p - m + 1 on.  The loss reported is the first
-    # failure with the cores outermost, then k, then the entries.
-    for entries in cores:
-        short = [prec for _, prec, _ in entries if prec < end]
-        if short:
-            k = max(0, min(short) - m + 1)
-            prec = next(p for _, p, _ in entries if p - k - m < 0)
-            raise PrecisionLoss(
-                "lattice constraint entry known only to O(u^%d)" % (prec - k - m)
-            )
+    short = [prec for entries in cores for _, prec, _ in entries if prec < end]
+    if short:
+        raise PrecisionLoss(
+            "lattice constraint entry known only to O(u^%d); the rows read"
+            " below u^%d" % (min(short), end)
+        )
     width = B + 1
     lo = min(
         [0]
@@ -337,6 +413,18 @@ class StabilizerGroup:
                 "stabilizer is not the cyclic group of its generator"
             )
         self.generator = g
+        self._matrix = None
+        self._terms = 0
+
+    def image(self, emb, vertices):
+        """The generator's image, precise enough to act on each vertex.
+        The most precise image asked for so far is kept; any image at or
+        above the derived precision acts the same way."""
+        terms = emb.terms(coordinate_degree(self.generator), vertices)
+        if terms > self._terms:
+            self._matrix = emb.matrix(self.generator, terms)
+            self._terms = terms
+        return self._matrix
 
     def neighbor_orbits(self, emb, vertex):
         """Partition the q+1 tree neighbors into orbits of this group.
@@ -348,7 +436,7 @@ class StabilizerGroup:
         q = self.alg.field.q
         nbs = vertex.neighbors()
         index = {nb: i for i, nb in enumerate(nbs)}
-        mat = emb.matrix(self.generator)
+        mat = self.image(emb, nbs)
         perm = []
         for nb in nbs:
             moved = act(mat, nb)
@@ -383,9 +471,8 @@ class StabilizerGroup:
     def fixing_count(self, emb, vertex):
         """How many elements fix the given vertex (an edge stabilizer size):
         n divided by the length of the vertex's cycle under the generator."""
-        mat = emb.matrix(self.generator)
         length = 1
-        moved = act(mat, vertex)
+        moved = act(self.image(emb, [vertex]), vertex)
         while moved != vertex:
             length += 1
             if length > self.order:
@@ -393,7 +480,7 @@ class StabilizerGroup:
                     "vertex cycle under the stabilizer generator is longer"
                     " than the group order %d" % self.order
                 )
-            moved = act(mat, moved)
+            moved = act(self.image(emb, [moved]), moved)
         return self.order // length
 
     def __repr__(self):
@@ -417,10 +504,9 @@ def _prime_divisors(n):
 def stabilizer(emb, vertex):
     """The units fixing vertex.  Every element is a power of the group's
     generator, so checking that the generator fixes vertex checks all."""
-    mat = vertex.matrix()
-    found = hom_units(emb, mat, mat, completeness_bound(vertex, vertex))
+    found = hom_units(emb, vertex, vertex, completeness_bound(vertex, vertex))
     group = StabilizerGroup(emb.alg, found)
-    if canonical_form(emb.matrix(group.generator) * mat) != vertex:
+    if canonical_form(group.image(emb, [vertex]) * vertex.matrix()) != vertex:
         raise InvariantViolation("stabilizer generator does not fix the vertex")
     return group
 
@@ -454,20 +540,19 @@ def are_equivalent(emb, v, w, log=None):
             )
         return NoEquivalence(None)
     bound = completeness_bound(v, w)
-    found = hom_units(emb, v.matrix(), w.matrix(), bound)
+    found = hom_units(emb, v, w, bound)
     if log is not None:
         log.append(
             {
                 "event": "equivalence",
                 "bound": bound,
-                "precision": current_precision(),
                 "outcome": "witness" if found else "no",
             }
         )
     if not found:
         return NoEquivalence(bound)
     witness = found[0]
-    if act(emb.matrix(witness), v) != w:
+    if emb.act(witness, v) != w:
         raise InvariantViolation("equivalence witness does not carry v to w")
     return Witness(witness)
 
@@ -545,10 +630,13 @@ class QuotientGraph:
 def build_quotient(alg, base=None):
     """BFS construction of the vertex classes and edge orbits.
 
-    Precision starts at the default and doubles on PrecisionLoss up to the
-    module maximum; the run log records each retry.  The class count is
-    capped by the formula prediction times GUARD_FACTOR (plus two), so a
-    bound or precision bug aborts instead of spinning.
+    Every unit search and every action runs at the series precision that
+    series_terms derives for it, which provably decides it.  A
+    PrecisionLoss is therefore a broken invariant: it is raised as
+    InvariantViolation naming the last precision derived and its degree
+    bound, and nothing is retried.  The class count is capped by the
+    formula prediction times GUARD_FACTOR (plus two), so a bound bug
+    aborts instead of spinning.
     """
     if alg.field.p == 2:
         raise Unsupported(
@@ -571,17 +659,15 @@ def build_quotient(alg, base=None):
             "class_limit": class_limit,
         }
     ]
-    prec = DEFAULT_PREC
-    while True:
-        try:
-            with working_precision(prec):
-                emb = SplitEmbedding(alg)
-                return _bfs(emb, profile, base, class_limit, log)
-        except PrecisionLoss:
-            if prec >= MAX_PREC:
-                raise
-            prec = min(2 * prec, MAX_PREC)
-            log.append({"event": "retry", "precision": prec})
+    emb = SplitEmbedding(alg)
+    try:
+        return _bfs(emb, profile, base, class_limit, log)
+    except PrecisionLoss as exc:
+        terms, bound = emb.request
+        raise InvariantViolation(
+            "series precision lost at %d terms of sqrt(b), derived for degree"
+            " bound %d: %s" % (terms, bound, exc)
+        ) from exc
 
 
 def _bfs(emb, profile, base, class_limit, log):
@@ -672,7 +758,7 @@ def _bfs(emb, profile, base, class_limit, log):
                     log[-1]["class"] = j
                     if verdict:
                         target = j
-                        back = act(emb.matrix(verdict.lam), vertex)
+                        back = emb.act(verdict.lam, vertex)
                         reverse[j].append((back, cursor))
                         break
             if target is None:

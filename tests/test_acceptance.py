@@ -213,8 +213,7 @@ def test_acceptance_4_torsion_census_pairing(segment_quotients):
     fibers = {v.index: 0 for v in terminals}
     search = ball(fld, 4)
     for cl in classes:
-        m = emb.matrix(cl[0].elem)
-        fixed = [v for v in search if act(m, v) == v]
+        fixed = [v for v in search if emb.act(cl[0].elem, v) == v]
         assert len(fixed) == 1
         hits = [v for v in terminals if are_equivalent(emb, fixed[0], v.lift)]
         assert len(hits) == 1
@@ -237,7 +236,7 @@ def test_acceptance_5_explicit_generator_orders():
     ident = Mat2K.identity(fld)
     minus = ident.scale(LaurentSeries.scalar(fld, fld.neg(1)))
     for theta in (theta1, theta2):
-        m = emb.matrix(alg.one - theta)
+        m = emb.matrix(alg.one - theta, 64)
         powers = [m]
         for _ in range(7):
             powers.append(powers[-1] * m)

@@ -7,7 +7,6 @@ import pytest
 
 from btquot.cli import build_parser, main, render_dot
 from btquot.errors import InvariantViolation
-from btquot.laurent import DEFAULT_PREC
 from btquot.quotient import find_quotient_algebra
 from btquot.gfpoly import make_field
 
@@ -160,31 +159,27 @@ def test_quotient_artifacts_deterministic(tmp_path, capsys):
 
 
 # sha256 of the four --out artifacts; any change to what a quotient run
-# computes or writes shows up here.  A key is (starting series precision,
-# algebra options).
+# computes or writes shows up here.  A key is the algebra options.
 PINNED_ARTIFACTS = {
-    (DEFAULT_PREC, ("--r", "T^4+2*T^2+T")): {
+    ("--r", "T^4+2*T^2+T"): {
         ".graph.json": "c3de8220bc8d89fddd7df3b981c37f07df3902b32dc8d71e867a35e2d8d61cb3",
         ".dot": "a7e470b09979e30ddbd84aac51db152f98d2f3c3a3fcad1b7cdfdb330f26c121",
-        ".log.jsonl": "d77457c53343e59a12b1a892c3e11dbba3b94f7bb7d37519d91a162fd9dd3b7f",
+        ".log.jsonl": "a3520781067e18fc2b05de77a25f1cbbe0d6c98752dd6b5bba0b804af9b894d3",
         ".report.json": "0463e7719d37a018fb08902d123c6edfd9d5d4cb1da3771b7a16b8caa5831b21",
     },
-    # starts at precision 16 and logs one retry
-    (16, ("--a", "T^3+2*T+1", "--b", "T^2+1")): {
+    ("--a", "T^3+2*T+1", "--b", "T^2+1"): {
         ".graph.json": "c768343081f1bd1b1e911a5758f83df77360bdde0a710ecd09828f2a919a5be0",
         ".dot": "66952320e972cadec070584d6851830b6cd36c0acd1b3f2d280aa703e15c18d1",
-        ".log.jsonl": "17de43023be55981dceaf2ee29f7c5ab17f99af09bf0633a746e67a08a55033f",
+        ".log.jsonl": "ae1b1389a272c9018e3943133295bcbe0065d4f451ac018295cb70a798054fbd",
         ".report.json": "dcf06b4a775a3ccdba3eed72d1ebe8d658bd4883f8a3ffeab394f383cff9411b",
     },
 }
 
 
 @pytest.mark.parametrize("spec", sorted(PINNED_ARTIFACTS))
-def test_quotient_artifacts_match_pinned_digests(spec, tmp_path, capsys, monkeypatch):
-    prec, algebra = spec
-    monkeypatch.setattr("btquot.quotient.DEFAULT_PREC", prec)
+def test_quotient_artifacts_match_pinned_digests(spec, tmp_path, capsys):
     prefix = str(tmp_path / "q")
-    code, out, _ = run(capsys, "quotient", "--q", "3", *algebra, "--out", prefix)
+    code, out, _ = run(capsys, "quotient", "--q", "3", *spec, "--out", prefix)
     assert code == 0
     assert json.loads(out)["ok"] is True
     digests = {
@@ -292,8 +287,9 @@ def test_exit_code_resource_guard(capsys, monkeypatch):
 
 
 def test_quotient_commands_take_no_tuning_options(capsys):
-    # The degree bound is proven, the class guard and the precision ladder
-    # are constants: the graph commands take the algebra and --out only.
+    # The degree bound and the series precision are proven, and the class
+    # guard is a constant: the graph commands take the algebra and --out
+    # only.
     parser = build_parser()
     sub = next(a for a in parser._actions if a.dest == "command")
     for name in ("quotient", "report", "dot"):

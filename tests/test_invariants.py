@@ -355,11 +355,28 @@ def test_invariant_checks_raise_under_optimize():
     )
 
 
+# Names of the working-precision state that the derived precision replaced.
+PRECISION_STATE = {
+    "DEFAULT_PREC", "MAX_PREC", "_PREC", "current_precision", "working_precision",
+}
+
+
+def _caught(handler):
+    """The exception names an except clause lists."""
+    if handler.type is None:
+        return []
+    elts = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+    return [e.id if isinstance(e, ast.Name) else getattr(e, "attr", None) for e in elts]
+
+
 def test_package_has_no_bare_asserts():
     # Internal checks raise InvariantViolation: an assert vanishes under
     # python -O, and an AssertionError escapes the CLI's exit-code mapping.
+    # The one place that turns a PrecisionLoss into InvariantViolation is
+    # build_quotient, and no working-precision state is left.
     pkg = os.path.dirname(os.path.abspath(btquot.__file__))
     found = []
+    catches = []
     for name in sorted(os.listdir(pkg)):
         if not name.endswith(".py"):
             continue
@@ -372,4 +389,17 @@ def test_package_has_no_bare_asserts():
                     found.append("%s:%d" % (name, node.lineno))
             elif isinstance(node, ast.Assert):
                 found.append("%s:%d" % (name, node.lineno))
+            elif isinstance(node, ast.ExceptHandler) and "PrecisionLoss" in _caught(node):
+                catches.append((name, node.lineno))
+            elif isinstance(node, ast.FunctionDef) and node.name == "build_quotient":
+                home = (name, node.lineno, node.end_lineno)
+            spelled = (
+                getattr(node, "id", None) or getattr(node, "attr", None)
+                or getattr(node, "name", None) or getattr(node, "asname", None)
+            )
+            if spelled in PRECISION_STATE:
+                found.append("%s:%d %s" % (name, getattr(node, "lineno", 0), spelled))
     assert found == []
+    assert len(catches) == 1
+    (where, line), = catches
+    assert where == home[0] and home[1] < line <= home[2]

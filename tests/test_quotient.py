@@ -8,6 +8,7 @@ import pytest
 
 import btquot
 from btquot import quotient
+from btquot.cli import main
 from btquot.bttree import Mat2K, TreeVertex, act, canonical_form, distance
 from btquot.errors import (
     InvariantViolation,
@@ -19,7 +20,7 @@ from btquot.errors import (
 )
 from btquot.gfpoly import Poly, choose_xi, field_from_q, make_field, parse_poly
 from btquot.invariants import critical_group, cross_check, graph_h1
-from btquot.laurent import LaurentSeries, embed, working_precision
+from btquot.laurent import MIN_TERMS, LaurentSeries, embed
 from btquot.linalg import nullspace
 from btquot.order import Witness
 from btquot.quat import QuatAlgebra, parse_algebra, ramified_set
@@ -30,9 +31,14 @@ from btquot.quotient import (
     are_equivalent,
     build_quotient,
     completeness_bound,
+    coordinate_degree,
     hom_units,
+    series_terms,
     stabilizer,
 )
+
+# Terms of sqrt(b) for the tests that build matrices by hand.
+TERMS = 40
 
 
 def segment_algebra(q=3):
@@ -67,7 +73,7 @@ def test_embedding_relations():
     rng = random.Random(11)
     for alg in (segment_algebra(), banana_algebra(), segment_algebra(5)):
         emb = SplitEmbedding(alg)
-        ident, mi, mj, mij = emb.images()
+        ident, mi, mj, mij = emb.images(TERMS)
         a_ser = embed(alg.a)
         b_ser = embed(alg.b)
         for got, want in zip((mi * mi).entries(), ident.scale(a_ser).entries()):
@@ -81,12 +87,12 @@ def test_embedding_relations():
         for _ in range(8):
             lam = rand_elem(rng, alg)
             mu = rand_elem(rng, alg)
-            assert emb.matrix(lam).det().agrees_with(embed(lam.norm()))
-            prodm = emb.matrix(lam) * emb.matrix(mu)
-            for got, want in zip(prodm.entries(), emb.matrix(lam * mu).entries()):
+            assert emb.matrix(lam, TERMS).det().agrees_with(embed(lam.norm()))
+            prodm = emb.matrix(lam, TERMS) * emb.matrix(mu, TERMS)
+            for got, want in zip(prodm.entries(), emb.matrix(lam * mu, TERMS).entries()):
                 assert got.agrees_with(want)
-            summ = emb.matrix(lam) + emb.matrix(mu)
-            for got, want in zip(summ.entries(), emb.matrix(lam + mu).entries()):
+            summ = emb.matrix(lam, TERMS) + emb.matrix(mu, TERMS)
+            for got, want in zip(summ.entries(), emb.matrix(lam + mu, TERMS).entries()):
                 assert got.agrees_with(want)
 
 
@@ -96,17 +102,17 @@ def test_embedding_trace():
     rng = random.Random(13)
     for _ in range(6):
         lam = rand_elem(rng, alg)
-        m = emb.matrix(lam)
+        m = emb.matrix(lam, TERMS)
         assert (m.a + m.d).agrees_with(embed(lam.trace()))
 
 
 def transfer_rows(alg):
     """Rows mapping matrix entries (m11, m12, m21, m22) back to coords."""
     fld = alg.field
-    s = embed(alg.b).sqrt()
+    s = embed(alg.b).sqrt(TERMS)
     zero = LaurentSeries.zero(fld)
     half = LaurentSeries.scalar(fld, fld.inv(fld.elem(2).v))
-    a_inv = embed(alg.a).inverse()
+    a_inv = embed(alg.a).inverse(TERMS)
     inv_2s = half * s.inverse()
     return (
         (half, zero, zero, half),
@@ -134,7 +140,7 @@ def test_embedding_coords_roundtrip():
 
     for _ in range(6):
         lam = rand_elem(rng, alg, deg=2)
-        got = coords(emb.matrix(lam))
+        got = coords(emb.matrix(lam, TERMS))
         for series, poly in zip(got, lam.coords):
             assert series.agrees_with(embed(poly))
     for q, a, b in (
@@ -181,7 +187,7 @@ def test_completeness_bound_values():
 def test_theta2_matrix_shape():
     alg = segment_algebra()
     emb = SplitEmbedding(alg)
-    m = emb.matrix(theta2(alg))
+    m = emb.matrix(theta2(alg), TERMS)
     assert m.a.is_zero and m.d.is_zero
     assert sorted((m.b.ord(), m.c.ord())) == [-1, 1]
     xi = embed(Poly.const(alg.field, 2))
@@ -200,7 +206,7 @@ def test_stabilizer_base_q3():
     assert alg.one in group.elements
     assert alg.elem(2) in group.elements
     for g in group.elements[:3]:
-        assert act(emb.matrix(g), base) == base
+        assert emb.act(g, base) == base
     orbits = group.neighbor_orbits(emb, base)
     assert orbits == [[0, 1, 2, 3]]
 
@@ -219,8 +225,8 @@ def test_stabilizer_neighbors_of_base():
 def test_hom_units_identity_example():
     alg = segment_algebra()
     emb = SplitEmbedding(alg)
-    ident = Mat2K.identity(alg.field)
-    found = hom_units(emb, ident, ident, 1)
+    base = TreeVertex.base(alg.field)
+    found = hom_units(emb, base, base, 1)
     assert len(found) == 8
     assert alg.i in found
     for lam in found:
@@ -232,7 +238,7 @@ def test_hom_units_pi_lattice_example():
     alg = segment_algebra()
     fld = alg.field
     emb = SplitEmbedding(alg)
-    s = embed(alg.b).sqrt()
+    s = embed(alg.b).sqrt(TERMS)
     pi = embed(parse_poly(fld, "2*T + 2")) + LaurentSeries.scalar(fld, 2) * s
     assert pi.ord() == -1
     u_mat = Mat2K(
@@ -241,7 +247,8 @@ def test_hom_units_pi_lattice_example():
         LaurentSeries.zero(fld),
         LaurentSeries.one(fld),
     )
-    found = hom_units(emb, u_mat, u_mat, 1)
+    v = canonical_form(u_mat)
+    found = hom_units(emb, v, v, 1)
     assert len(found) == 8
     assert theta2(alg) in found
 
@@ -252,23 +259,25 @@ def test_hom_units_parity_empty():
     emb = SplitEmbedding(alg)
     base = TreeVertex.base(fld)
     parent = TreeVertex(fld, -1)
-    assert hom_units(emb, base.matrix(), parent.matrix(), 3) == []
+    assert hom_units(emb, base, parent, 3) == []
 
 
-def reference_hom_units(emb, U, V, B):
+def reference_hom_units(emb, v, w, B, terms):
     """hom_units with the constraint system assembled from full series
-    products, one shifted copy of each core per degree k."""
+    products, one shifted copy of each core per degree k, at `terms` terms
+    of sqrt(b) and with m from the determinants."""
     alg = emb.alg
     fld = alg.field
     if B < 0:
         return []
+    U, V = v.matrix(), w.matrix()
     diff = U.det().ord() - V.det().ord()
     if diff % 2:
         return []
     m = diff // 2
     vinv = V.inverse()
     cand = []
-    for img in emb.images():
+    for img in emb.images(terms):
         core = (vinv * img) * U
         for k in range(B + 1):
             cand.append(core.scale(LaurentSeries.monomial(fld, -k - m)).entries())
@@ -315,14 +324,9 @@ def rand_vertex(rng, fld, depth):
     return TreeVertex(fld, n, LaurentSeries(fld, n - depth, digits, True))
 
 
-def hom_outcome(fn, emb, v, w, bound):
-    try:
-        return "ok", fn(emb, v.matrix(), w.matrix(), bound)
-    except PrecisionLoss as exc:
-        return "loss", str(exc)
-
-
 def test_hom_units_matches_per_degree_reference():
+    # The reference runs at twice the derived precision; units are exact,
+    # so both must return the same list.
     seen = set()
     for alg, pairs, depth, seed in (
         (segment_algebra(), 14, 3, 61),
@@ -333,16 +337,23 @@ def test_hom_units_matches_per_degree_reference():
         rng = random.Random(seed)
         emb = SplitEmbedding(alg)
         base = TreeVertex.base(fld)
-        todo = [(base, base), (base, TreeVertex(fld, 2)), (base, TreeVertex(fld, -1))]
+        todo = [
+            (base, base),
+            (base, TreeVertex(fld, 2)),
+            (base, TreeVertex(fld, -1)),
+            (TreeVertex(fld, -6), TreeVertex(fld, -6)),
+        ]
         while len(todo) < pairs:
             v = rand_vertex(rng, fld, depth)
             todo.append((v, v if rng.random() < 0.2 else rand_vertex(rng, fld, depth)))
         for v, w in todo:
             bound = completeness_bound(v, w)
-            got = hom_outcome(hom_units, emb, v, w, bound)
-            assert got == hom_outcome(reference_hom_units, emb, v, w, bound)
-            for lam in got[1] if got[0] == "ok" else []:
-                assert canonical_form(emb.matrix(lam) * v.matrix()) == w
+            got = hom_units(emb, v, w, bound)
+            terms = 2 * series_terms(alg, bound, (v, w))
+            assert got == reference_hom_units(emb, v, w, bound, terms)
+            for lam in got:
+                assert canonical_form(emb.matrix(lam, terms) * v.matrix()) == w
+                assert emb.act(lam, v) == w
             diff = v.n - w.n
             seen.add(
                 "stabilizer" if v == w
@@ -350,26 +361,14 @@ def test_hom_units_matches_per_degree_reference():
                 else "nonzero m" if diff
                 else "zero m"
             )
-            seen.add("found" if got[1] else "empty")
-        for prec in (8, 16):
-            with working_precision(prec):
-                for v, w in todo + [(TreeVertex(fld, -6), TreeVertex(fld, -6))]:
-                    bound = completeness_bound(v, w)
-                    got = hom_outcome(hom_units, emb, v, w, bound)
-                    assert got == hom_outcome(reference_hom_units, emb, v, w, bound)
-                    # "lattice" is the constraint-system check, "only" a short
-                    # product or sum in a core entry
-                    seen.add(got[1].split()[0] if got[0] == "loss" else "ok")
-    assert seen >= {
-        "stabilizer", "odd", "nonzero m", "zero m", "found", "empty", "ok",
-        "lattice", "only",
-    }
+            seen.add("found" if got else "empty")
+    assert seen >= {"stabilizer", "odd", "nonzero m", "zero m", "found", "empty"}
 
 
 def test_hom_units_left_image_memo():
     # A fresh embedding (cold memo), a shared one's first call and its
-    # repeat (warm memo) give the same answers, at precision 64 and at 8,
-    # where some pairs lose precision; each memo belongs to one precision.
+    # repeat (warm memo) give the same answers; the memo holds one entry
+    # per vertex and precision.
     alg = banana_algebra()
     fld = alg.field
     rng = random.Random(73)
@@ -379,25 +378,20 @@ def test_hom_units_left_image_memo():
         todo.append((rand_vertex(rng, fld, 3), rng.choice(todo)[1]))
         todo.append((rand_vertex(rng, fld, 3), rand_vertex(rng, fld, 2)))
     emb = SplitEmbedding(alg)
-    seen = set()
+    for v, w in todo:
+        bound = completeness_bound(v, w)
+        cold = hom_units(SplitEmbedding(alg), v, w, bound)
+        first = hom_units(emb, v, w, bound)
+        warm = hom_units(emb, v, w, bound)
+        assert cold == first == warm
     left_at = {}
-    for prec in (64, 8):
-        with working_precision(prec):
-            for v, w in todo:
-                bound = completeness_bound(v, w)
-                cold = hom_outcome(hom_units, SplitEmbedding(alg), v, w, bound)
-                first = hom_outcome(hom_units, emb, v, w, bound)
-                warm = hom_outcome(hom_units, emb, v, w, bound)
-                assert cold == first == warm
-                seen.add(warm[0])
-            V = base.matrix()
-            left = emb.left_images(V)
-            assert emb.left_images(V) is left
-            assert left == tuple(V.inverse() * img for img in emb.images())
-            left_at[prec] = left
-    assert seen == {"ok", "loss"}
+    for terms in (64, 8):
+        left = emb.left_images(base, terms)
+        assert emb.left_images(base, terms) is left
+        V = base.matrix()
+        assert left == tuple(V.inverse() * img for img in emb.images(terms))
+        left_at[terms] = left
     assert left_at[64] != left_at[8]
-    assert left_at[64] == emb.left_images(base.matrix())
 
 
 def test_are_equivalent_basics():
@@ -424,7 +418,7 @@ def test_are_equivalent_same_type_vertices():
     sibling = TreeVertex(fld, 0, LaurentSeries.monomial(fld, -1))
     verdict = are_equivalent(emb, base, sibling)
     assert isinstance(verdict, Witness)
-    assert act(emb.matrix(verdict.lam), base) == sibling
+    assert emb.act(verdict.lam, base) == sibling
     deep = TreeVertex(fld, -2)
     verdict2 = are_equivalent(emb, base, deep)
     assert isinstance(verdict2, Witness)
@@ -496,25 +490,27 @@ def test_build_quotient_translated_base():
     ]
 
 
-@pytest.mark.parametrize(
-    "q, text",
-    [
-        (3, "H(xi, T*(T-1))"),
-        (5, "H(xi, T*(T-1))"),
-        (7, "H(xi, T*(T-1))"),
-        (3, "H(xi, T^4+2*T^2+T)"),
-        (9, "H(4, T^2+T)"),
-        (5, "H(T^2+3*T, T^2+3*T+2)"),
-    ],
-)
+# Six builds of q = 3, 5, 7 and 9 that the bound and precision proofs are
+# checked on.
+PROOF_CASES = [
+    (3, "H(xi, T*(T-1))"),
+    (5, "H(xi, T*(T-1))"),
+    (7, "H(xi, T*(T-1))"),
+    (3, "H(xi, T^4+2*T^2+T)"),
+    (9, "H(4, T^2+T)"),
+    (5, "H(T^2+3*T, T^2+3*T+2)"),
+]
+
+
+@pytest.mark.parametrize("q, text", PROOF_CASES)
 def test_completeness_bound_needs_no_slack(q, text, monkeypatch):
     # Reference: the bound with the old margin of two on top.  Every unit
     # search a build makes returns the same units at both bounds.
     calls = []
 
-    def with_margin(emb, U, V, B):
-        got = hom_units(emb, U, V, B)
-        assert got == hom_units(emb, U, V, B + 2)
+    def with_margin(emb, v, w, B):
+        got = hom_units(emb, v, w, B)
+        assert got == hom_units(emb, v, w, B + 2)
         calls.append(B)
         return got
 
@@ -530,8 +526,8 @@ def test_build_quotient_work_is_pinned(monkeypatch):
     # cheaper assembly of the constraint rows must leave all four alone.
     counts = {"hom_units": 0, "units": 0, "nullspace": 0, "kernel_dim": 0}
 
-    def counted_hom_units(emb, U, V, B):
-        got = hom_units(emb, U, V, B)
+    def counted_hom_units(emb, v, w, B):
+        got = hom_units(emb, v, w, B)
         counts["hom_units"] += 1
         counts["units"] += len(got)
         return got
@@ -696,34 +692,101 @@ def test_build_quotient_class_limit_guard(monkeypatch):
         build_quotient(alg)
 
 
-def test_build_quotient_low_precision_retries(monkeypatch):
-    monkeypatch.setattr("btquot.quotient.DEFAULT_PREC", 8)
-    graph = build_quotient(segment_algebra())
-    assert [e for e in graph.log if e["event"] == "retry"]
-    assert len(graph.vertices) == 2
-    assert len(graph.edges) == 1
+def test_precision_loss_raised_when_window_unreachable(monkeypatch):
+    # At 8 terms of sqrt(b), far below what series_terms derives, the
+    # search at a vertex six steps out cannot read its rows.
+    alg = segment_algebra()
+    far = TreeVertex(alg.field, -6)
+    assert series_terms(alg, completeness_bound(far, far), [far]) > 8
+    monkeypatch.setattr("btquot.quotient.series_terms", lambda alg, bound, vertices: 8)
+    with pytest.raises(PrecisionLoss):
+        stabilizer(SplitEmbedding(alg), far)
 
 
-def test_build_quotient_retry_gives_default_precision_graph(monkeypatch):
-    fld = make_field(3)
-    alg = parse_algebra(fld, "H(T^3 + 2*T + 1, T^2 + 1)")
-    default = build_quotient(alg)
-    monkeypatch.setattr("btquot.quotient.DEFAULT_PREC", 16)
-    retried = build_quotient(alg)
-    retries = [entry for entry in retried.log if entry["event"] == "retry"]
-    assert retries == [{"event": "retry", "precision": 32}]
-    assert retried.to_dict() == default.to_dict()
-    assert len(retried.vertices) == 26
-
-
-def test_precision_loss_raised_when_window_unreachable():
+def test_canonical_form_pivot_next_to_exact_zero():
+    # gamma has norm 2, and iota(gamma) V has a bottom-right entry that is
+    # exactly zero in K beside a bottom-left entry of valuation 2.  Computed
+    # to any precision the zero is only zero to O(u^p), so the pivot must
+    # be chosen from the other entry's valuation.
     alg = segment_algebra()
     fld = alg.field
-    with working_precision(8):
-        emb = SplitEmbedding(alg)
-        far = TreeVertex(fld, -6)
-        with pytest.raises(PrecisionLoss):
-            stabilizer(emb, far)
+    emb = SplitEmbedding(alg)
+    gamma = alg.elem(
+        parse_poly(fld, "T + 1"), parse_poly(fld, "2*T + 2"), Poly.const(fld, 2), Poly.const(fld, 2)
+    )
+    assert gamma.norm() == Poly.const(fld, 2)
+    v = TreeVertex(fld, 3, LaurentSeries.monomial(fld, 0, 2))
+    derived = series_terms(alg, coordinate_degree(gamma), [v])
+    for terms in (derived, 64, 256):
+        m = emb.matrix(gamma, terms) * v.matrix()
+        assert m.d.is_zero and not m.d.exact and m.c.ord() == 2
+        moved = act(emb.matrix(gamma, terms), v)
+        assert moved == emb.act(gamma, v)
+        assert act(emb.matrix(gamma.conj(), terms), moved) == v
+    assert emb.act(gamma.conj(), emb.act(gamma, v)) == v
+
+
+@pytest.mark.parametrize("q, text", PROOF_CASES)
+def test_derived_precision_suffices(q, text, monkeypatch):
+    # Sufficiency oracle: at twice the derived precision every unit search
+    # returns the same units and every action the same vertex, call by call.
+    def run(scale):
+        calls = []
+        used = []
+
+        def searched(emb, v, w, B):
+            got = hom_units(emb, v, w, B)
+            calls.append(("search", v, w, B, got))
+            return got
+
+        def acted(g, v):
+            got = act(g, v)
+            calls.append(("act", v, got))
+            return got
+
+        def reduced(m):
+            got = canonical_form(m)
+            calls.append(("form", got))
+            return got
+
+        def terms(alg, bound, vertices):
+            used.append(scale * series_terms(alg, bound, vertices))
+            return used[-1]
+
+        monkeypatch.setattr("btquot.quotient.hom_units", searched)
+        monkeypatch.setattr("btquot.quotient.act", acted)
+        monkeypatch.setattr("btquot.quotient.canonical_form", reduced)
+        monkeypatch.setattr("btquot.quotient.series_terms", terms)
+        graph = build_quotient(parse_algebra(field_from_q(q), text))
+        return graph.to_dict(), calls, used
+
+    graph, calls, used = run(1)
+    doubled, doubled_calls, doubled_used = run(2)
+    assert doubled == graph
+    kinds = {call[0] for call in calls}
+    assert kinds == {"search", "act", "form"}
+    assert doubled_calls == calls
+    assert doubled_used == [2 * t for t in used]
+
+
+def test_build_quotient_too_small_precision_is_invariant_violation(monkeypatch, capsys):
+    # A derived precision of MIN_TERMS is too small for this build; the
+    # loss it causes is a broken invariant, reported once, with exit code 4.
+    monkeypatch.setattr(
+        "btquot.quotient.series_terms", lambda alg, bound, vertices: MIN_TERMS
+    )
+    alg = parse_algebra(field_from_q(3), "H(xi, T^4+2*T^2+T)")
+    with pytest.raises(
+        InvariantViolation,
+        match=r"series precision lost at 8 terms of sqrt\(b\), derived for degree bound \d+: ",
+    ) as caught:
+        build_quotient(alg)
+    assert isinstance(caught.value.__cause__, PrecisionLoss)
+    code = main(["quotient", "--q", "3", "--r", "T^4+2*T^2+T"])
+    assert code == 4
+    assert capsys.readouterr().err.startswith(
+        "invariant violated: series precision lost at 8 terms"
+    )
 
 
 def test_even_q_quotient_unsupported():
@@ -770,9 +833,8 @@ def reference_orbits(emb, group, vertex):
         return i
 
     for g in group.elements:
-        mat = emb.matrix(g)
         for i, nb in enumerate(nbs):
-            ri, rj = find(i), find(index[act(mat, nb)])
+            ri, rj = find(i), find(index[emb.act(g, nb)])
             if ri != rj:
                 parent[ri] = rj
     groups = {}
@@ -782,7 +844,7 @@ def reference_orbits(emb, group, vertex):
 
 
 def reference_fixing_count(emb, group, vertex):
-    return sum(1 for g in group.elements if act(emb.matrix(g), vertex) == vertex)
+    return sum(1 for g in group.elements if emb.act(g, vertex) == vertex)
 
 
 def q7_algebra():
@@ -855,7 +917,7 @@ emb = quotient.SplitEmbedding(parse_algebra(fld, "H(2, T^2 + 2*T)"))
 base = TreeVertex.base(fld)
 base_group = quotient.stabilizer(emb, base).elements
 # a cyclic group of the right order, but the base's: it moves the child
-quotient.hom_units = lambda emb, U, V, B: base_group
+quotient.hom_units = lambda emb, v, w, B: base_group
 try:
     quotient.stabilizer(emb, TreeVertex(fld, 1))
 except InvariantViolation as exc:

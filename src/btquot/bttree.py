@@ -235,10 +235,34 @@ def act(g, v):
     return canonical_form(g * v.matrix())
 
 
+def _meet_level(v, w):
+    """Level of the last common vertex of v and w on their paths towards
+    the end: the digits of the shifts agree below u^level."""
+    diff = w.x - v.x
+    cands = [v.n, w.n]
+    if not diff.is_zero:
+        cands.append(diff.ord())
+    return min(cands)
+
+
 def distance(v, w):
     """Path length in the tree, computed exactly from the coordinates."""
-    diff = w.x - v.x
-    cands = [w.n - v.n, 0]
-    if not diff.is_zero:
-        cands.append(diff.ord() - v.n)
-    return (w.n - v.n) - 2 * min(cands)
+    return v.n + w.n - 2 * _meet_level(v, w)
+
+
+def midpoint(v, w):
+    """The vertex halfway along the path from v to w, computed exactly.
+
+    The path climbs from v to the meet level and descends to w; the
+    midpoint is the ancestor of whichever end lies at least half the
+    distance above the meet.  An odd distance has no midpoint vertex and
+    raises ValueError.
+    """
+    meet = _meet_level(v, w)
+    d = v.n + w.n - 2 * meet
+    if d % 2:
+        raise ValueError("vertices at odd distance %d have no midpoint vertex" % d)
+    half = d // 2
+    if v.n - meet >= half:
+        return TreeVertex(v.field, v.n - half, v.x)
+    return TreeVertex(w.field, w.n - half, w.x)

@@ -46,7 +46,7 @@ from .invariants import (
 )
 from .order import StandardOrder, solve_torsion, torsion_classes
 from .quat import QuatAlgebra, ramified_set
-from .quotient import build_quotient, find_quotient_algebra
+from .quotient import build_quotient, find_quotient_algebra, terminal_classes
 
 
 class UsageError(Exception):
@@ -220,7 +220,10 @@ def cmd_torsion(args):
     code = 0
     if not args.no_classes:
         expected = eichler_count(_profile_of(alg))
-        classes = torsion_classes(order, units, expected=expected)
+        if alg.even:
+            classes = torsion_classes(order, units, expected=expected)
+        else:
+            classes = terminal_classes(build_quotient(alg), units)
         payload["classes"] = [[str(u.elem) for u in cl] for cl in classes]
         payload["class_count"] = len(classes)
         payload["eichler"] = expected

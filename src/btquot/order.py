@@ -199,6 +199,9 @@ class TorsionUnit:
 
 
 def _mult_order(el):
+    """The multiplicative order of a census element, at most q^2.  The
+    census builds only elements with a constant characteristic polynomial,
+    so one that is not torsion is a broken invariant."""
     alg = el.alg
     cap = alg.field.q ** 2
     acc = el
@@ -206,7 +209,7 @@ def _mult_order(el):
         if acc == alg.one:
             return n
         acc = acc * el
-    raise ValueError("%s is not torsion" % el)
+    raise InvariantViolation("census element %s is not torsion" % el)
 
 
 def solve_torsion(order, bound):

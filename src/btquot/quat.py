@@ -49,6 +49,7 @@ class QuatAlgebra:
         self.a = a
         self.b = b
         self.even = field.p == 2
+        self._ramified = None  # ramified_set, once computed
 
     def elem(self, x, y=None, z=None, w=None):
         zero = Poly.zero(self.field)
@@ -287,16 +288,27 @@ def is_split_at(alg, place):
 
 
 def ramified_set(alg):
-    """Sorted finite places where the algebra ramifies.
+    """Sorted finite places where the algebra ramifies, computed once per
+    algebra.
 
     Raises RamifiedAtInfinity when the place at infinity is not split.
     """
+    got = alg._ramified
+    if got is None:
+        got = _ramified_from(alg, lambda f: [h for h, _ in factor(f)])
+    return list(got)
+
+
+def _ramified_from(alg, factors):
+    """Compute and keep the ramified set of alg; factors(f) lists the
+    irreducible factors of a or b.  The only candidates are the places
+    dividing a or b."""
     if not is_split_at(alg, Place.infinity()):
         raise RamifiedAtInfinity("%s does not split at infinity" % alg)
     seen = set()
     out = []
     for f in (alg.a, alg.b):
-        for h, _ in factor(f):
+        for h in factors(f):
             if h in seen:
                 continue
             seen.add(h)
@@ -306,6 +318,7 @@ def ramified_set(alg):
     out.sort(key=Place.sort_key)
     if len(out) % 2:
         raise InvariantViolation("odd number of ramified places for %s" % alg)
+    alg._ramified = out
     return out
 
 
@@ -322,12 +335,21 @@ class SquarefreeShells:
     in polys_upto order; each degree is computed once, on first use.
 
     Squarefreeness does not depend on the target places, so one instance
-    can serve every find_algebra call of a search over place sets.
+    can serve every find_algebra call of a search over place sets; so can
+    the irreducible factors of each entry, which factors(f) computes once.
     """
 
     def __init__(self, field):
         self.field = field
         self._by_degree = []
+        self._factors = {}
+
+    def factors(self, f):
+        """The distinct irreducible factors of f."""
+        got = self._factors.get(f)
+        if got is None:
+            got = self._factors[f] = [h for h, _ in factor(f)]
+        return got
 
     def __getitem__(self, deg):
         fld = self.field
@@ -357,11 +379,12 @@ def find_algebra(field, places, bound=4, shells=None):
     target v is irreducible, so v | ab exactly when v | a or v | b; F_q is
     perfect, so ab is squarefree exactly when a and b are squarefree and
     coprime.  A pair of table entries therefore passes when their masks
-    cover all targets and gcd(a, b) is constant: the same pairs reach
-    ramified_set in the same order as with a product and a gcd per pair,
-    which gives the same first hit and the same SearchExhausted.  The
-    squarefree polynomials come from shells, a SquarefreeShells of the
-    field that a caller may share across calls (a fresh one by default).
+    cover all targets and gcd(a, b) is constant: the same pairs have their
+    ramified set computed in the same order as with a product and a gcd per
+    pair, which gives the same first hit and the same SearchExhausted.  The
+    squarefree polynomials and their factors come from shells, a
+    SquarefreeShells of the field that a caller may share across calls (a
+    fresh one by default), so each table entry is factored once.
     """
     places = sorted(places, key=Place.sort_key)
     for pl in places:
@@ -395,7 +418,7 @@ def find_algebra(field, places, bound=4, shells=None):
                     continue
                 alg = QuatAlgebra(field, a, b)
                 try:
-                    if ramified_set(alg) == places:
+                    if _ramified_from(alg, shells.factors) == places:
                         return alg
                 except RamifiedAtInfinity:
                     continue
@@ -417,7 +440,7 @@ def _find_algebra_even(field, places, target, bound, shells):
                 continue
             alg = QuatAlgebra(field, xi, b)
             try:
-                if ramified_set(alg) == places:
+                if _ramified_from(alg, shells.factors) == places:
                     return alg
             except RamifiedAtInfinity:
                 continue

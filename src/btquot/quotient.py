@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from itertools import combinations, product
 
-from .bttree import Mat2K, TreeVertex, act, canonical_form, distance
+from .bttree import Mat2K, TreeVertex, act, canonical_form, distance, midpoint
 from .errors import (
     InvalidProfile,
     InvariantViolation,
@@ -39,11 +39,11 @@ from .errors import (
     StabilizerAnomalousOrder,
     Unsupported,
 )
-from .gfpoly import Place, Poly, is_irreducible, polys_upto
+from .gfpoly import Place, Poly, choose_xi, is_irreducible, polys_upto
 from .invariants import RamProfile, v1 as formula_v1, vq1 as formula_vq1
 from .laurent import MIN_TERMS, LaurentSeries, dot_head, embed
 from .linalg import nullspace
-from .order import StandardOrder, Witness
+from .order import StandardOrder, TorsionUnit, Witness
 from .quat import SquarefreeShells, find_algebra, ramified_set
 
 # The class count may exceed the formula prediction V1 + Vq1 only by
@@ -558,12 +558,16 @@ def are_equivalent(emb, v, w, log=None):
 
 
 class QVertex:
-    __slots__ = ("index", "lift", "stabilizer_order")
+    """A vertex class: its representative (lift) and the order and
+    generator of the representative's stabilizer."""
 
-    def __init__(self, index, lift, stabilizer_order):
+    __slots__ = ("index", "lift", "stabilizer_order", "generator")
+
+    def __init__(self, index, lift, stabilizer_order, generator):
         self.index = index
         self.lift = lift
         self.stabilizer_order = stabilizer_order
+        self.generator = generator
 
     def __repr__(self):
         return "QVertex(%d, stab=%d)" % (self.index, self.stabilizer_order)
@@ -583,15 +587,17 @@ class QEdge:
 
 
 class QuotientGraph:
-    """Finite multigraph of vertex classes with stabilizer labels."""
+    """Finite multigraph of vertex classes with stabilizer labels.  The
+    class representatives are vertices of the tree of `embedding`."""
 
-    def __init__(self, q, algebra, profile, vertices, edges, log):
+    def __init__(self, q, algebra, profile, vertices, edges, log, embedding):
         self.q = q
         self.algebra = algebra
         self.profile = profile
         self.vertices = vertices
         self.edges = edges
         self.log = log
+        self.embedding = embedding
 
     def degree(self, i):
         return sum((e.a == i) + (e.b == i) for e in self.edges)
@@ -660,8 +666,15 @@ def build_quotient(alg, base=None):
         }
     ]
     emb = SplitEmbedding(alg)
+    return _precision_checked(emb, _bfs, emb, profile, base, class_limit, log)
+
+
+def _precision_checked(emb, step, *args):
+    """step(*args), whose searches and actions all run at the precision
+    series_terms derives, so a PrecisionLoss is a broken invariant: it is
+    raised as InvariantViolation naming the last precision derived."""
     try:
-        return _bfs(emb, profile, base, class_limit, log)
+        return step(*args)
     except PrecisionLoss as exc:
         terms, bound = emb.request
         raise InvariantViolation(
@@ -791,10 +804,11 @@ def _bfs(emb, profile, base, class_limit, log):
         cursor += 1
 
     vertices = [
-        QVertex(i, reps[i], stabs[i].order) for i in range(len(reps))
+        QVertex(i, reps[i], stabs[i].order, stabs[i].generator)
+        for i in range(len(reps))
     ]
     edges = _pair_half_edges(half_edges)
-    graph = QuotientGraph(fld.q, alg, profile, vertices, edges, log)
+    graph = QuotientGraph(fld.q, alg, profile, vertices, edges, log, emb)
     for i in range(len(reps)):
         if graph.degree(i) not in (1, fld.q + 1):
             raise InvariantViolation(
@@ -838,3 +852,94 @@ def _pair_half_edges(half_edges):
         for _ in range(counts[a]):
             edges.append(QEdge(len(edges), a, b, stab))
     return edges
+
+
+def terminal_classes(graph, units):
+    """Conjugacy classes of the census units (odd q, x^2 = xi), read off the
+    terminal vertices of the quotient.
+
+    Such an x is elliptic: x^2 is a scalar, so x acts as an involution with
+    one fixed vertex, the midpoint p(x) of [o, x o] (Serre, *Trees*).  Its
+    stabilizer holds the non-scalar x, so p(x) is in a terminal class j,
+    whose representative has a cyclic stabilizer of order q^2 - 1.  With
+    gamma carrying p(x) to reps[j], gamma x gamma^-1 is one of the two
+    elements of Stab(reps[j]) squaring to xi, and two units are conjugate
+    exactly when they give the same j and the same root.  So each terminal
+    vertex carries two classes, found from its stabilizer generator without
+    the census, and the census units are sorted into them: one lookup per
+    distinct p(x), since x and -x fix the same vertex.
+
+    Returns the classes as sorted lists of units: the classes the census
+    meets ordered by first member, then an empty list for each class it
+    misses.  A unit that fixes no vertex of a terminal class, or maps to no
+    root, raises InvariantViolation.
+    """
+    return _precision_checked(graph.embedding, _sort_census, graph, units)
+
+
+def _sort_census(graph, units):
+    emb = graph.embedding
+    alg = graph.algebra
+    fld = alg.field
+    xi = alg.elem(choose_xi(fld))
+    terminal = [v for v in graph.vertices if v.stabilizer_order == fld.q**2 - 1]
+    roots = [_square_roots(v, xi) for v in terminal]
+    members = [[[], []] for _ in terminal]
+    base = TreeVertex.base(fld)
+    found = {}  # fixed vertex -> (terminal index, unit carrying it there)
+    for unit in units:
+        x = unit.elem
+        moved = emb.act(x, base)
+        if distance(base, moved) % 2:
+            raise InvariantViolation(
+                "census unit %s moves the base vertex an odd distance" % x
+            )
+        fixed = midpoint(base, moved)
+        if emb.act(x, fixed) != fixed:
+            raise InvariantViolation(
+                "census unit %s does not fix the midpoint %s" % (x, fixed)
+            )
+        hit = found.get(fixed)
+        if hit is None:
+            hit = found[fixed] = _terminal_class(emb, fixed, terminal)
+        t, gamma = hit
+        conj = (gamma * x * gamma.conj()).scale(fld.inv(gamma.norm().coeff(0)))
+        if conj not in roots[t]:
+            raise InvariantViolation(
+                "census unit %s is conjugate to %s, not a root of xi in the"
+                " stabilizer of class %d" % (x, conj, terminal[t].index)
+            )
+        members[t][roots[t].index(conj)].append(unit)
+    classes = [sorted(m, key=TorsionUnit.sort_key) for pair in members for m in pair]
+    met = sorted((c for c in classes if c), key=lambda c: c[0].sort_key())
+    return met + [c for c in classes if not c]
+
+
+def _square_roots(vertex, xi):
+    """The two elements of a terminal stabilizer that square to xi, from
+    its generator's powers."""
+    g = vertex.generator
+    roots = []
+    h = g
+    for _ in range(vertex.stabilizer_order):
+        if h * h == xi:
+            roots.append(h)
+        h = h * g
+    if len(roots) != 2:
+        raise InvariantViolation(
+            "stabilizer of class %d has %d square roots of xi, not 2"
+            % (vertex.index, len(roots))
+        )
+    return roots
+
+
+def _terminal_class(emb, vertex, terminal):
+    """(position in terminal, unit carrying vertex to that representative)."""
+    for t, v in enumerate(terminal):
+        verdict = are_equivalent(emb, vertex, v.lift)
+        if verdict:
+            return t, verdict.lam
+    raise InvariantViolation(
+        "vertex %s is fixed by a census unit but lies in no terminal class"
+        % (vertex,)
+    )

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from btquot.bttree import Mat2K, TreeVertex, act, canonical_form, distance
+from btquot.bttree import Mat2K, TreeVertex, act, canonical_form, distance, midpoint
 from btquot.errors import PrecisionLoss
 from btquot.gfpoly import Poly, make_field
 from btquot.laurent import MIN_TERMS, LaurentSeries, embed
@@ -144,6 +144,50 @@ def test_distance_symmetry_and_triangle():
         assert dvw >= 0
         assert (dvw == 0) == (v == w)
         assert distance(v, z) <= dvw + distance(w, z)
+
+
+def test_midpoint_is_the_unique_halfway_vertex_in_a_ball():
+    # every vertex of the radius-4 ball at even distance r from the base:
+    # the midpoint is the one vertex of the ball at r/2 from both ends
+    fld = make_field(3)
+    base = TreeVertex.base(fld)
+    d = ball(base, 4)
+    for v, r in d.items():
+        if r % 2:
+            with pytest.raises(ValueError, match="odd distance"):
+                midpoint(base, v)
+            continue
+        halfway = [u for u in d if d[u] == r // 2 and distance(u, v) == r // 2]
+        assert halfway == [midpoint(base, v)] == [midpoint(v, base)]
+
+
+def test_midpoint_random_pairs_and_endpoints():
+    rng = random.Random(107)
+    for fld in (make_field(3), make_field(5), make_field(3, 2)):
+        odd = even = 0
+        for _ in range(120):
+            v, w = rand_vertex(rng, fld), rand_vertex(rng, fld)
+            dvw = distance(v, w)
+            if dvw % 2:
+                odd += 1
+                with pytest.raises(ValueError, match="odd distance %d" % dvw):
+                    midpoint(v, w)
+                continue
+            even += 1
+            m = midpoint(v, w)
+            assert m.x.exact
+            assert distance(v, m) == distance(m, w) == dvw // 2
+            assert midpoint(w, v) == m
+            # the path endpoints: a vertex is its own midpoint, and the
+            # midpoint of a path of length two is the middle vertex
+            assert midpoint(v, v) == v
+            for nb in v.neighbors():
+                for far in nb.neighbors():
+                    if far != v:
+                        assert midpoint(v, far) == nb
+                with pytest.raises(ValueError, match="odd distance 1"):
+                    midpoint(v, nb)
+        assert odd and even
 
 
 def test_distance_matches_matrix_formula():

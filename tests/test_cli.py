@@ -95,6 +95,18 @@ def test_torsion_segment_classes(capsys):
     assert all(u["order"] == 4 for u in data["units"])
 
 
+def test_torsion_lists_classes_the_census_misses(capsys):
+    # the bound-2 census meets 2 of the 4 classes; the other 2 are empty
+    code, out, _ = run(capsys, "torsion", "--q", "3", "--r", "T^4+2*T^2+T",
+                       "--bound", "2")
+    assert code == 0
+    data = json.loads(out)
+    assert data["count"] == 18
+    assert data["class_count"] == data["eichler"] == 4
+    assert data["check_eichler"] is True
+    assert [len(c) for c in data["classes"]] == [9, 9, 0, 0]
+
+
 def test_torsion_no_classes(capsys):
     code, out, _ = run(capsys, "torsion", "--q", "3", "--r", "T*(T-1)",
                        "--bound", "1", "--no-classes")

@@ -373,7 +373,8 @@ def test_package_has_no_bare_asserts():
     # Internal checks raise InvariantViolation: an assert vanishes under
     # python -O, and an AssertionError escapes the CLI's exit-code mapping.
     # The one place that turns a PrecisionLoss into InvariantViolation is
-    # build_quotient, and no working-precision state is left.
+    # quotient._precision_checked, which build_quotient and the torsion
+    # class lookup both run through, and no working-precision state is left.
     pkg = os.path.dirname(os.path.abspath(btquot.__file__))
     found = []
     catches = []
@@ -391,7 +392,7 @@ def test_package_has_no_bare_asserts():
                 found.append("%s:%d" % (name, node.lineno))
             elif isinstance(node, ast.ExceptHandler) and "PrecisionLoss" in _caught(node):
                 catches.append((name, node.lineno))
-            elif isinstance(node, ast.FunctionDef) and node.name == "build_quotient":
+            elif isinstance(node, ast.FunctionDef) and node.name == "_precision_checked":
                 home = (name, node.lineno, node.end_lineno)
             spelled = (
                 getattr(node, "id", None) or getattr(node, "attr", None)

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import btquot
-from btquot.errors import NotCertified, RamifiedAtInfinity, Unsupported
+from btquot.errors import InvariantViolation, NotCertified, RamifiedAtInfinity, Unsupported
 from btquot.gfpoly import Place, Poly, factor, gcd, make_field, polys_upto
 from btquot.linalg import nullspace
 from btquot.order import (
@@ -371,6 +371,23 @@ def test_torsion_classes_merges_constructed_conjugates():
     # -i is central-quotient distinct from i unless some witness merges them;
     # at bound 2 none was found in this run, so expect split classes
     assert sizes == [1, 2]
+
+
+def test_non_torsion_census_element_is_invariant_violation(monkeypatch, capsys):
+    from btquot import cli
+
+    om = order_q3()
+    T = Poly.T(om.field)
+    with pytest.raises(InvariantViolation, match="is not torsion"):
+        TorsionUnit(om.alg.elem(0, T))
+
+    def census_with_stray(order, bound):
+        return [TorsionUnit(order.alg.elem(0, Poly.T(order.field)))]
+
+    monkeypatch.setattr(cli, "solve_torsion", census_with_stray)
+    code = cli.main(["torsion", "--q", "3", "--r", "T*(T-1)", "--no-classes"])
+    assert code == 4
+    assert "invariant violated: census element" in capsys.readouterr().err
 
 
 def test_torsion_unit_metadata():

@@ -389,15 +389,45 @@ def outcome(search, field, places, bound):
         return str(exc)
 
 
+@pytest.mark.parametrize(
+    "q, degrees", [(3, [2, 4]), (7, [1, 2]), (3, [3, 3]), (3, [1, 3]), (5, [1, 1, 1, 1])]
+)
+def test_find_quotient_algebra_factors_each_polynomial_once(q, degrees, monkeypatch):
+    from btquot import order
+    from btquot.gfpoly import factor, field_from_q
+    from btquot.quotient import find_quotient_algebra
+
+    factored = []
+
+    def recording_factor(f):
+        factored.append(f)
+        return factor(f)
+
+    monkeypatch.setattr(quat, "factor", recording_factor)
+    monkeypatch.setattr(order, "factor", recording_factor)
+    try:
+        alg = find_quotient_algebra(field_from_q(q), degrees)
+    except SearchExhausted:
+        alg = None
+    assert factored and len(set(factored)) == len(factored)
+    if alg is not None:
+        # the ramified set is kept on the algebra: no factoring to read it
+        del factored[:]
+        assert [pl.degree for pl in ramified_set(alg)] == sorted(degrees)
+        assert factored == []
+
+
 def test_find_algebra_matches_full_scan_reference(monkeypatch):
-    tried = []  # the (a, b) of every algebra handed to ramified_set
-    real_ramified_set = quat.ramified_set
+    # the (a, b) of every algebra whose ramified set is computed: the
+    # reference through ramified_set, find_algebra from the shells' factors
+    tried = []
+    real_ramified_from = quat._ramified_from
 
-    def recording_ramified_set(alg):
+    def recording_ramified_from(alg, factors):
         tried.append((alg.a, alg.b))
-        return real_ramified_set(alg)
+        return real_ramified_from(alg, factors)
 
-    monkeypatch.setattr(quat, "ramified_set", recording_ramified_set)
+    monkeypatch.setattr(quat, "_ramified_from", recording_ramified_from)
 
     def run(search, field, places, bound):
         del tried[:]
@@ -437,14 +467,14 @@ def test_find_algebra_matches_full_scan_reference(monkeypatch):
 
 
 def test_find_algebra_tries_the_full_scan_pairs_when_nothing_hits(monkeypatch):
-    # with a ramified_set that never matches, both scans run to the bound
+    # with a ramified set that never matches, both scans run to the bound
     tried = []
 
-    def never_matching(alg):
+    def never_matching(alg, factors):
         tried.append((alg.a, alg.b))
         return []
 
-    monkeypatch.setattr(quat, "ramified_set", never_matching)
+    monkeypatch.setattr(quat, "_ramified_from", never_matching)
     for q, degrees, bound in ((3, [1, 1], 3), (3, [1, 2], 3), (3, [2, 2], 3), (5, [1, 1], 2)):
         fld = make_field(q)
         places = next(place_sets(fld, degrees))

@@ -22,7 +22,7 @@ from btquot.gfpoly import Poly, choose_xi, field_from_q, make_field, parse_poly
 from btquot.invariants import critical_group, cross_check, graph_h1
 from btquot.laurent import MIN_TERMS, LaurentSeries, embed
 from btquot.linalg import nullspace
-from btquot.order import Witness
+from btquot.order import StandardOrder, Witness, solve_torsion, torsion_classes
 from btquot.quat import QuatAlgebra, parse_algebra, ramified_set
 from btquot.quotient import (
     NoEquivalence,
@@ -35,6 +35,7 @@ from btquot.quotient import (
     hom_units,
     series_terms,
     stabilizer,
+    terminal_classes,
 )
 
 # Terms of sqrt(b) for the tests that build matrices by hand.
@@ -575,9 +576,12 @@ def reference_bfs(emb, profile, base, class_limit, log):
             assert target != cursor
             half_edges.append((cursor, target, group.order // len(orbit)))
         cursor += 1
-    vertices = [quotient.QVertex(i, reps[i], stabs[i].order) for i in range(len(reps))]
+    vertices = [
+        quotient.QVertex(i, reps[i], stabs[i].order, stabs[i].generator)
+        for i in range(len(reps))
+    ]
     edges = quotient._pair_half_edges(half_edges)
-    return quotient.QuotientGraph(fld.q, emb.alg, profile, vertices, edges, log)
+    return quotient.QuotientGraph(fld.q, emb.alg, profile, vertices, edges, log, emb)
 
 
 # The seven seed-0 benchmark quotients, the two segments and the banana
@@ -939,3 +943,60 @@ def test_stabilizer_generator_check_raises_under_optimize():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.startswith("InvariantViolation: stabilizer generator")
+
+
+# order.torsion_classes, the pairwise conjugacy search kept for even q, is
+# the oracle: on these censuses its bounded search finds every class.
+CENSUS_ORACLE_CASES = [
+    (3, "H(xi, T*(T-1))", 2),
+    (5, "H(xi, T*(T-1))", 1),
+    (3, "H(xi, T^4+2*T^2+T)", 3),
+]
+
+
+@pytest.mark.parametrize("q, text, bound", CENSUS_ORACLE_CASES)
+def test_terminal_classes_match_conjugacy_search(q, text, bound):
+    alg = parse_algebra(field_from_q(q), text)
+    order = StandardOrder(alg)
+    units = solve_torsion(order, bound)
+    graph = build_quotient(alg)
+    terminal = [v for v in graph.vertices if v.stabilizer_order == q * q - 1]
+    got = terminal_classes(graph, units)
+    assert len(got) == 2 * len(terminal) == 4
+    assert got == torsion_classes(order, units)
+    # x and -x always lie in different classes of the same terminal vertex
+    where = {u.elem: k for k, cl in enumerate(got) for u in cl}
+    assert all(where[-e] != k for e, k in where.items())
+
+
+def test_terminal_classes_list_missed_classes_empty():
+    # bound 0 census of H(xi, T^4+2*T^2+T): fewer units than classes
+    alg = parse_algebra(field_from_q(3), "H(xi, T^4+2*T^2+T)")
+    units = solve_torsion(StandardOrder(alg), 0)
+    got = terminal_classes(build_quotient(alg), units)
+    assert [len(c) for c in got] == [1, 1, 0, 0]
+    assert [c[0] for c in got[:2]] == units
+
+
+def _no_class(emb, v, w, log=None):
+    return NoEquivalence(None)
+
+
+def _wrong_roots(vertex, xi):
+    one = vertex.generator.alg.one
+    return [one, -one]
+
+
+@pytest.mark.parametrize(
+    "name, patch, message",
+    [
+        ("are_equivalent", _no_class, "lies in no terminal class"),
+        ("_square_roots", _wrong_roots, "not a root of xi"),
+    ],
+)
+def test_terminal_class_lookup_miss_exits_4(name, patch, message, monkeypatch, capsys):
+    monkeypatch.setattr(quotient, name, patch)
+    code = main(["torsion", "--q", "3", "--r", "T*(T-1)", "--bound", "1"])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert "invariant violated" in err and message in err

@@ -53,6 +53,7 @@ class StandardOrder:
     def __init__(self, alg):
         self.alg = alg
         self._products = {}
+        self._moduli = None  # monic irreducible divisors of b, once factored
 
     @property
     def field(self):
@@ -70,6 +71,26 @@ class StandardOrder:
             prods = ([e * el for e in bas], [el * e for e in bas])
             self._products[el] = prods
         return prods
+
+    def residue_key(self, el):
+        """The residue key of el = x + y*i + z*j + w*ij in this order: the
+        pair (x mod h, y mod h) for each monic irreducible h dividing b.
+
+        It is a conjugacy invariant of the unit group O^x.  Let
+        P_h = hO + jO.  Since ji = conj(i)*j, jO = Oj, so jO is a two-sided
+        ideal, and so is hO (h is central); P_h is two-sided.  As
+        j^2 = b lies in hA, P_h = hA + hAi + Aj + Aij, so
+        O/P_h = (A/h)[i], a commutative ring, and el maps to
+        (x mod h) + (y mod h)*i there.  For lam in O^x the image of lam
+        is a unit of that commutative ring, so lam*el*lam^-1 = el mod P_h:
+        conjugate elements share the key, for either parity of q.  At a
+        ramified place the key tells apart the roots a torsion unit can
+        reduce to, which is where the factor 2^n of the class count
+        comes from.
+        """
+        if self._moduli is None:
+            self._moduli = [h for h, _ in factor(self.alg.b)]
+        return tuple((el.x % h, el.y % h) for h in self._moduli)
 
     def gram_matrix(self):
         bas = self.basis()
@@ -180,7 +201,7 @@ class TorsionUnit:
         t, n = elem.charpoly()
         self.trace = t
         self.norm = n
-        self.order = _mult_order(elem)
+        self.order = _mult_order(elem, t, n)
 
     def sort_key(self):
         e = self.elem
@@ -198,17 +219,29 @@ class TorsionUnit:
         return "TorsionUnit(%s; order %d)" % (self.elem, self.order)
 
 
-def _mult_order(el):
-    """The multiplicative order of a census element, at most q^2.  The
-    census builds only elements with a constant characteristic polynomial,
-    so one that is not torsion is a broken invariant."""
-    alg = el.alg
-    cap = alg.field.q ** 2
-    acc = el
-    for n in range(1, cap + 1):
-        if acc == alg.one:
-            return n
-        acc = acc * el
+def _mult_order(el, t, n):
+    """The multiplicative order of a census element, at most q^2, read off
+    its characteristic polynomial X^2 - t*X + n.
+
+    A non-scalar el generates F_q[el] = F_q[X]/(X^2 - t*X + n) when t and
+    n are constants, so its order is that of X there; the pair (u, v)
+    stands for u + v*X, and X*(u + v*X) = -v*n + (u + v*t)*X.  A scalar c
+    has the order of c in F_q^x.  Both are at most q^2 when finite.  The
+    census builds only elements with a constant characteristic
+    polynomial, so one that is not torsion is a broken invariant.
+    """
+    fld = el.alg.field
+    if t.is_const and n.is_const:
+        t, n = t.coeff(0), n.coeff(0)
+        scalar, c = el.is_scalar, el.x.coeff(0)
+        u, v = (c, 0) if scalar else (0, 1)
+        for k in range(1, fld.q**2 + 1):
+            if u == 1 and v == 0:
+                return k
+            if scalar:
+                u = fld.mul(u, c)
+            else:
+                u, v = fld.neg(fld.mul(v, n)), fld.add(u, fld.mul(v, t))
     raise InvariantViolation("census element %s is not torsion" % el)
 
 
@@ -388,8 +421,11 @@ def default_conj_bound(order):
 def torsion_classes(order, units, max_bound=None, expected=None):
     """Partition torsion units into conjugacy classes of the unit group.
 
-    Bounded searches deepen iteratively; when the class count still exceeds
-    the expected value at the cutoff, the cutoff is doubled once.
+    Units are bucketed by trace, norm and residue key, all invariant under
+    conjugation by a unit, so a pair in different buckets has no witness
+    at any bound and is never searched.  Within a bucket, bounded searches
+    deepen iteratively; when the class count still exceeds the expected
+    value at the cutoff, the cutoff is doubled once.
     """
     if max_bound is None:
         max_bound = default_conj_bound(order)
@@ -409,7 +445,8 @@ def torsion_classes(order, units, max_bound=None, expected=None):
 
     buckets = {}
     for idx, u in enumerate(units):
-        buckets.setdefault((u.trace.coeffs, u.norm.coeffs), []).append(idx)
+        key = (u.trace.coeffs, u.norm.coeffs, order.residue_key(u.elem))
+        buckets.setdefault(key, []).append(idx)
     no_verdicts = set()
 
     def sweep(limit):

@@ -867,7 +867,10 @@ def terminal_classes(graph, units):
     exactly when they give the same j and the same root.  So each terminal
     vertex carries two classes, found from its stabilizer generator without
     the census, and the census units are sorted into them: one lookup per
-    distinct p(x), since x and -x fix the same vertex.
+    distinct p(x), since x and -x fix the same vertex.  The residue key
+    (StandardOrder.residue_key) is a conjugacy invariant, so reps[j] has a
+    root with the key of x: the lookup tries those terminal vertices
+    first, then the rest in order, so a miss still tests every one.
 
     Returns the classes as sorted lists of units: the classes the census
     meets ordered by first member, then an empty list for each class it
@@ -884,6 +887,8 @@ def _sort_census(graph, units):
     xi = alg.elem(choose_xi(fld))
     terminal = [v for v in graph.vertices if v.stabilizer_order == fld.q**2 - 1]
     roots = [_square_roots(v, xi) for v in terminal]
+    order = StandardOrder(alg)
+    root_keys = [{order.residue_key(r) for r in rs} for rs in roots]
     members = [[[], []] for _ in terminal]
     base = TreeVertex.base(fld)
     found = {}  # fixed vertex -> (terminal index, unit carrying it there)
@@ -901,7 +906,11 @@ def _sort_census(graph, units):
             )
         hit = found.get(fixed)
         if hit is None:
-            hit = found[fixed] = _terminal_class(emb, fixed, terminal)
+            key = order.residue_key(x)
+            tries = sorted(
+                range(len(terminal)), key=lambda t: key not in root_keys[t]
+            )
+            hit = found[fixed] = _terminal_class(emb, fixed, terminal, tries)
         t, gamma = hit
         conj = (gamma * x * gamma.conj()).scale(fld.inv(gamma.norm().coeff(0)))
         if conj not in roots[t]:
@@ -933,10 +942,11 @@ def _square_roots(vertex, xi):
     return roots
 
 
-def _terminal_class(emb, vertex, terminal):
-    """(position in terminal, unit carrying vertex to that representative)."""
-    for t, v in enumerate(terminal):
-        verdict = are_equivalent(emb, vertex, v.lift)
+def _terminal_class(emb, vertex, terminal, tries):
+    """(position in terminal, unit carrying vertex to that representative),
+    testing the positions in the order given by tries."""
+    for t in tries:
+        verdict = are_equivalent(emb, vertex, terminal[t].lift)
         if verdict:
             return t, verdict.lam
     raise InvariantViolation(

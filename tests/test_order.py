@@ -7,7 +7,15 @@ import pytest
 
 import btquot
 from btquot.errors import InvariantViolation, NotCertified, RamifiedAtInfinity, Unsupported
-from btquot.gfpoly import Place, Poly, factor, gcd, make_field, polys_upto
+from btquot.gfpoly import (
+    Place,
+    Poly,
+    factor,
+    field_from_q,
+    gcd,
+    make_field,
+    polys_upto,
+)
 from btquot.linalg import nullspace
 from btquot.order import (
     NoneUpToBound,
@@ -353,13 +361,20 @@ def test_default_conj_bound():
     assert default_conj_bound(order_q2()) == 4
 
 
-def test_torsion_classes_merges_constructed_conjugates():
+def test_torsion_classes_merges_constructed_conjugates(monkeypatch):
     om = order_q3()
     alg = om.alg
     T = Poly.T(alg.field)
     theta = alg.elem(0, 2 * T + 2, 0, 2)
     target = theta * alg.i * theta.conj()
     units = [TorsionUnit(alg.i), TorsionUnit(target), TorsionUnit(-alg.i)]
+    searched = []
+
+    def recording(order, x, y, bound):
+        searched.append({x, y})
+        return conj_search(order, x, y, bound)
+
+    monkeypatch.setattr("btquot.order.conj_search", recording)
     classes = torsion_classes(om, units, max_bound=2)
     sizes = sorted(len(c) for c in classes)
     by_elem = {}
@@ -368,9 +383,143 @@ def test_torsion_classes_merges_constructed_conjugates():
             by_elem[u.elem] = ci
     assert by_elem[alg.i] == by_elem[target]
     assert sizes in ([1, 2], [3])
-    # -i is central-quotient distinct from i unless some witness merges them;
-    # at bound 2 none was found in this run, so expect split classes
+    # i and -i differ mod T (y = 1 against y = 2), so their residue keys
+    # differ: they are never conjugate, and no search is made for them
+    assert om.residue_key(alg.i) != om.residue_key(-alg.i)
+    assert {alg.i, -alg.i} not in searched
+    assert {alg.i, target} in searched
     assert sizes == [1, 2]
+
+
+def reference_torsion_classes(order, units, search, max_bound=None, expected=None):
+    """torsion_classes with buckets keyed by (trace, norm) alone, searching
+    every pair of classes in a bucket with search(order, x, y, bound)."""
+    if max_bound is None:
+        max_bound = default_conj_bound(order)
+    n = len(units)
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    def union(i, j):
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[max(ri, rj)] = min(ri, rj)
+
+    buckets = {}
+    for idx, u in enumerate(units):
+        buckets.setdefault((u.trace.coeffs, u.norm.coeffs), []).append(idx)
+    no_verdicts = set()
+
+    def sweep(limit):
+        for b in range(limit + 1):
+            for idxs in buckets.values():
+                reps = {}
+                for i in idxs:
+                    reps.setdefault(find(i), i)
+                keys = sorted(reps)
+                for ai in range(len(keys)):
+                    for bi in range(ai + 1, len(keys)):
+                        i, j = reps[keys[ai]], reps[keys[bi]]
+                        if find(i) == find(j) or (i, j, b) in no_verdicts:
+                            continue
+                        res = search(order, units[i].elem, units[j].elem, b)
+                        if isinstance(res, Witness):
+                            union(i, j)
+                        else:
+                            no_verdicts.add((i, j, b))
+
+    sweep(max_bound)
+    count = len({find(i) for i in range(n)})
+    if expected is not None and count > expected:
+        sweep(2 * max_bound)
+    classes = {}
+    for i in range(n):
+        classes.setdefault(find(i), []).append(units[i])
+    out = [sorted(v, key=TorsionUnit.sort_key) for v in classes.values()]
+    out.sort(key=lambda cl: cl[0].sort_key())
+    return out
+
+
+# (q, algebra, census bound, expected class count): the two even-q
+# censuses and the odd-q census of acceptance criterion 4
+SWEEP_ORACLE_CASES = [
+    (2, "H(xi, T^2+T)", 2, 4),
+    (4, "H(xi, T*(T+1))", 1, 4),
+    (3, "H(xi, T*(T-1))", 2, 4),
+]
+
+
+@pytest.mark.parametrize("q, text, bound, expected", SWEEP_ORACLE_CASES)
+def test_torsion_classes_match_trace_norm_sweep(q, text, bound, expected):
+    alg = parse_algebra(field_from_q(q), text)
+    om = StandardOrder(alg)
+    units = solve_torsion(om, bound)
+    witnesses = []
+
+    def search(order, x, y, b):
+        res = conj_search(order, x, y, b)
+        if isinstance(res, Witness):
+            witnesses.append((x, y))
+        return res
+
+    want = reference_torsion_classes(om, units, search, expected=expected)
+    assert torsion_classes(om, units, expected=expected) == want
+    assert len(want) == expected
+    assert witnesses
+    for x, y in witnesses:
+        assert om.residue_key(x) == om.residue_key(y)
+
+
+@pytest.mark.parametrize("q, bound, calls", [(2, 3, 1162), (4, 1, 388)])
+def test_torsion_classes_search_count(q, bound, calls, monkeypatch, capsys):
+    # buckets keyed by (trace, norm) alone made 4 592 and 1 338 searches
+    from btquot import cli
+
+    made = []
+
+    def counting(order, x, y, b):
+        made.append(b)
+        return conj_search(order, x, y, b)
+
+    monkeypatch.setattr("btquot.order.conj_search", counting)
+    argv = ["torsion", "--q", str(q), "--r", "T*(T+1)", "--bound", str(bound)]
+    assert cli.main(argv) == 0
+    assert len(made) == calls
+
+
+def reference_mult_order(el):
+    """The multiplicative order by repeated multiplication, or None past q^2."""
+    alg = el.alg
+    acc = el
+    for n in range(1, alg.field.q**2 + 1):
+        if acc == alg.one:
+            return n
+        acc = acc * el
+    return None
+
+
+ORDER_ORACLE_CASES = [
+    (2, "H(xi, T^2+T)", 2),
+    (3, "H(xi, T*(T-1))", 2),
+    (4, "H(xi, T*(T+1))", 1),
+    (5, "H(xi, T*(T-1))", 1),
+]
+
+
+@pytest.mark.parametrize("q, text, bound", ORDER_ORACLE_CASES)
+def test_torsion_order_matches_repeated_multiplication(q, text, bound):
+    alg = parse_algebra(field_from_q(q), text)
+    census = [u.elem for u in solve_torsion(StandardOrder(alg), bound)]
+    assert census
+    # every element of F_q[i] = F_{q^2} outside F_q, so every order there
+    field_units = [alg.elem(c, d) for c in range(q) for d in range(1, q)]
+    for el in census + [alg.one, -alg.one, alg.i, -alg.i] + field_units:
+        assert TorsionUnit(el).order == reference_mult_order(el)
 
 
 def test_non_torsion_census_element_is_invariant_violation(monkeypatch, capsys):

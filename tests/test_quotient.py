@@ -9,7 +9,7 @@ import pytest
 import btquot
 from btquot import quotient
 from btquot.cli import main
-from btquot.bttree import Mat2K, TreeVertex, act, canonical_form, distance
+from btquot.bttree import Mat2K, TreeVertex, act, canonical_form, distance, midpoint
 from btquot.errors import (
     InvariantViolation,
     NonterminationGuard,
@@ -976,6 +976,27 @@ def test_terminal_classes_list_missed_classes_empty():
     got = terminal_classes(build_quotient(alg), units)
     assert [len(c) for c in got] == [1, 1, 0, 0]
     assert [c[0] for c in got[:2]] == units
+
+
+def test_terminal_classes_make_one_lookup_per_fixed_vertex(monkeypatch):
+    # the residue key puts the right terminal vertex first; tried in plain
+    # terminal order, the same census took 93 lookups
+    alg = parse_algebra(field_from_q(3), "H(xi, T*(T-1))")
+    units = solve_torsion(StandardOrder(alg), 2)
+    graph = build_quotient(alg)
+    emb = graph.embedding
+    base = TreeVertex.base(alg.field)
+    fixed = {midpoint(base, emb.act(u.elem, base)) for u in units}
+    calls = []
+
+    def counting(emb, v, w, log=None):
+        calls.append(v)
+        return are_equivalent(emb, v, w, log)
+
+    monkeypatch.setattr(quotient, "are_equivalent", counting)
+    terminal_classes(graph, units)
+    assert len(calls) == len(fixed) == 53
+    assert set(calls) == fixed
 
 
 def _no_class(emb, v, w, log=None):

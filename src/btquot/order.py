@@ -201,7 +201,7 @@ class TorsionUnit:
         t, n = elem.charpoly()
         self.trace = t
         self.norm = n
-        self.order = _mult_order(elem, t, n)
+        self.order = _mult_order(elem)
 
     def sort_key(self):
         e = self.elem
@@ -219,29 +219,48 @@ class TorsionUnit:
         return "TorsionUnit(%s; order %d)" % (self.elem, self.order)
 
 
-def _mult_order(el, t, n):
-    """The multiplicative order of a census element, at most q^2, read off
-    its characteristic polynomial X^2 - t*X + n.
+def power_pairs(el, count):
+    """The pairs (u_k, v_k) of int codes with el^k = u_k + v_k*el, for
+    k = 1..count in turn, read off the characteristic polynomial
+    X^2 - t*X + n of el; None when t or n is not a constant.
 
     A non-scalar el generates F_q[el] = F_q[X]/(X^2 - t*X + n) when t and
-    n are constants, so its order is that of X there; the pair (u, v)
-    stands for u + v*X, and X*(u + v*X) = -v*n + (u + v*t)*X.  A scalar c
-    has the order of c in F_q^x.  Both are at most q^2 when finite.  The
-    census builds only elements with a constant characteristic
-    polynomial, so one that is not torsion is a broken invariant.
+    n are constants (1 and el are independent), so el^k is X^k there; the
+    pair (u, v) stands for u + v*X, and X*(u + v*X) = -v*n + (u + v*t)*X.
+    A scalar c gives (c^k, 0).  No quaternion product is formed.
     """
-    fld = el.alg.field
-    if t.is_const and n.is_const:
-        t, n = t.coeff(0), n.coeff(0)
-        scalar, c = el.is_scalar, el.x.coeff(0)
-        u, v = (c, 0) if scalar else (0, 1)
-        for k in range(1, fld.q**2 + 1):
-            if u == 1 and v == 0:
-                return k
-            if scalar:
-                u = fld.mul(u, c)
-            else:
-                u, v = fld.neg(fld.mul(v, n)), fld.add(u, fld.mul(v, t))
+    t, n = el.charpoly()
+    if not (t.is_const and n.is_const):
+        return None
+    return _walk_powers(el.alg.field, el, t.coeff(0), n.coeff(0), count)
+
+
+def _walk_powers(fld, el, t, n, count):
+    if el.is_scalar:
+        c = el.x.coeff(0)
+        u = c
+        for _ in range(count):
+            yield u, 0
+            u = fld.mul(u, c)
+        return
+    u, v = 0, 1
+    for _ in range(count):
+        yield u, v
+        u, v = fld.neg(fld.mul(v, n)), fld.add(u, fld.mul(v, t))
+
+
+def _mult_order(el):
+    """The multiplicative order of a census element, at most q^2: the
+    first k with power_pairs (u_k, v_k) = (1, 0).  Finite orders are at
+    most q^2, because el^k lies in F_q[el], a ring of q^2 elements (or q,
+    for a scalar).  The census builds only elements with a constant
+    characteristic polynomial, so one that is not torsion is a broken
+    invariant.
+    """
+    pairs = power_pairs(el, el.alg.field.q**2)
+    for k, uv in enumerate(pairs or (), 1):
+        if uv == (1, 0):
+            return k
     raise InvariantViolation("census element %s is not torsion" % el)
 
 

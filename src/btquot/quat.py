@@ -160,18 +160,6 @@ class QuatElem:
     def __rsub__(self, other):
         return self._coerce(other) - self
 
-    def __pow__(self, n):
-        if n < 0:
-            raise ValueError("negative powers are not defined here")
-        r = self.alg.one
-        b = self
-        while n:
-            if n & 1:
-                r = r * b
-            b = b * b
-            n >>= 1
-        return r
-
     def scale(self, c):
         if isinstance(c, (int, FieldElem)):
             c = Poly.const(self.alg.field, c)

@@ -43,7 +43,7 @@ from .gfpoly import Place, Poly, choose_xi, is_irreducible, polys_upto
 from .invariants import RamProfile, v1 as formula_v1, vq1 as formula_vq1
 from .laurent import MIN_TERMS, LaurentSeries, dot_head, embed
 from .linalg import nullspace
-from .order import StandardOrder, TorsionUnit, Witness
+from .order import StandardOrder, TorsionUnit, Witness, power_pairs
 from .quat import SquarefreeShells, find_algebra, ramified_set
 
 # The class count may exceed the formula prediction V1 + Vq1 only by
@@ -378,8 +378,13 @@ def hom_units(emb, v, w, B):
 class StabilizerGroup:
     """The units fixing one vertex: a cyclic group, F_q^x or F_{q^2}^x.
 
-    Everything is read off one generator g of order n = |G|.  Its n
-    powers are the element set, which proves the set is a group; the
+    Everything is read off one generator g of order n = |G|: the first
+    element whose powers first reach 1 at g^n (scalars skipped when
+    n = q^2 - 1), which in a cyclic group is the first with g^(n/p) != 1
+    for every prime p | n.  Its n powers are read off its characteristic
+    polynomial (order.power_pairs) as u_k + v_k*g, one scale and one add
+    each, and
+    they are the element set, which proves the set is a group; the
     neighbour orbits are the cycles of g on the link; and the elements
     fixing a vertex form the subgroup of order n / (its cycle length).
     """
@@ -394,21 +399,17 @@ class StabilizerGroup:
                 "stabilizer has %d elements; expected %d or %d"
                 % (n, q - 1, q * q - 1)
             )
-        one = alg.one
-        exponents = [n // p for p in _prime_divisors(n)]
         for g in self.elements:
             if n == q * q - 1 and g.is_scalar:
                 continue
-            if all(g ** e != one for e in exponents):
+            pairs = _powers_of_order(g, n)
+            if pairs is not None:
                 break
         else:
             raise StabilizerAnomalousOrder(
                 "stabilizer has no element of order %d" % n
             )
-        powers = [one]
-        for _ in range(n - 1):
-            powers.append(powers[-1] * g)
-        if powers[-1] * g != one or set(powers) != set(self.elements):
+        if {g.scale(v) + u for u, v in pairs} != set(self.elements):
             raise StabilizerAnomalousOrder(
                 "stabilizer is not the cyclic group of its generator"
             )
@@ -487,18 +488,19 @@ class StabilizerGroup:
         return "StabilizerGroup(order=%d)" % self.order
 
 
-def _prime_divisors(n):
+def _powers_of_order(g, n):
+    """The pairs (u_k, v_k), k = 1..n, of power_pairs(g, n) when g has
+    order exactly n (the first pair equal to (1, 0) is the n-th), else
+    None."""
+    pairs = power_pairs(g, n)
+    if pairs is None:
+        return None
     out = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        out.append(n)
-    return out
+    for uv in pairs:
+        out.append(uv)
+        if uv == (1, 0):
+            break
+    return out if len(out) == n and out[-1] == (1, 0) else None
 
 
 def stabilizer(emb, vertex):
@@ -866,8 +868,9 @@ def terminal_classes(graph, units):
     elements of Stab(reps[j]) squaring to xi, and two units are conjugate
     exactly when they give the same j and the same root.  So each terminal
     vertex carries two classes, found from its stabilizer generator without
-    the census, and the census units are sorted into them: one lookup per
-    distinct p(x), since x and -x fix the same vertex.  The residue key
+    the census, and the census units are sorted into them: one action
+    and one lookup per distinct p(x), since -x acts on the tree as x does
+    (scalars act trivially) and so fixes the same vertex.  The residue key
     (StandardOrder.residue_key) is a conjugacy invariant, so reps[j] has a
     root with the key of x: the lookup tries those terminal vertices
     first, then the rest in order, so a miss still tests every one.
@@ -884,7 +887,7 @@ def _sort_census(graph, units):
     emb = graph.embedding
     alg = graph.algebra
     fld = alg.field
-    xi = alg.elem(choose_xi(fld))
+    xi = choose_xi(fld).v
     terminal = [v for v in graph.vertices if v.stabilizer_order == fld.q**2 - 1]
     roots = [_square_roots(v, xi) for v in terminal]
     order = StandardOrder(alg)
@@ -892,18 +895,14 @@ def _sort_census(graph, units):
     members = [[[], []] for _ in terminal]
     base = TreeVertex.base(fld)
     found = {}  # fixed vertex -> (terminal index, unit carrying it there)
+    fixed_of = {}  # census element -> the vertex it fixes
     for unit in units:
         x = unit.elem
-        moved = emb.act(x, base)
-        if distance(base, moved) % 2:
-            raise InvariantViolation(
-                "census unit %s moves the base vertex an odd distance" % x
-            )
-        fixed = midpoint(base, moved)
-        if emb.act(x, fixed) != fixed:
-            raise InvariantViolation(
-                "census unit %s does not fix the midpoint %s" % (x, fixed)
-            )
+        # -x acts as x does (scalars act trivially): one action per pair
+        fixed = fixed_of.get(-x)
+        if fixed is None:
+            fixed = _fixed_vertex(emb, x, base)
+        fixed_of[x] = fixed
         hit = found.get(fixed)
         if hit is None:
             key = order.residue_key(x)
@@ -924,16 +923,39 @@ def _sort_census(graph, units):
     return met + [c for c in classes if not c]
 
 
+def _fixed_vertex(emb, x, base):
+    """The vertex a census unit x fixes: the midpoint of [o, x o]."""
+    moved = emb.act(x, base)
+    if distance(base, moved) % 2:
+        raise InvariantViolation(
+            "census unit %s moves the base vertex an odd distance" % x
+        )
+    fixed = midpoint(base, moved)
+    if emb.act(x, fixed) != fixed:
+        raise InvariantViolation(
+            "census unit %s does not fix the midpoint %s" % (x, fixed)
+        )
+    return fixed
+
+
 def _square_roots(vertex, xi):
-    """The two elements of a terminal stabilizer that square to xi, from
-    its generator's powers."""
+    """The two elements of a terminal stabilizer that square to the
+    constant xi (an int code), in the order of the generator's powers.
+
+    Each power is u + v*g with (u, v) from power_pairs, and g^2 = t*g - n,
+    so (u + v*g)^2 = (u^2 - v^2*n) + (2uv + v^2*t)*g: it is xi exactly when
+    2uv + v^2*t = 0 and u^2 - v^2*n = xi.  Only the roots are built."""
     g = vertex.generator
+    fld = g.alg.field
+    t, n = (c.coeff(0) for c in g.charpoly())
     roots = []
-    h = g
-    for _ in range(vertex.stabilizer_order):
-        if h * h == xi:
-            roots.append(h)
-        h = h * g
+    for u, v in power_pairs(g, vertex.stabilizer_order):
+        uv, vv = fld.mul(u, v), fld.mul(v, v)
+        if (
+            fld.add(fld.add(uv, uv), fld.mul(vv, t)) == 0
+            and fld.sub(fld.mul(u, u), fld.mul(vv, n)) == xi
+        ):
+            roots.append(g.scale(v) + u)
     if len(roots) != 2:
         raise InvariantViolation(
             "stabilizer of class %d has %d square roots of xi, not 2"

@@ -27,6 +27,7 @@ from btquot.order import (
     conj_search,
     default_conj_bound,
     paired_unit,
+    power_pairs,
     poly_sqrt,
     solve_torsion,
     torsion_classes,
@@ -716,3 +717,17 @@ def test_conj_search_witness_checks_raise_under_optimize():
     assert len(lines) == 2, proc.stdout
     assert "non-unit norm" in lines[0]
     assert lines[1] == "conjugacy witness 1 does not take i to j"
+
+
+def test_power_pairs_of_scalars_and_non_constant_charpolys():
+    om = order_q3()
+    alg = om.alg
+    fld = om.field
+    T = Poly.T(fld)
+    assert power_pairs(alg.elem(0, T), 4) is None
+    assert power_pairs(alg.elem(T), 4) is None
+    assert list(power_pairs(alg.elem(2), 4)) == [(2, 0), (1, 0), (2, 0), (1, 0)]
+    i = alg.i
+    powers = [i, i * i, i * i * i]
+    for (u, v), want in zip(power_pairs(i, 3), powers):
+        assert i.scale(v) + u == want

@@ -22,10 +22,17 @@ from btquot.gfpoly import Poly, choose_xi, field_from_q, make_field, parse_poly
 from btquot.invariants import critical_group, cross_check, graph_h1
 from btquot.laurent import MIN_TERMS, LaurentSeries, embed
 from btquot.linalg import nullspace
-from btquot.order import StandardOrder, Witness, solve_torsion, torsion_classes
-from btquot.quat import QuatAlgebra, parse_algebra, ramified_set
+from btquot.order import (
+    StandardOrder,
+    Witness,
+    power_pairs,
+    solve_torsion,
+    torsion_classes,
+)
+from btquot.quat import QuatAlgebra, QuatElem, parse_algebra, ramified_set
 from btquot.quotient import (
     NoEquivalence,
+    QVertex,
     SplitEmbedding,
     StabilizerGroup,
     are_equivalent,
@@ -879,15 +886,23 @@ def test_stabilizer_generator_matches_all_element_reference():
                     assert got * len(orbit) == order
 
 
+def product_powers(g, count):
+    """[g^0, g^1, ..., g^count] by repeated quaternion products."""
+    powers = [g.alg.one]
+    for _ in range(count):
+        powers.append(powers[-1] * g)
+    return powers
+
+
 def test_stabilizer_generator_powers_are_the_elements():
     for alg in (segment_algebra(), banana_algebra(), segment_algebra(5)):
         emb = SplitEmbedding(alg)
         group = stabilizer(emb, TreeVertex.base(alg.field))
         g = group.generator
-        powers = [g ** k for k in range(group.order)]
-        assert len(set(powers)) == group.order
-        assert set(powers) == set(group.elements)
-        assert g ** group.order == alg.one
+        powers = product_powers(g, group.order)
+        assert len(set(powers[:-1])) == group.order
+        assert set(powers[:-1]) == set(group.elements)
+        assert powers[-1] == alg.one
         if group.order == alg.field.q ** 2 - 1:
             assert not g.is_scalar
 
@@ -905,6 +920,101 @@ def test_stabilizer_group_rejects_full_order_non_group():
     assert not reference_closure(alg, fake)
     with pytest.raises(StabilizerAnomalousOrder):
         StabilizerGroup(alg, fake)
+
+
+def test_stabilizer_group_rejects_non_constant_trace():
+    # no finite-order unit has a non-constant trace: such an element makes
+    # the stabilizer anomalous, not a census element that is "not torsion"
+    alg = segment_algebra()
+    fld = alg.field
+    base = stabilizer(SplitEmbedding(alg), TreeVertex.base(fld)).elements
+    stray = alg.elem(Poly.T(fld), 1)
+    assert not stray.trace().is_const
+    for fake in ([stray] + base[1:], base[:-1] + [stray]):
+        with pytest.raises(
+            StabilizerAnomalousOrder, match="not the cyclic group of its generator"
+        ):
+            StabilizerGroup(alg, fake)
+    strays = [alg.elem(Poly.monomial(fld, k), 1) for k in range(1, 9)]
+    with pytest.raises(StabilizerAnomalousOrder, match="no element of order 8"):
+        StabilizerGroup(alg, strays)
+
+
+# One profile per q: the stabilizer generators of every class, and the
+# roots of xi at every terminal class.  q=9 has int codes that are not
+# residues mod p.
+GENERATOR_PROFILES = [
+    (3, "H(xi, T^4+2*T^2+T)"),
+    (5, "H(T^2+3*T, T^2+3*T+2)"),
+    (7, "H(xi, T*(T-1))"),
+    (9, "H(4, T^2+T)"),
+    (11, "H(xi, T*(T-1))"),
+]
+
+
+def product_generator(alg, elements):
+    """The generator rule by quaternion products: the first element (scalars
+    skipped for q^2 - 1) with g^(n/p) != 1 for every prime p | n."""
+    q = alg.field.q
+    n = len(elements)
+    primes = [
+        p for p in range(2, n + 1) if n % p == 0 and all(p % d for d in range(2, p))
+    ]
+    for g in elements:
+        if n == q * q - 1 and g.is_scalar:
+            continue
+        powers = product_powers(g, n)
+        if all(powers[n // p] != alg.one for p in primes):
+            return g
+    return None
+
+
+@pytest.mark.parametrize("q, text", GENERATOR_PROFILES)
+def test_stabilizer_generators_powers_and_roots_match_products(q, text):
+    alg = parse_algebra(field_from_q(q), text)
+    graph = build_quotient(alg)
+    emb = graph.embedding
+    xi = choose_xi(alg.field).v
+    xi_el = alg.elem(xi)
+    terminal = 0
+    for vertex in graph.vertices:
+        elements = stabilizer(emb, vertex.lift).elements
+        g = vertex.generator
+        assert g == product_generator(alg, elements)
+        n = vertex.stabilizer_order
+        powers = product_powers(g, n)
+        pairs = list(power_pairs(g, n))
+        assert len(pairs) == n
+        for k, (u, v) in enumerate(pairs, 1):
+            assert g.scale(v) + u == powers[k]
+        if n == q * q - 1:
+            terminal += 1
+            roots = quotient._square_roots(vertex, xi)
+            assert roots == [h for h in powers[1:] if h * h == xi_el]
+            assert set(roots) == {h for h in elements if h * h == xi_el}
+    assert terminal
+
+
+def test_stabilizer_and_roots_make_no_quaternion_products(monkeypatch):
+    alg = parse_algebra(field_from_q(11), "H(xi, T*(T-1))")
+    emb = SplitEmbedding(alg)
+    base = TreeVertex.base(alg.field)
+    found = hom_units(emb, base, base, completeness_bound(base, base))
+    xi = choose_xi(alg.field).v
+    calls = []
+    plain = QuatElem.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return plain(self, other)
+
+    monkeypatch.setattr(QuatElem, "__mul__", counting)
+    group = StabilizerGroup(alg, found)
+    vertex = QVertex(0, base, group.order, group.generator)
+    roots = quotient._square_roots(vertex, xi)
+    monkeypatch.undo()
+    assert group.order == 120 and len(roots) == 2
+    assert calls == []
 
 
 OPTIMIZED_GENERATOR_CHECK = """

@@ -46,7 +46,12 @@ from .invariants import (
 )
 from .order import StandardOrder, solve_torsion, torsion_classes
 from .quat import QuatAlgebra, ramified_set
-from .quotient import build_quotient, find_quotient_algebra, terminal_classes
+from .quotient import (
+    build_quotient,
+    find_quotient_algebra,
+    ram_profile,
+    terminal_classes,
+)
 
 
 class UsageError(Exception):
@@ -98,10 +103,6 @@ def _algebra_from(args):
 
 def _build_graph(args):
     return build_quotient(_algebra_from(args))
-
-
-def _profile_of(alg):
-    return RamProfile(alg.field.q, [pl.degree for pl in ramified_set(alg)])
 
 
 def _formula_entry(profile):
@@ -181,7 +182,7 @@ def cmd_ramification(args):
     alg = _algebra_from(args)
     places = ramified_set(alg)
     cert = StandardOrder(alg).certify_maximal()
-    profile = RamProfile(alg.field.q, [pl.degree for pl in places])
+    profile = ram_profile(alg.field.q, places)
     payload = {
         "algebra": str(alg),
         "q": alg.field.q,
@@ -219,11 +220,15 @@ def cmd_torsion(args):
     }
     code = 0
     if not args.no_classes:
-        expected = eichler_count(_profile_of(alg))
+        expected = eichler_count(ram_profile(alg.field.q, ramified_set(alg)))
         if alg.even:
             classes = torsion_classes(order, units, expected=expected)
-        else:
+        elif units or expected:
             classes = terminal_classes(build_quotient(alg), units)
+        else:
+            # wp = 0: a place of even degree splits in F_{q^2}(T), so F_{q^2}
+            # does not embed in the algebra and no unit squares to xi.
+            classes = []
         payload["classes"] = [[str(u.elem) for u in cl] for cl in classes]
         payload["class_count"] = len(classes)
         payload["eichler"] = expected

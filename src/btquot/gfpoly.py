@@ -1,9 +1,12 @@
 """Exact arithmetic over F_q and F_q[T], plus places of the rational
 function field F_q(T).
 
-Field elements are encoded as ints in [0, q): the base-p digits of the code
-are the coefficients of the residue polynomial.  The canonical enumeration
-order used by every "smallest" choice below is ascending code.
+Field elements are encoded as ints in [0, q), and the int code is their
+only representation: the base-p digits of the code are the coefficients of
+the residue polynomial.  The canonical enumeration order used by every
+"smallest" choice below is ascending code.  F_p has its tables from integer
+arithmetic mod p; an extension F_{p^e} builds them with Poly over F_p,
+modulo the first irreducible T^e + f in code order.
 """
 
 from __future__ import annotations
@@ -29,125 +32,43 @@ def _is_prime(n):
     return True
 
 
-# -- int-level polynomial helpers over F_p, used only to bootstrap the tables
-
-
-def _ipoly_trim(c):
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _ipoly_mul(a, b, p):
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _ipoly_trim(out)
-
-
-def _ipoly_mod(a, m, p):
-    a = list(a)
-    inv_lc = pow(m[-1], p - 2, p)
-    while len(a) >= len(m):
-        f = (a[-1] * inv_lc) % p
-        if f:
-            off = len(a) - len(m)
-            for i, c in enumerate(m):
-                a[off + i] = (a[off + i] - f * c) % p
-        a.pop()
-    return _ipoly_trim(a)
-
-
-def _ipoly_irreducible(m, p):
-    """Trial division by every monic poly of degree <= deg(m)/2."""
-    d = len(m) - 1
-    for k in range(1, d // 2 + 1):
-        for code in range(p**k):
-            div = [0] * (k + 1)
-            div[k] = 1
-            c, i = code, 0
-            while c:
-                div[i] = c % p
-                c //= p
-                i += 1
-            if not _ipoly_mod(m, div, p):
-                return False
-    return True
-
-
 class Field:
     """F_q with table-driven arithmetic on int codes."""
 
-    def __init__(self, p, e=1, modulus=None, max_q=_MAX_Q):
+    def __init__(self, p, e=1):
         if not _is_prime(p):
             raise ValueError("p must be prime, got %r" % (p,))
-        if e < 1 or p**e > max_q:
+        if e < 1 or p**e > _MAX_Q:
             raise ValueError("q=%d^%d out of supported range" % (p, e))
         self.p = p
         self.e = e
-        self.q = p**e
+        self.q = q = p**e
         if e == 1:
-            modulus = (0, 1)
-        elif modulus is None:
-            modulus = self._smallest_modulus(p, e)
-        self.modulus = tuple(modulus)
-        self._build_tables()
-        self._elems = tuple(FieldElem(self, v) for v in range(self.q))
+            self.modulus = (0, 1)
+            self._addt = [[(a + b) % p for b in range(q)] for a in range(q)]
+            self._negt = [-a % p for a in range(q)]
+            self._mult = [[a * b % p for b in range(q)] for a in range(q)]
+        else:
+            self._extension_tables()
+        self._invt = [0] + [row.index(1) for row in self._mult[1:]]
 
-    @staticmethod
-    def _smallest_modulus(p, e):
-        for code in range(p**e):
-            m = [0] * (e + 1)
-            m[e] = 1
-            c, i = code, 0
-            while c:
-                m[i] = c % p
-                c //= p
-                i += 1
-            if _ipoly_irreducible(m, p):
-                return tuple(m)
-        raise InvariantViolation("no irreducible modulus of degree %d" % e)
-
-    def _build_tables(self):
-        p, e, q = self.p, self.e, self.q
-
-        def digits(v):
-            out = []
-            for _ in range(e):
-                out.append(v % p)
-                v //= p
-            return out
-
-        def code(ds):
-            v = 0
-            for d in reversed(ds):
-                v = v * p + d
-            return v
-
-        self._addt = [
-            [code([(x + y) % p for x, y in zip(digits(a), digits(b))]) for b in range(q)]
-            for a in range(q)
-        ]
-        self._negt = [code([(-x) % p for x in digits(a)]) for a in range(q)]
-        mod = list(self.modulus)
-        mult = []
-        for a in range(q):
-            row = []
-            da = digits(a)
-            for b in range(q):
-                prod = _ipoly_mod(_ipoly_mul(da, digits(b), p), mod, p)
-                prod += [0] * (e - len(prod))
-                row.append(code(prod))
-            mult.append(row)
-        self._mult = mult
-        self._invt = [0] * q
-        for a in range(1, q):
-            for b in range(1, q):
-                if mult[a][b] == 1:
-                    self._invt[a] = b
-                    break
+    def _extension_tables(self):
+        """Tables of F_p[T]/(m) through Poly over F_p.  Code k is the k-th
+        residue of polys_upto(F_p, e - 1), and m is the first T^e + f, f in
+        that order, that is irreducible."""
+        fp = make_field(self.p)
+        residues = list(polys_upto(fp, self.e - 1))
+        code = {r: k for k, r in enumerate(residues)}
+        top = Poly.monomial(fp, self.e)
+        m = next((top + f for f in residues if is_irreducible(top + f)), None)
+        if m is None:
+            raise InvariantViolation(
+                "no irreducible modulus of degree %d over F_%d" % (self.e, self.p)
+            )
+        self.modulus = m.coeffs
+        self._addt = [[code[x + y] for y in residues] for x in residues]
+        self._negt = [code[-x] for x in residues]
+        self._mult = [[code[x * y % m] for y in residues] for x in residues]
 
     # int-code arithmetic
 
@@ -167,9 +88,6 @@ class Field:
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in %r" % (self,))
         return self._invt[a]
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
 
     def pow_(self, a, n):
         if n < 0:
@@ -206,25 +124,6 @@ class Field:
         if t >= self.p:
             raise InvariantViolation("absolute trace %d is outside F_%d" % (t, self.p))
         return t
-
-    # element-level API
-
-    @property
-    def zero(self):
-        return self._elems[0]
-
-    @property
-    def one(self):
-        return self._elems[1]
-
-    def elem(self, v):
-        return self._elems[v % self.q]
-
-    def elems(self):
-        return self._elems
-
-    def units(self):
-        return self._elems[1:]
 
     def __eq__(self, other):
         return (
@@ -271,72 +170,17 @@ def field_from_q(q):
     return make_field(*pe)
 
 
-class FieldElem:
-    """An element of F_q; arithmetic delegates to the field tables."""
-
-    __slots__ = ("field", "v")
-
-    def __init__(self, field, v):
-        self.field = field
-        self.v = v
-
-    def __add__(self, other):
-        return self.field._elems[self.field.add(self.v, _val(other))]
-
-    def __sub__(self, other):
-        return self.field._elems[self.field.sub(self.v, _val(other))]
-
-    def __neg__(self):
-        return self.field._elems[self.field.neg(self.v)]
-
-    def __mul__(self, other):
-        return self.field._elems[self.field.mul(self.v, _val(other))]
-
-    def __truediv__(self, other):
-        return self.field._elems[self.field.div(self.v, _val(other))]
-
-    def __pow__(self, n):
-        return self.field._elems[self.field.pow_(self.v, n)]
-
-    def inverse(self):
-        return self.field._elems[self.field.inv(self.v)]
-
-    def sqrt(self):
-        r = self.field.sqrt_(self.v)
-        return None if r is None else self.field._elems[r]
-
-    def __eq__(self, other):
-        if isinstance(other, FieldElem):
-            return self.field == other.field and self.v == other.v
-        if isinstance(other, int):
-            return self.v == other % self.field.q
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.field.q, self.v))
-
-    def __bool__(self):
-        return self.v != 0
-
-    def __repr__(self):
-        return str(self.v)
-
-
-def _val(x):
-    return x.v if isinstance(x, FieldElem) else x
-
-
 def choose_xi(field):
     """Smallest non-square unit (odd q) or smallest element of absolute
     trace one (even q), in the canonical enumeration order."""
     if field.p != 2:
         for v in range(1, field.q):
             if not field.is_square_(v):
-                return field.elem(v)
+                return v
         raise InvariantViolation("no non-square in %r" % (field,))
     for v in range(field.q):
         if field.trace_abs_(v) == 1:
-            return field.elem(v)
+            return v
     raise InvariantViolation("no trace-one element in %r" % (field,))
 
 
@@ -346,7 +190,7 @@ class Poly:
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field, coeffs=()):
-        cs = [_val(c) % field.q for c in coeffs]
+        cs = [c % field.q for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.field = field
@@ -377,7 +221,7 @@ class Poly:
 
     @classmethod
     def const(cls, field, c):
-        return cls(field, (_val(c),))
+        return cls(field, (c,))
 
     @classmethod
     def T(cls, field):
@@ -385,7 +229,7 @@ class Poly:
 
     @classmethod
     def monomial(cls, field, k, c=1):
-        return cls(field, (0,) * k + (_val(c),))
+        return cls(field, (0,) * k + (c,))
 
     @property
     def deg(self):
@@ -496,7 +340,6 @@ class Poly:
         return Poly(self.field, [self.field.mul(inv, c) for c in self.coeffs])
 
     def scale(self, c):
-        c = _val(c)
         return Poly(self.field, [self.field.mul(c, x) for x in self.coeffs])
 
     def derivative(self):
@@ -512,12 +355,12 @@ class Poly:
     def _coerce(self, other):
         if isinstance(other, Poly):
             return other
-        if isinstance(other, (int, FieldElem)):
+        if isinstance(other, int):
             return Poly.const(self.field, other)
         return NotImplemented
 
     def __eq__(self, other):
-        if isinstance(other, (int, FieldElem)):
+        if isinstance(other, int):
             other = Poly.const(self.field, other)
         if not isinstance(other, Poly):
             return NotImplemented

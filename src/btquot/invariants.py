@@ -202,58 +202,6 @@ def smooth_point_criterion(graph):
     )
 
 
-class TreePresentation:
-    """Amalgam presentation read off a tree quotient."""
-
-    def __init__(self, q, generators, relations):
-        self.q = q
-        self.generators = list(generators)
-        self.relations = list(relations)
-
-    def __str__(self):
-        return "<%s | %s>" % (", ".join(self.generators), ", ".join(self.relations))
-
-    def __repr__(self):
-        return "TreePresentation(%s)" % self
-
-
-class NotATree:
-    """Returned instead of a presentation when the quotient has loops.
-
-    The unit group then surjects onto a free group whose rank is the first
-    Betti number of the graph; only that rank is reported.
-    """
-
-    def __init__(self, free_rank):
-        self.free_rank = free_rank
-
-    def __repr__(self):
-        return "NotATree(free_rank=%d)" % self.free_rank
-
-
-def presentation(graph):
-    """Presentation of the unit group when the quotient is a tree.
-
-    Generators correspond to terminal vertices in discovery order; each has
-    order q^2-1 and all their (q+1)-th powers coincide (they generate the
-    scalar subgroup shared along every edge).  For a non-tree quotient a
-    NotATree report with the free rank is returned instead.
-    """
-    h1 = graph_h1(graph)
-    if h1 != 0:
-        return NotATree(h1)
-    q = graph.q
-    terminals = [
-        i for i in range(len(graph.vertices)) if graph.degree(i) == 1
-    ]
-    gens = ["g%d" % (k + 1) for k in range(len(terminals))]
-    relations = ["%s^%d = 1" % (g, q**2 - 1) for g in gens]
-    relations += [
-        "%s^%d = %s^%d" % (gens[0], q + 1, g, q + 1) for g in gens[1:]
-    ]
-    return TreePresentation(q, gens, relations)
-
-
 # ---------------------------------------------------------------------------
 # integer Smith normal form and critical groups
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 
 from .errors import NotASquare, PrecisionLoss, Unsupported
-from .gfpoly import FieldElem, Poly, _val
+from .gfpoly import Poly
 
 MIN_TERMS = 8
 
@@ -25,7 +25,7 @@ class LaurentSeries:
 
     def __init__(self, field, val, coeffs, exact):
         q = field.q
-        self._store(field, val, [_val(c) % q for c in coeffs], exact)
+        self._store(field, val, [c % q for c in coeffs], exact)
 
     @classmethod
     def _from_codes(cls, field, val, cs, exact):
@@ -276,12 +276,12 @@ class LaurentSeries:
     def _coerce(self, other):
         if isinstance(other, LaurentSeries):
             return other
-        if isinstance(other, (int, FieldElem)):
+        if isinstance(other, int):
             return LaurentSeries.scalar(self.field, other)
         return NotImplemented
 
     def __eq__(self, other):
-        if isinstance(other, (int, FieldElem)):
+        if isinstance(other, int):
             other = LaurentSeries.scalar(self.field, other)
         if not isinstance(other, LaurentSeries):
             return NotImplemented

@@ -16,7 +16,6 @@ from .errors import (
     Unsupported,
 )
 from .gfpoly import (
-    FieldElem,
     Place,
     Poly,
     choose_xi,
@@ -34,9 +33,9 @@ class QuatAlgebra:
     """H(a, b) over F_q(T); the defining relations depend on the parity of q."""
 
     def __init__(self, field, a, b):
-        if isinstance(a, (int, FieldElem)):
+        if isinstance(a, int):
             a = Poly.const(field, a)
-        if isinstance(b, (int, FieldElem)):
+        if isinstance(b, int):
             b = Poly.const(field, b)
         if a.is_zero or b.is_zero:
             raise ValueError("H(a, b) needs nonzero a and b")
@@ -57,7 +56,7 @@ class QuatAlgebra:
         for c in (x, y, z, w):
             if c is None:
                 c = zero
-            elif isinstance(c, (int, FieldElem)):
+            elif isinstance(c, int):
                 c = Poly.const(self.field, c)
             co.append(c)
         return QuatElem(self, *co)
@@ -161,7 +160,7 @@ class QuatElem:
         return self._coerce(other) - self
 
     def scale(self, c):
-        if isinstance(c, (int, FieldElem)):
+        if isinstance(c, int):
             c = Poly.const(self.alg.field, c)
         return QuatElem(self.alg, *(c * co for co in self.coords))
 
@@ -192,12 +191,12 @@ class QuatElem:
             if other.alg is not self.alg and other.alg != self.alg:
                 raise ValueError("elements of different algebras")
             return other
-        if isinstance(other, (int, FieldElem, Poly)):
+        if isinstance(other, (int, Poly)):
             return self.alg.elem(other)
         return NotImplemented
 
     def __eq__(self, other):
-        if isinstance(other, (int, FieldElem, Poly)):
+        if isinstance(other, (int, Poly)):
             other = self.alg.elem(other)
         if not isinstance(other, QuatElem):
             return NotImplemented
@@ -462,6 +461,6 @@ def parse_algebra(field, text):
     xi = choose_xi(field)
     parts = []
     for chunk in (inner[:split], inner[split + 1 :]):
-        chunk = chunk.strip().replace("xi", "(%d)" % xi.v)
+        chunk = chunk.strip().replace("xi", "(%d)" % xi)
         parts.append(parse_poly(field, chunk))
     return QuatAlgebra(field, parts[0], parts[1])

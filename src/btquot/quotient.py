@@ -51,6 +51,11 @@ from .quat import SquarefreeShells, find_algebra, ramified_set
 GUARD_FACTOR = 3
 
 
+def ram_profile(q, places):
+    """The RamProfile of an algebra over F_q with these ramified places."""
+    return RamProfile(q, [pl.degree for pl in places])
+
+
 def find_quotient_algebra(field, degrees, bound=4):
     """Algebra whose ramified places have the given degrees and whose
     standard order is certified maximal, so build_quotient accepts it.
@@ -654,9 +659,7 @@ def build_quotient(alg, base=None):
         )
     order = StandardOrder(alg)
     order.ensure_maximal()
-    profile = RamProfile(
-        alg.field.q, [pl.degree for pl in ramified_set(alg)]
-    )
+    profile = ram_profile(alg.field.q, ramified_set(alg))
     class_limit = GUARD_FACTOR * (formula_v1(profile) + formula_vq1(profile)) + 2
 
     log = [
@@ -887,7 +890,7 @@ def _sort_census(graph, units):
     emb = graph.embedding
     alg = graph.algebra
     fld = alg.field
-    xi = choose_xi(fld).v
+    xi = choose_xi(fld)
     terminal = [v for v in graph.vertices if v.stabilizer_order == fld.q**2 - 1]
     roots = [_square_roots(v, xi) for v in terminal]
     order = StandardOrder(alg)

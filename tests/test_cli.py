@@ -117,6 +117,28 @@ def test_torsion_no_classes(capsys):
     assert data["count"] > 0
 
 
+def test_torsion_wp_zero_builds_no_quotient(capsys, monkeypatch):
+    # a ramified place of even degree: eichler_count is 0, the census is
+    # empty, and the classes need no quotient
+    def broken(*args, **kwargs):
+        raise InvariantViolation("the quotient was built")
+
+    monkeypatch.setattr("btquot.cli.build_quotient", broken)
+    code, out, _ = run(capsys, "torsion", "--q", "3", "--a", "T^3+2*T+1",
+                       "--b", "T^2+1", "--bound", "2")
+    assert code == 0
+    data = json.loads(out)
+    assert data["count"] == 0
+    assert data["classes"] == []
+    assert data["class_count"] == data["eichler"] == 0
+    assert data["check_eichler"] is True
+    # an algebra that quotient refuses (b of odd degree) is fine here
+    code, out, _ = run(capsys, "torsion", "--q", "3", "--a", "T^2+T+2",
+                       "--b", "T", "--bound", "2")
+    assert code == 0
+    assert json.loads(out)["class_count"] == 0
+
+
 def test_ramification_prime_power_q(capsys):
     code, out, _ = run(capsys, "ramification", "--q", "4", "--r", "T^4+T")
     assert code == 0

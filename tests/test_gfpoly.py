@@ -1,8 +1,11 @@
+import hashlib
+import json
 import random
 
 import pytest
 
-from btquot.errors import InvalidProfile, Unsupported
+from btquot import gfpoly
+from btquot.errors import InvalidProfile, InvariantViolation, Unsupported
 from btquot.gfpoly import (
     Field,
     NEG_INF,
@@ -43,20 +46,61 @@ def test_prime_field_tables():
     assert f5.sub(1, 3) == 3
 
 
+# sha256 over json.dumps([q, modulus, add, neg, mul, inv]) for q <= 64
+FIELD_TABLES_SHA256 = "0e06ee6f72dd13cbaa152002c5c0bc111c88e53a649c936297e10e254a315443"
+
+
+def _monic_int_polys(p, deg):
+    """Monic coefficient lists of degree deg over F_p, low first, in code order."""
+    for code in range(p**deg):
+        yield [code // p**i % p for i in range(deg)] + [1]
+
+
+def _int_poly_divides(d, m, p):
+    """True when the monic d divides m over F_p: long division on plain ints."""
+    r = list(m)
+    for k in range(len(r) - len(d), -1, -1):
+        c = r[k + len(d) - 1]
+        for i, x in enumerate(d):
+            r[k + i] = (r[k + i] - c * x) % p
+    return not any(r)
+
+
+def _first_irreducible_by_trial_division(p, e):
+    for m in _monic_int_polys(p, e):
+        divisors = (d for k in range(1, e // 2 + 1) for d in _monic_int_polys(p, k))
+        if not any(_int_poly_divides(d, m, p) for d in divisors):
+            return tuple(m)
+    return None
+
+
 def test_extension_moduli_are_smallest_irreducible():
     # scan order is by ascending code of the low coefficients
     assert make_field(3, 2).modulus == (1, 0, 1)  # x^2 + 1
     assert make_field(2, 2).modulus == (1, 1, 1)  # x^2 + x + 1
     assert make_field(2, 3).modulus == (1, 1, 0, 1)  # x^3 + x + 1
 
-    # independent check for F_9: x^2 + c0 + c1 x irreducible iff no root
-    first = None
-    for code in range(9):
-        c0, c1 = code % 3, code // 3
-        if all((x * x + c1 * x + c0) % 3 != 0 for x in range(3)):
-            first = (c0, c1, 1)
-            break
-    assert make_field(3, 2).modulus == first
+    # independent trial-division oracle for every extension field q <= 64
+    for q in (4, 8, 9, 16, 25, 27, 32, 49, 64):
+        p, e = prime_power(q)
+        assert make_field(p, e).modulus == _first_irreducible_by_trial_division(p, e)
+
+
+def test_field_tables_are_pinned():
+    # every artifact depends on the int codes these tables define
+    h = hashlib.sha256()
+    for q in range(2, 65):
+        if prime_power(q) is not None:
+            f = field_from_q(q)
+            row = [q, list(f.modulus), f._addt, f._negt, f._mult, f._invt]
+            h.update(json.dumps(row).encode())
+    assert h.hexdigest() == FIELD_TABLES_SHA256
+
+
+def test_field_without_modulus_is_invariant_violation(monkeypatch):
+    monkeypatch.setattr(gfpoly, "is_irreducible", lambda f: False)
+    with pytest.raises(InvariantViolation, match="no irreducible modulus"):
+        Field(2, 2)
 
 
 def test_field_axioms_random():
@@ -98,37 +142,38 @@ def test_field_from_q_rejects_non_prime_powers():
 
 
 def test_elem_wrappers():
-    fld = make_field(3, 2)
-    x = fld.elem(4)
-    assert x + x == fld.elem(8)
-    assert (x * x.inverse()) == fld.one
-    assert -fld.one == fld.elem(2)
-    assert fld.elem(4) is fld.elem(4)  # interned
+    fld = make_field(3, 2)  # F_3[X]/(X^2 + 1); code 4 is 1 + X
+    assert fld.add(4, 4) == 8  # 2 + 2X
+    assert fld.mul(4, 4) == 6  # (1 + X)^2 = 2X
+    assert fld.mul(4, fld.inv(4)) == 1
+    assert fld.inv(4) == 5  # (1 + X)(2 + X) = 1
+    assert fld.neg(1) == 2
+    assert fld.neg(4) == 8
 
 
 def test_choose_xi_frozen_values():
-    assert choose_xi(make_field(3)).v == 2
-    assert choose_xi(make_field(5)).v == 2
-    assert choose_xi(make_field(7)).v == 3
-    assert choose_xi(make_field(3, 2)).v == 4
-    assert choose_xi(make_field(2)).v == 1
-    assert choose_xi(make_field(2, 2)).v == 2
-    assert choose_xi(make_field(2, 3)).v == 1
+    assert choose_xi(make_field(3)) == 2
+    assert choose_xi(make_field(5)) == 2
+    assert choose_xi(make_field(7)) == 3
+    assert choose_xi(make_field(3, 2)) == 4
+    assert choose_xi(make_field(2)) == 1
+    assert choose_xi(make_field(2, 2)) == 2
+    assert choose_xi(make_field(2, 3)) == 1
 
 
 def test_choose_xi_properties():
     for q in (3, 5, 7, 9, 25, 27):
         fld = field_from_q(q)
         xi = choose_xi(fld)
-        assert not fld.is_square_(xi.v)
+        assert not fld.is_square_(xi)
         # it is the smallest one
-        for v in range(1, xi.v):
+        for v in range(1, xi):
             assert fld.is_square_(v)
     for q in (2, 4, 8, 16):
         fld = field_from_q(q)
         xi = choose_xi(fld)
-        assert fld.trace_abs_(xi.v) == 1
-        for v in range(xi.v):
+        assert fld.trace_abs_(xi) == 1
+        for v in range(xi):
             assert fld.trace_abs_(v) == 0
 
 
@@ -172,10 +217,10 @@ def test_poly_divmod_random():
 
 def test_poly_constructor_normalises_field_elems_and_out_of_range_ints():
     fld = make_field(3)
-    f = Poly(fld, [fld.elem(2), 5, -1, 3, fld.elem(0)])
+    f = Poly(fld, [2, 5, -1, 3, 0])
     assert f.coeffs == (2, 2, 2)
     assert all(type(c) is int for c in f.coeffs)
-    assert Poly(fld, [3, -3, fld.elem(0)]).is_zero
+    assert Poly(fld, [3, -3, 0]).is_zero
 
 
 def test_poly_arithmetic_results_are_int_codes_matching_coefficientwise_sums():

@@ -10,10 +10,8 @@ import btquot
 from btquot.errors import InvalidProfile
 from btquot.gfpoly import is_irreducible, make_field, polys_upto
 from btquot.invariants import (
-    NotATree,
     RamProfile,
     Report,
-    TreePresentation,
     count_monic_irreducibles,
     critical_group,
     cross_check,
@@ -22,7 +20,6 @@ from btquot.invariants import (
     euler_check,
     genus,
     graph_h1,
-    presentation,
     smith_normal_form,
     smooth_point_criterion,
     spanning_tree_count,
@@ -183,29 +180,6 @@ def test_smooth_point_criterion():
     assert smooth_point_criterion(edge_graph(3))
     assert not smooth_point_criterion(banana_graph(3))
     assert smooth_point_criterion(star_tree_q4())
-
-
-def test_presentation_edge_graph():
-    pres = presentation(edge_graph(3))
-    assert isinstance(pres, TreePresentation)
-    assert pres.generators == ["g1", "g2"]
-    assert pres.relations == ["g1^8 = 1", "g2^8 = 1", "g1^4 = g2^4"]
-    assert str(pres) == "<g1, g2 | g1^8 = 1, g2^8 = 1, g1^4 = g2^4>"
-
-
-def test_presentation_star_tree():
-    pres = presentation(star_tree_q4())
-    assert isinstance(pres, TreePresentation)
-    assert len(pres.generators) == 8
-    assert "g1^15 = 1" in pres.relations
-    assert "g1^5 = g8^5" in pres.relations
-    assert len(pres.relations) == 8 + 7
-
-
-def test_presentation_banana_is_not_a_tree():
-    got = presentation(banana_graph(3))
-    assert isinstance(got, NotATree)
-    assert got.free_rank == 3
 
 
 def test_smith_normal_form_basics():

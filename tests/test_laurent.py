@@ -230,16 +230,16 @@ def test_agrees_with():
 
 def test_constructor_normalises_field_elems_and_out_of_range_ints():
     fld = make_field(3)
-    s = LaurentSeries(fld, 0, [fld.elem(2), 5], True)
+    s = LaurentSeries(fld, 0, [2, 5], True)
     assert s.coeffs == (2, 2)
     assert all(type(c) is int for c in s.coeffs)
     # zeros in any spelling are stripped from both ends of an exact series
-    t = LaurentSeries(fld, -1, [3, fld.elem(0), -2, 6, 0], True)
+    t = LaurentSeries(fld, -1, [3, 0, -2, 6, 0], True)
     assert (t.val, t.coeffs) == (1, (1,))
     # an inexact series keeps its trailing zeros: they are known digits
-    r = LaurentSeries(fld, 0, [fld.elem(0), 4, 9], False)
+    r = LaurentSeries(fld, 0, [0, 4, 9], False)
     assert (r.val, r.coeffs, r.prec_abs) == (1, (1, 0), 3)
-    z = LaurentSeries(fld, 2, [3, fld.elem(0)], False)
+    z = LaurentSeries(fld, 2, [3, 0], False)
     assert z.is_zero and (z.val, z.prec_abs) == (4, 4)
 
 

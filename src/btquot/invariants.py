@@ -333,20 +333,6 @@ def critical_group(graph):
     return [d for d in smith_normal_form(reduced) if d > 1]
 
 
-def spanning_tree_count(graph):
-    """Kirchhoff count; the order of the critical group."""
-    n = len(graph.vertices)
-    if n == 1:
-        return 1
-    lap = [[0] * n for _ in range(n)]
-    for a, b in _edge_pairs(graph):
-        lap[a][a] += 1
-        lap[b][b] += 1
-        lap[a][b] -= 1
-        lap[b][a] -= 1
-    return _det_int([row[:-1] for row in lap[:-1]])
-
-
 # ---------------------------------------------------------------------------
 # cross-checking formulas against a computed graph
 

@@ -302,14 +302,6 @@ def solve_torsion(order, bound):
     return units
 
 
-def paired_unit(unit):
-    """The Galois partner: the negative for odd q, element plus one for even."""
-    el = unit.elem
-    if el.alg.even:
-        return TorsionUnit(el + el.alg.one)
-    return TorsionUnit(-el)
-
-
 class Witness:
     """A unit lam with lam * x = y * lam."""
 
@@ -333,10 +325,9 @@ class NoneUpToBound:
 def conj_search(order, x, y, bound):
     """Search for a unit conjugating x to y, coordinates of degree <= bound.
 
-    The commutation condition is linear, so candidates form an F_q-space;
-    a common nonconstant divisor of the norm form on that space rules out
-    unit norms without enumeration, otherwise candidates are scanned
-    projectively.
+    The commutation condition is linear, so candidates form an F_q-space,
+    the kernel of a linear system; the witness is the first unit
+    span_units finds in it.
     """
     alg = order.alg
     fld = alg.field
@@ -369,18 +360,40 @@ def conj_search(order, x, y, bound):
                     for k in range(bound + 1):
                         rows[ci * (maxdeg + 1) + d + k][mu * (bound + 1) + k] = cf
     kern = nullspace(rows, ncols, fld)
-    if not kern:
-        return NoneUpToBound(bound)
     gens = []
     for vec in kern:
         coords = []
         for mu in range(4):
             coords.append(Poly(fld, vec[mu * (bound + 1) : (mu + 1) * (bound + 1)]))
         gens.append(QuatElem(alg, *coords))
+    for lam in span_units(alg, gens):
+        if lam * x != y * lam:
+            raise InvariantViolation(
+                "conjugacy witness %s does not take %s to %s" % (lam, x, y)
+            )
+        if not order.is_unit(lam):
+            raise InvariantViolation(
+                "conjugacy witness %s has non-unit norm %s" % (lam, lam.norm())
+            )
+        return Witness(lam)
+    return NoneUpToBound(bound)
+
+
+def span_units(alg, gens):
+    """The units in the F_q-span of the elements gens, in scan order.
+
+    The reduced norm is a quadratic form on the span, with coefficients
+    N(g_t) and the polar values N(g_t + g_s) - N(g_t) - N(g_s).  If their
+    gcd is zero or nonconstant, every value is zero or divisible by it, so
+    no unit exists and nothing is yielded.  Otherwise the projective
+    vectors (first nonzero coordinate one) are scanned in order; for each
+    whose form value is a nonzero constant the combination lam is yielded,
+    then c*lam for c = 2..q-1 (norm c^2 N(lam)).  Every unit of the span
+    is yielded once, the first projective one first.
+    """
+    fld = alg.field
     k = len(gens)
-    norms = {}
-    for t in range(k):
-        norms[(t, t)] = gens[t].norm()
+    norms = {(t, t): g.norm() for t, g in enumerate(gens)}
     for t in range(k):
         for s in range(t + 1, k):
             norms[(t, s)] = (
@@ -390,8 +403,7 @@ def conj_search(order, x, y, bound):
     for p in norms.values():
         common = gcd(common, p)
     if common.is_zero or common.deg >= 1:
-        # the norm form vanishes identically or never takes unit values
-        return NoneUpToBound(bound)
+        return
     for vec in _projective_vectors(fld, k):
         val = Poly.zero(fld)
         for t in range(k):
@@ -402,22 +414,14 @@ def conj_search(order, x, y, bound):
             for s in range(t + 1, k):
                 if vec[s]:
                     val = val + norms[(t, s)].scale(fld.mul(ct, vec[s]))
-        # a unit norm is a nonzero constant
         if val.is_const and not val.is_zero:
             lam = alg.zero
             for t in range(k):
                 if vec[t]:
                     lam = lam + gens[t].scale(vec[t])
-            if lam * x != y * lam:
-                raise InvariantViolation(
-                    "conjugacy witness %s does not take %s to %s" % (lam, x, y)
-                )
-            if not order.is_unit(lam):
-                raise InvariantViolation(
-                    "conjugacy witness %s has non-unit norm %s" % (lam, lam.norm())
-                )
-            return Witness(lam)
-    return NoneUpToBound(bound)
+            yield lam
+            for c in range(2, fld.q):
+                yield lam.scale(c)
 
 
 def _projective_vectors(fld, k):
@@ -437,17 +441,18 @@ def default_conj_bound(order):
     return ram_product(order.alg).deg + 2
 
 
-def torsion_classes(order, units, max_bound=None, expected=None):
+def torsion_classes(order, units, expected=None):
     """Partition torsion units into conjugacy classes of the unit group.
 
     Units are bucketed by trace, norm and residue key, all invariant under
     conjugation by a unit, so a pair in different buckets has no witness
     at any bound and is never searched.  Within a bucket, bounded searches
-    deepen iteratively; when the class count still exceeds the expected
-    value at the cutoff, the cutoff is doubled once.
+    deepen iteratively up to the cutoff default_conj_bound.  When the class
+    count still exceeds the expected value, a second sweep covers only the
+    new bounds, up to twice the cutoff: classes only merge, so every pair
+    of classes left was searched at each bound up to the cutoff and failed.
     """
-    if max_bound is None:
-        max_bound = default_conj_bound(order)
+    cutoff = default_conj_bound(order)
     n = len(units)
     parent = list(range(n))
 
@@ -466,10 +471,9 @@ def torsion_classes(order, units, max_bound=None, expected=None):
     for idx, u in enumerate(units):
         key = (u.trace.coeffs, u.norm.coeffs, order.residue_key(u.elem))
         buckets.setdefault(key, []).append(idx)
-    no_verdicts = set()
 
-    def sweep(limit):
-        for b in range(limit + 1):
+    def sweep(bounds):
+        for b in bounds:
             for idxs in buckets.values():
                 reps = {}
                 for i in idxs:
@@ -478,18 +482,16 @@ def torsion_classes(order, units, max_bound=None, expected=None):
                 for ai in range(len(keys)):
                     for bi in range(ai + 1, len(keys)):
                         i, j = reps[keys[ai]], reps[keys[bi]]
-                        if find(i) == find(j) or (i, j, b) in no_verdicts:
+                        if find(i) == find(j):
                             continue
                         res = conj_search(order, units[i].elem, units[j].elem, b)
                         if isinstance(res, Witness):
                             union(i, j)
-                        else:
-                            no_verdicts.add((i, j, b))
 
-    sweep(max_bound)
+    sweep(range(cutoff + 1))
     count = len({find(i) for i in range(n)})
     if expected is not None and count > expected:
-        sweep(2 * max_bound)
+        sweep(range(cutoff + 1, 2 * cutoff + 1))
     classes = {}
     for i in range(n):
         classes.setdefault(find(i), []).append(units[i])

@@ -22,7 +22,6 @@ from .gfpoly import (
     factor,
     gcd,
     is_squarefree,
-    parse_poly,
     polys_upto,
     powmod,
     sqr_test_residue,
@@ -358,20 +357,25 @@ def find_algebra(field, places, bound=4, shells=None):
     Candidates are scanned in shells by max(deg a, deg b) and inside a shell
     in lexicographic order of the coefficient codes, a outside and b inside.
     Only pairs with b of even degree, square leading coefficient and a*b
-    squarefree and divisible by every target place are tried.
+    squarefree and divisible by every target place are tried.  Odd q: a
+    runs over the squarefree nonzero polynomials.  Even q: a is xi (the
+    H(xi, b) shape), so b must be divisible by every target, and an
+    even-degree target, which cannot ramify in that shape, raises
+    SearchExhausted at once.
 
-    For odd q these filters come from a table of the squarefree nonzero
-    polynomials of degree <= shell, in scan order and extended by one degree
-    per shell, each with a bitmask of the target places dividing it.  Each
-    target v is irreducible, so v | ab exactly when v | a or v | b; F_q is
-    perfect, so ab is squarefree exactly when a and b are squarefree and
-    coprime.  A pair of table entries therefore passes when their masks
-    cover all targets and gcd(a, b) is constant: the same pairs have their
-    ramified set computed in the same order as with a product and a gcd per
-    pair, which gives the same first hit and the same SearchExhausted.  The
-    squarefree polynomials and their factors come from shells, a
-    SquarefreeShells of the field that a caller may share across calls (a
-    fresh one by default), so each table entry is factored once.
+    These filters come from a table of the a candidates, each with a
+    bitmask of the target places dividing it: xi with mask 0 for even q,
+    and for odd q the squarefree nonzero polynomials of degree <= shell, in
+    scan order and extended by one degree per shell.  Each target v is
+    irreducible, so v | ab exactly when v | a or v | b; F_q is perfect, so
+    ab is squarefree exactly when a and b are squarefree and coprime.  A
+    pair therefore passes when the masks cover all targets and gcd(a, b) is
+    constant: the same pairs have their ramified set computed in the same
+    order as with a product and a gcd per pair, which gives the same first
+    hit and the same SearchExhausted.  The squarefree polynomials and their
+    factors come from shells, a SquarefreeShells of the field that a caller
+    may share across calls (a fresh one by default), so each entry is
+    factored once.
     """
     places = sorted(places, key=Place.sort_key)
     for pl in places:
@@ -382,19 +386,27 @@ def find_algebra(field, places, bound=4, shells=None):
     target = [pl.poly for pl in places]
     if shells is None:
         shells = SquarefreeShells(field)
-    if field.p == 2:
-        return _find_algebra_even(field, places, target, bound, shells)
+    even = field.p == 2
+    if even and any(pl.degree % 2 == 0 for pl in places):
+        raise SearchExhausted(
+            "even q: only odd-degree places can ramify in the supported shape"
+        )
     full = (1 << len(target)) - 1
-    table = []  # (poly, target mask) of the squarefree nonzero polynomials
+    # (poly, target mask) of the squarefree nonzero polynomials; a = xi alone
+    # for even q
+    table = [(Poly.const(field, choose_xi(field)), 0)] if even else []
     b_cands = []  # entries usable as b: even degree, square leading coeff
     for shell in range(bound + 1):
+        if even and shell % 2:
+            continue  # a is xi and b has even degree: nothing to try
         top_b = []  # the b candidates of degree shell
         for f in shells[shell]:
             mask = 0
             for k, v in enumerate(target):
                 if v.divides(f):
                     mask |= 1 << k
-            table.append((f, mask))
+            if not even:
+                table.append((f, mask))
             if shell % 2 == 0 and field.is_square_(f.lc):
                 top_b.append((f, mask))
         b_cands += top_b
@@ -413,54 +425,3 @@ def find_algebra(field, places, bound=4, shells=None):
         "no algebra with ramification {%s} within degree %d"
         % (", ".join(str(p) for p in places), bound)
     )
-
-
-def _find_algebra_even(field, places, target, bound, shells):
-    if any(pl.degree % 2 == 0 for pl in places):
-        raise SearchExhausted(
-            "even q: only odd-degree places can ramify in the supported shape"
-        )
-    xi = choose_xi(field)
-    for shell in range(0, bound + 1, 2):
-        for b in shells[shell]:
-            if any(not v.divides(b) for v in target):
-                continue
-            alg = QuatAlgebra(field, xi, b)
-            try:
-                if _ramified_from(alg, shells.factors) == places:
-                    return alg
-            except RamifiedAtInfinity:
-                continue
-    raise SearchExhausted(
-        "no algebra with ramification {%s} within degree %d"
-        % (", ".join(str(p) for p in places), bound)
-    )
-
-
-def parse_algebra(field, text):
-    """Parse "H(a, b)" where a and b are polynomial expressions.
-
-    The token xi stands for the canonical constant picked by choose_xi.
-    """
-    s = text.strip()
-    if not (s.startswith("H(") and s.endswith(")")):
-        raise ValueError("expected H(a, b), got %r" % text)
-    inner = s[2:-1]
-    depth = 0
-    split = None
-    for k, ch in enumerate(inner):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            split = k
-            break
-    if split is None:
-        raise ValueError("expected two comma-separated entries in %r" % text)
-    xi = choose_xi(field)
-    parts = []
-    for chunk in (inner[:split], inner[split + 1 :]):
-        chunk = chunk.strip().replace("xi", "(%d)" % xi)
-        parts.append(parse_poly(field, chunk))
-    return QuatAlgebra(field, parts[0], parts[1])

@@ -43,7 +43,7 @@ from .gfpoly import Place, Poly, choose_xi, is_irreducible, polys_upto
 from .invariants import RamProfile, v1 as formula_v1, vq1 as formula_vq1
 from .laurent import MIN_TERMS, LaurentSeries, dot_head, embed
 from .linalg import nullspace
-from .order import StandardOrder, TorsionUnit, Witness, power_pairs
+from .order import StandardOrder, TorsionUnit, Witness, power_pairs, span_units
 from .quat import SquarefreeShells, find_algebra, ramified_set
 
 # The class count may exceed the formula prediction V1 + Vq1 only by
@@ -295,10 +295,10 @@ def hom_units(emb, v, w, B):
     few class representatives, and each core entry is a sum of two
     products that dot_head evaluates below u^(B+m) only.  t runs up from
     the lowest valuation any column reaches, and rows that are entirely
-    zero are dropped.  Candidates from the kernel then pass the norm
-    filter.  A survivor meets the lattice condition by construction;
-    callers check what they use (the stabilizer its generator,
-    are_equivalent its witness).
+    zero are dropped.  The norm filter on the kernel's span is
+    order.span_units, the one conj_search uses too.  A unit it yields
+    meets the lattice condition by construction; callers check what they
+    use (the stabilizer its generator, are_equivalent its witness).
     """
     alg = emb.alg
     fld = alg.field
@@ -360,24 +360,13 @@ def hom_units(emb, v, w, B):
             "unit candidate space has dimension %d; refusing to enumerate"
             % len(kernel)
         )
-    out = []
-    for combo in product(range(fld.q), repeat=len(kernel)):
-        if not any(combo):
-            continue
-        vec = [0] * ncols
-        for c, kv in zip(combo, kernel):
-            if c:
-                vec = [fld.add(x, fld.mul(c, y)) for x, y in zip(vec, kv)]
-        coords = [
-            Poly(fld, vec[cix * width : (cix + 1) * width]) for cix in range(4)
-        ]
-        lam = alg.elem(*coords)
-        nr = lam.norm()
-        if not nr.is_const or nr.is_zero:
-            continue
-        out.append(lam)
-    out.sort(key=lambda g: tuple(c.sort_key() for c in g.coords))
-    return out
+    gens = [
+        alg.elem(*(Poly(fld, vec[cix * width : (cix + 1) * width]) for cix in range(4)))
+        for vec in kernel
+    ]
+    return sorted(
+        span_units(alg, gens), key=lambda g: tuple(c.sort_key() for c in g.coords)
+    )
 
 
 class StabilizerGroup:

@@ -1,3 +1,6 @@
+from btquot.gfpoly import choose_xi, parse_poly
+from btquot.quat import QuatAlgebra
+
 ACCEPTANCE_FILE = "test_acceptance.py"
 
 
@@ -20,3 +23,32 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     terminalreporter.write_sep("-", "acceptance criteria")
     for name in sorted(rows):
         terminalreporter.write_line("%-60s %s" % (name, rows[name]))
+
+
+def parse_algebra(field, text):
+    """Parse "H(a, b)" where a and b are polynomial expressions.
+
+    The token xi stands for the canonical constant picked by choose_xi.
+    """
+    s = text.strip()
+    if not (s.startswith("H(") and s.endswith(")")):
+        raise ValueError("expected H(a, b), got %r" % text)
+    inner = s[2:-1]
+    depth = 0
+    split = None
+    for k, ch in enumerate(inner):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        elif ch == "," and depth == 0:
+            split = k
+            break
+    if split is None:
+        raise ValueError("expected two comma-separated entries in %r" % text)
+    xi = choose_xi(field)
+    parts = []
+    for chunk in (inner[:split], inner[split + 1 :]):
+        chunk = chunk.strip().replace("xi", "(%d)" % xi)
+        parts.append(parse_poly(field, chunk))
+    return QuatAlgebra(field, parts[0], parts[1])

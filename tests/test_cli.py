@@ -1,10 +1,12 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import btquot
 from btquot.cli import build_parser, main, render_dot
 from btquot.errors import InvariantViolation
 from btquot.quotient import find_quotient_algebra
@@ -368,10 +370,12 @@ def test_render_dot_matches_command(capsys):
 
 
 def test_module_invocation():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(btquot.__file__)))
     proc = subprocess.run(
         [sys.executable, "-m", "btquot.cli", "formulas", "--q", "3", "--R", "1,1"],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=src),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["V1"] == 2

@@ -12,6 +12,7 @@ from btquot.gfpoly import is_irreducible, make_field, polys_upto
 from btquot.invariants import (
     RamProfile,
     Report,
+    _det_int,
     count_monic_irreducibles,
     critical_group,
     cross_check,
@@ -22,7 +23,6 @@ from btquot.invariants import (
     graph_h1,
     smith_normal_form,
     smooth_point_criterion,
-    spanning_tree_count,
     sweep_profiles,
     v1,
     vq1,
@@ -50,6 +50,19 @@ class FakeGraph:
 
     def degree(self, i):
         return sum((e.a == i) + (e.b == i) for e in self.edges)
+
+
+def spanning_tree_count(graph):
+    """Kirchhoff's count, the determinant of the reduced Laplacian: the
+    order of the critical group."""
+    n = len(graph.vertices)
+    lap = [[0] * n for _ in range(n)]
+    for e in graph.edges:
+        lap[e.a][e.a] += 1
+        lap[e.b][e.b] += 1
+        lap[e.a][e.b] -= 1
+        lap[e.b][e.a] -= 1
+    return _det_int([row[:-1] for row in lap[:-1]])
 
 
 def edge_graph(q):

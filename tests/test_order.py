@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+from itertools import product
 
 import pytest
 
@@ -26,13 +27,23 @@ from btquot.order import (
     artin_schreier_solve,
     conj_search,
     default_conj_bound,
-    paired_unit,
     power_pairs,
     poly_sqrt,
     solve_torsion,
+    span_units,
     torsion_classes,
 )
-from btquot.quat import QuatAlgebra, QuatElem, parse_algebra
+from btquot.quat import QuatAlgebra, QuatElem
+
+from conftest import parse_algebra
+
+
+def paired_unit(unit):
+    """The Galois partner: the negative for odd q, element plus one for even."""
+    el = unit.elem
+    if el.alg.even:
+        return TorsionUnit(el + el.alg.one)
+    return TorsionUnit(-el)
 
 
 def order_q3():
@@ -376,7 +387,7 @@ def test_torsion_classes_merges_constructed_conjugates(monkeypatch):
         return conj_search(order, x, y, bound)
 
     monkeypatch.setattr("btquot.order.conj_search", recording)
-    classes = torsion_classes(om, units, max_bound=2)
+    classes = torsion_classes(om, units)
     sizes = sorted(len(c) for c in classes)
     by_elem = {}
     for ci, cl in enumerate(classes):
@@ -491,6 +502,29 @@ def test_torsion_classes_search_count(q, bound, calls, monkeypatch, capsys):
     argv = ["torsion", "--q", str(q), "--r", "T*(T+1)", "--bound", str(bound)]
     assert cli.main(argv) == 0
     assert len(made) == calls
+
+
+def test_second_sweep_searches_only_the_new_bounds(monkeypatch):
+    # with the cutoff at 1 the census keeps 6 classes, so the second sweep
+    # runs; every pair it could repeat was searched at bounds 0 and 1
+    monkeypatch.setattr("btquot.order.default_conj_bound", lambda order: 1)
+    om = StandardOrder(parse_algebra(field_from_q(3), "H(xi, T^4+2*T^2+T)"))
+    units = solve_torsion(om, 2)
+    made = []
+
+    def recording(order, x, y, b):
+        res = conj_search(order, x, y, b)
+        made.append((x, y, b, isinstance(res, Witness)))
+        return res
+
+    monkeypatch.setattr("btquot.order.conj_search", recording)
+    classes = torsion_classes(om, units, expected=1)
+    assert len(classes) == 2
+    assert len(made) == 70
+    assert len({call[:3] for call in made}) == len(made)
+    assert [b for _, _, b, _ in made[:-4]] == sorted(b for _, _, b, _ in made[:-4])
+    assert {b for _, _, b, _ in made[:-4]} == {0, 1}
+    assert [(b, found) for _, _, b, found in made[-4:]] == [(2, True)] * 4
 
 
 def reference_mult_order(el):
@@ -664,17 +698,106 @@ def test_conj_search_matches_per_call_product_reference():
             assert_same_verdict(om, alg.i, y, 1)
 
 
+def brute_span_units(alg, gens):
+    """Every nonzero combination of gens with a nonzero constant norm, by
+    the loop over all q^k - 1 combinations that hom_units used to run."""
+    fld = alg.field
+    out = []
+    for combo in product(range(fld.q), repeat=len(gens)):
+        if not any(combo):
+            continue
+        lam = alg.zero
+        for c, g in zip(combo, gens):
+            if c:
+                lam = lam + g.scale(c)
+        nr = lam.norm()
+        if nr.is_const and not nr.is_zero:
+            out.append(lam)
+    return out
+
+
+def assert_span_units_match(alg, gens):
+    def key(g):
+        return tuple(c.sort_key() for c in g.coords)
+
+    got = list(span_units(alg, gens))
+    assert len(set(got)) == len(got)
+    assert sorted(got, key=key) == sorted(brute_span_units(alg, gens), key=key)
+
+
+def recorded_spans(monkeypatch, module):
+    """Record the (alg, gens) of every span_units call made from module."""
+    spans = []
+
+    def recording(alg, gens):
+        spans.append((alg, list(gens)))
+        return span_units(alg, gens)
+
+    monkeypatch.setattr(module, "span_units", recording)
+    return spans
+
+
+def test_span_units_matches_brute_force_on_hom_units_kernels(monkeypatch):
+    from btquot import quotient
+    from btquot.bttree import TreeVertex
+
+    spans = recorded_spans(monkeypatch, quotient)
+    for q in (3, 5, 7, 9, 11):
+        del spans[:]
+        fld = field_from_q(q)
+        emb = quotient.SplitEmbedding(parse_algebra(fld, "H(xi, T*(T-1))"))
+        chain = [TreeVertex.base(fld)]
+        for _ in range(3):
+            chain.append(chain[-1].neighbors()[2])
+        for v in chain:
+            for w in chain:
+                for bound in range(quotient.completeness_bound(v, w) + 1):
+                    quotient.hom_units(emb, v, w, bound)
+        assert {len(gens) for _, gens in spans} == {0, 1, 2}, q
+        for alg, gens in spans:
+            assert_span_units_match(alg, gens)
+
+
+def test_span_units_matches_brute_force_on_conj_search_systems(monkeypatch):
+    from btquot import order
+
+    spans = recorded_spans(monkeypatch, order)
+    for q in (2, 4):
+        del spans[:]
+        om = StandardOrder(parse_algebra(field_from_q(q), "H(xi, T*(T+1))"))
+        torsion_classes(om, solve_torsion(om, 1))
+        assert {len(gens) for _, gens in spans} == {0, 1, 2}, q
+        for alg, gens in spans:
+            assert_span_units_match(alg, gens)
+
+
+def test_span_units_gcd_rule_rejects_a_common_factor(monkeypatch):
+    # the norm form of the span of T and T*i is T^2 (c^2 - a*d^2): every
+    # value is divisible by T^2, so no unit exists and nothing is scanned
+    alg = order_q3().alg
+    T = Poly.T(alg.field)
+    gens = [alg.elem(T), alg.i.scale(T)]
+    assert brute_span_units(alg, gens) == []
+
+    def no_scan(fld, k):
+        raise AssertionError("the projective scan ran")
+
+    monkeypatch.setattr("btquot.order._projective_vectors", no_scan)
+    assert list(span_units(alg, gens)) == []
+    assert list(span_units(alg, [])) == []
+
+
 OPTIMIZED_WITNESS_CHECKS = """
 import sys
 from btquot import order
 from btquot.errors import InvariantViolation
 from btquot.gfpoly import Poly, make_field
-from btquot.quat import parse_algebra
+from btquot.quat import QuatAlgebra
 if __debug__:
     sys.exit("asserts are enabled; expected python -O")
 fld = make_field(3)
-alg = parse_algebra(fld, "H(2, T^2 + 2*T)")
 T = Poly.T(fld)
+alg = QuatAlgebra(fld, 2, T * T + 2 * T)
 theta = alg.elem(0, 2 * T + 2, 0, 2)
 target = theta * alg.i * theta.conj()
 

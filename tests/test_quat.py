@@ -12,6 +12,8 @@ from btquot.errors import RamifiedAtInfinity, SearchExhausted, Unsupported
 from btquot.gfpoly import (
     Place,
     Poly,
+    choose_xi,
+    field_from_q,
     gcd,
     is_irreducible,
     is_squarefree,
@@ -23,10 +25,11 @@ from btquot.quat import (
     find_algebra,
     hilbert_symbol,
     is_split_at,
-    parse_algebra,
     ram_product,
     ramified_set,
 )
+
+from conftest import parse_algebra
 
 
 def rand_elem(rng, alg, deg=2):
@@ -485,6 +488,68 @@ def test_find_algebra_tries_the_full_scan_pairs_when_nothing_hits(monkeypatch):
                 search(fld, places, bound)
             runs.append(list(tried))
         assert runs[0] == runs[1] and runs[0], (q, degrees)
+
+
+def xi_scan_find_algebra(field, places, bound, shells):
+    """The separate even-q scan find_algebra used to run, kept as a
+    reference: a = xi, b over the squarefree polynomials of even degree."""
+    places = sorted(places, key=Place.sort_key)
+    if any(pl.degree % 2 == 0 for pl in places):
+        raise SearchExhausted(
+            "even q: only odd-degree places can ramify in the supported shape"
+        )
+    target = [pl.poly for pl in places]
+    xi = choose_xi(field)
+    for shell in range(0, bound + 1, 2):
+        for b in shells[shell]:
+            if any(not v.divides(b) for v in target):
+                continue
+            alg = QuatAlgebra(field, xi, b)
+            try:
+                if quat._ramified_from(alg, shells.factors) == places:
+                    return alg
+            except RamifiedAtInfinity:
+                continue
+    raise SearchExhausted(
+        "no algebra with ramification {%s} within degree %d"
+        % (", ".join(str(p) for p in places), bound)
+    )
+
+
+@pytest.mark.parametrize("q", [2, 4, 8])
+def test_find_algebra_even_q_matches_xi_scan(q, monkeypatch):
+    # same outcome, same SearchExhausted message and the same (a, b) pairs
+    # with their ramified set computed, in the same order
+    tried = []
+    real_ramified_from = quat._ramified_from
+
+    def recording_ramified_from(alg, factors):
+        tried.append((alg.a, alg.b))
+        return real_ramified_from(alg, factors)
+
+    monkeypatch.setattr(quat, "_ramified_from", recording_ramified_from)
+    fld = field_from_q(q)
+    shells = quat.SquarefreeShells(fld)
+    hits = exhausted = 0
+    for degrees in ([1, 1], [1, 3], [3, 3], [1, 1, 1, 1], [1, 2]):
+        places = next(place_sets(fld, degrees), None)
+        if places is None:  # F_2 has two places of degree one
+            continue
+        for bound in range(5):
+            runs = []
+            for search in (find_algebra, xi_scan_find_algebra):
+                del tried[:]
+                try:
+                    got = search(fld, places, bound, shells)
+                except SearchExhausted as exc:
+                    got = str(exc)
+                runs.append((got, list(tried)))
+            assert runs[0] == runs[1], (degrees, bound)
+            if isinstance(runs[0][0], str):
+                exhausted += 1
+            else:
+                hits += 1
+    assert hits and exhausted
 
 
 def test_squarefree_product_is_squarefree_coprime_factors():

@@ -29,7 +29,7 @@ from btquot.order import (
     solve_torsion,
     torsion_classes,
 )
-from btquot.quat import QuatAlgebra, QuatElem, parse_algebra, ramified_set
+from btquot.quat import QuatAlgebra, QuatElem, ramified_set
 from btquot.quotient import (
     NoEquivalence,
     QVertex,
@@ -44,6 +44,8 @@ from btquot.quotient import (
     stabilizer,
     terminal_classes,
 )
+
+from conftest import parse_algebra
 
 # Terms of sqrt(b) for the tests that build matrices by hand.
 TERMS = 40
@@ -1022,12 +1024,12 @@ import sys
 from btquot import quotient
 from btquot.bttree import TreeVertex
 from btquot.errors import InvariantViolation
-from btquot.gfpoly import make_field
-from btquot.quat import parse_algebra
+from btquot.gfpoly import make_field, parse_poly
+from btquot.quat import QuatAlgebra
 if __debug__:
     sys.exit("asserts are enabled; expected python -O")
 fld = make_field(3)
-emb = quotient.SplitEmbedding(parse_algebra(fld, "H(2, T^2 + 2*T)"))
+emb = quotient.SplitEmbedding(QuatAlgebra(fld, 2, parse_poly(fld, "T^2 + 2*T")))
 base = TreeVertex.base(fld)
 base_group = quotient.stabilizer(emb, base).elements
 # a cyclic group of the right order, but the base's: it moves the child

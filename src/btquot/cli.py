@@ -75,7 +75,7 @@ def _int_list(text):
 
 
 def _degree_bound(text):
-    """argparse type of --bound and --search-bound: an int that is >= 0."""
+    """argparse type of --bound: an int that is >= 0."""
     try:
         n = int(text)
     except ValueError:
@@ -98,7 +98,7 @@ def _algebra_from(args):
     if args.r is not None:
         xi = Poly.const(fld, choose_xi(fld))
         return QuatAlgebra(fld, xi, parse_poly(fld, args.r))
-    return find_quotient_algebra(fld, _int_list(args.r_degrees), bound=args.search_bound)
+    return find_quotient_algebra(fld, _int_list(args.r_degrees))
 
 
 def _build_graph(args):
@@ -280,14 +280,8 @@ def _add_algebra_options(p):
     p.add_argument(
         "--R-degrees",
         dest="r_degrees",
-        help="comma-separated place degrees; the smallest matching places are"
-        " chosen and an algebra is searched for",
-    )
-    p.add_argument(
-        "--search-bound",
-        type=_degree_bound,
-        default=4,
-        help="degree shell limit for the --R-degrees search",
+        help="comma-separated place degrees; the first places of those degrees"
+        " with an algebra whose standard order is maximal are chosen",
     )
 
 

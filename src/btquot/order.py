@@ -100,8 +100,16 @@ class StandardOrder:
         return _det4(self.gram_matrix())
 
     def certify_maximal(self):
-        """Compare the squarefree part of the Gram determinant with the
-        product of the ramified primes."""
+        """Certify the order maximal when its Gram determinant is a nonzero
+        constant times the square of the product of the ramified primes.
+
+        The Gram determinant is the square of the reduced discriminant up
+        to a constant, and a maximal order has the product of the ramified
+        primes as reduced discriminant.  Comparing only the squarefree
+        parts would accept a suborder whose discriminant has a ramified
+        prime to a higher power.  The squarefree part and the split primes
+        dividing the determinant are reported alongside.
+        """
         det = self.gram_disc()
         expected = ram_product(self.alg)
         if det.is_zero:
@@ -112,15 +120,17 @@ class StandardOrder:
             reduced = reduced * h
             if is_split_at(self.alg, Place(h)):
                 split.append(Place(h))
-        return CertifyReport(reduced == expected, det, reduced, expected, split)
+        quo, rem = divmod(det, expected * expected)
+        certified = rem.is_zero and quo.is_const
+        return CertifyReport(certified, det, reduced, expected, split)
 
     def ensure_maximal(self):
         rep = self.certify_maximal()
         if not rep.certified:
             raise NotCertified(
-                "standard order of %s is not certified maximal: "
-                "squarefree discriminant %s, ramification %s"
-                % (self.alg, rep.reduced, rep.expected)
+                "standard order of %s is not certified maximal: Gram"
+                " determinant %s is not a constant times (%s)^2"
+                % (self.alg, rep.gram_det, rep.expected)
             )
         return rep
 
@@ -201,7 +211,14 @@ class TorsionUnit:
         t, n = elem.charpoly()
         self.trace = t
         self.norm = n
-        self.order = _mult_order(elem)
+        # Finite orders are at most q^2: elem^k lies in F_q[elem], a ring of
+        # q^2 elements (or q, for a scalar).  The census builds only elements
+        # with a constant characteristic polynomial, so one that is not
+        # torsion is a broken invariant.
+        cycle = power_cycle(elem, elem.alg.field.q**2)
+        if cycle is None:
+            raise InvariantViolation("census element %s is not torsion" % elem)
+        self.order = len(cycle)
 
     def sort_key(self):
         e = self.elem
@@ -249,19 +266,17 @@ def _walk_powers(fld, el, t, n, count):
         u, v = fld.neg(fld.mul(v, n)), fld.add(u, fld.mul(v, t))
 
 
-def _mult_order(el):
-    """The multiplicative order of a census element, at most q^2: the
-    first k with power_pairs (u_k, v_k) = (1, 0).  Finite orders are at
-    most q^2, because el^k lies in F_q[el], a ring of q^2 elements (or q,
-    for a scalar).  The census builds only elements with a constant
-    characteristic polynomial, so one that is not torsion is a broken
-    invariant.
-    """
-    pairs = power_pairs(el, el.alg.field.q**2)
-    for k, uv in enumerate(pairs or (), 1):
+def power_cycle(el, count):
+    """The pairs of power_pairs(el, count) up to the first (1, 0), so one
+    per power el^1, ..., el^m = 1 for m the multiplicative order of el;
+    None when no power up to el^count is one, or power_pairs gives None."""
+    pairs = power_pairs(el, count)
+    out = []
+    for uv in pairs or ():
+        out.append(uv)
         if uv == (1, 0):
-            return k
-    raise InvariantViolation("census element %s is not torsion" % el)
+            return out
+    return None
 
 
 def solve_torsion(order, bound):

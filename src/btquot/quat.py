@@ -7,7 +7,7 @@ j^2 = b, and ji = ij + j.
 
 from __future__ import annotations
 
-from itertools import islice
+from itertools import combinations
 
 from .errors import (
     InvariantViolation,
@@ -20,9 +20,7 @@ from .gfpoly import (
     Poly,
     choose_xi,
     factor,
-    gcd,
     is_squarefree,
-    polys_upto,
     powmod,
     sqr_test_residue,
 )
@@ -281,26 +279,26 @@ def ramified_set(alg):
     """
     got = alg._ramified
     if got is None:
-        got = _ramified_from(alg, lambda f: [h for h, _ in factor(f)])
+        got = _ramified_from(
+            alg, [h for f in (alg.a, alg.b) for h, _ in factor(f)]
+        )
     return list(got)
 
 
-def _ramified_from(alg, factors):
-    """Compute and keep the ramified set of alg; factors(f) lists the
-    irreducible factors of a or b.  The only candidates are the places
-    dividing a or b."""
+def _ramified_from(alg, primes):
+    """Compute and keep the ramified set of alg; primes lists the
+    irreducible factors of a and b, the only candidate places."""
     if not is_split_at(alg, Place.infinity()):
         raise RamifiedAtInfinity("%s does not split at infinity" % alg)
     seen = set()
     out = []
-    for f in (alg.a, alg.b):
-        for h in factors(f):
-            if h in seen:
-                continue
-            seen.add(h)
-            pl = Place(h)
-            if not is_split_at(alg, pl):
-                out.append(pl)
+    for h in primes:
+        if h in seen:
+            continue
+        seen.add(h)
+        pl = Place(h)
+        if not is_split_at(alg, pl):
+            out.append(pl)
     out.sort(key=Place.sort_key)
     if len(out) % 2:
         raise InvariantViolation("odd number of ramified places for %s" % alg)
@@ -308,120 +306,81 @@ def _ramified_from(alg, factors):
     return out
 
 
-def ram_product(alg):
-    """Product of the finite ramified primes (the reduced discriminant)."""
-    r = Poly.one(alg.field)
-    for pl in ramified_set(alg):
+def _product(field, places):
+    r = Poly.one(field)
+    for pl in places:
         r = r * pl.poly
     return r
 
 
-class SquarefreeShells:
-    """The squarefree nonzero polynomials over a field, one list per degree
-    in polys_upto order; each degree is computed once, on first use.
-
-    Squarefreeness does not depend on the target places, so one instance
-    can serve every find_algebra call of a search over place sets; so can
-    the irreducible factors of each entry, which factors(f) computes once.
-    """
-
-    def __init__(self, field):
-        self.field = field
-        self._by_degree = []
-        self._factors = {}
-
-    def factors(self, f):
-        """The distinct irreducible factors of f."""
-        got = self._factors.get(f)
-        if got is None:
-            got = self._factors[f] = [h for h, _ in factor(f)]
-        return got
-
-    def __getitem__(self, deg):
-        fld = self.field
-        while len(self._by_degree) <= deg:
-            d = len(self._by_degree)
-            self._by_degree.append(
-                [
-                    f
-                    for f in islice(polys_upto(fld, d), fld.q**d, None)
-                    if is_squarefree(f)
-                ]
-            )
-        return self._by_degree[deg]
+def ram_product(alg):
+    """Product of the finite ramified primes (the reduced discriminant)."""
+    return _product(alg.field, ramified_set(alg))
 
 
-def find_algebra(field, places, bound=4, shells=None):
-    """Smallest H(a, b) split at infinity with the given finite ramified places.
+def find_algebra(field, places):
+    """The smallest H(a, b) split at infinity, ramified exactly at the given
+    finite places S, whose standard order is maximal; SearchExhausted when
+    there is none.
 
-    Candidates are scanned in shells by max(deg a, deg b) and inside a shell
-    in lexicographic order of the coefficient codes, a outside and b inside.
-    Only pairs with b of even degree, square leading coefficient and a*b
-    squarefree and divisible by every target place are tried.  Odd q: a
-    runs over the squarefree nonzero polynomials.  Even q: a is xi (the
-    H(xi, b) shape), so b must be divisible by every target, and an
-    even-degree target, which cannot ramify in that shape, raises
-    SearchExhausted at once.
+    The searched shape is that of the quotient: b of even degree with a
+    square leading coefficient, and for even q a constant a of trace one.
+    The standard order O = A<1, i, j, ij> is maximal exactly when its Gram
+    determinant, -16 a^2 b^2 for odd q and b^2 for even q, is a nonzero
+    constant times prod(S)^2 (StandardOrder.certify_maximal).  So a*b is a
+    constant times prod(S): a = c*prod(T) and b = c'*prod(S - T) for a
+    subset T of S and constants c, c', where c' is a square because b has a
+    square leading coefficient.  Hilbert symbols are multiplicative in each
+    argument and trivial on squares, so the ramified set, infinity
+    included, depends on c and c' only through their square classes.  The
+    smallest codes of the classes are 1 and xi, and sort_key reads the
+    leading coefficient first, so (c, c') = (1 or xi, 1) sorts first in its
+    class.  Even q: i -> i + x turns H(a, b) into H(a + x^2 + x, b) with
+    the same standard order, and every trace-one constant is xi + x^2 + x,
+    so a = xi, T is empty and c' = 1 (every constant is a square).
 
-    These filters come from a table of the a candidates, each with a
-    bitmask of the target places dividing it: xi with mask 0 for even q,
-    and for odd q the squarefree nonzero polynomials of degree <= shell, in
-    scan order and extended by one degree per shell.  Each target v is
-    irreducible, so v | ab exactly when v | a or v | b; F_q is perfect, so
-    ab is squarefree exactly when a and b are squarefree and coprime.  A
-    pair therefore passes when the masks cover all targets and gcd(a, b) is
-    constant: the same pairs have their ramified set computed in the same
-    order as with a product and a gcd per pair, which gives the same first
-    hit and the same SearchExhausted.  The squarefree polynomials and their
-    factors come from shells, a SquarefreeShells of the field that a caller
-    may share across calls (a fresh one by default), so each entry is
-    factored once.
+    These candidates, at most 2^(n+1) for n places, are tried by
+    (max(deg a, deg b), a, b), the order of a full scan over pairs, and the
+    ramified set of each is read off its known factors, so nothing is
+    factored.  The first hit is therefore the first certified algebra of
+    that scan, and exhausting the candidates proves that no algebra of the
+    shape has a maximal standard order ramified exactly at S.
     """
     places = sorted(places, key=Place.sort_key)
-    for pl in places:
-        if pl.is_infinity:
-            raise ValueError("infinity cannot be a target ramified place")
+    if any(pl.is_infinity for pl in places):
+        raise ValueError("infinity cannot be a target ramified place")
     if len(places) % 2:
         raise ValueError("need an even number of ramified places")
-    target = [pl.poly for pl in places]
-    if shells is None:
-        shells = SquarefreeShells(field)
-    even = field.p == 2
-    if even and any(pl.degree % 2 == 0 for pl in places):
-        raise SearchExhausted(
-            "even q: only odd-degree places can ramify in the supported shape"
-        )
-    full = (1 << len(target)) - 1
-    # (poly, target mask) of the squarefree nonzero polynomials; a = xi alone
-    # for even q
-    table = [(Poly.const(field, choose_xi(field)), 0)] if even else []
-    b_cands = []  # entries usable as b: even degree, square leading coeff
-    for shell in range(bound + 1):
-        if even and shell % 2:
-            continue  # a is xi and b has even degree: nothing to try
-        top_b = []  # the b candidates of degree shell
-        for f in shells[shell]:
-            mask = 0
-            for k, v in enumerate(target):
-                if v.divides(f):
-                    mask |= 1 << k
-            if not even:
-                table.append((f, mask))
-            if shell % 2 == 0 and field.is_square_(f.lc):
-                top_b.append((f, mask))
-        b_cands += top_b
-        for a, mask_a in table:
-            # below the top degree, a needs a partner b of degree shell
-            for b, mask_b in b_cands if a.deg == shell else top_b:
-                if mask_a | mask_b != full or not gcd(a, b).is_const:
-                    continue
-                alg = QuatAlgebra(field, a, b)
-                try:
-                    if _ramified_from(alg, shells.factors) == places:
-                        return alg
-                except RamifiedAtInfinity:
-                    continue
+    if not is_squarefree(_product(field, places)):
+        raise ValueError("the ramified places must be distinct")
+    xi = choose_xi(field)
+    if field.p == 2:
+        splits, consts = [()], (xi,)
+    else:
+        splits = [
+            ta for k in range(len(places) + 1) for ta in combinations(places, k)
+        ]
+        consts = (1, xi)
+    cands = []
+    for ta in splits:
+        tb = [pl for pl in places if pl not in ta]
+        b = _product(field, tb)
+        if b.deg % 2:
+            continue
+        primes = [pl.poly for pl in ta + tuple(tb)]
+        for c in consts:
+            a = _product(field, ta).scale(c)
+            key = (max(a.deg, b.deg), a.sort_key(), b.sort_key())
+            cands.append((key, a, b, primes))
+    cands.sort(key=lambda cand: cand[0])
+    for _, a, b, primes in cands:
+        alg = QuatAlgebra(field, a, b)
+        try:
+            if _ramified_from(alg, primes) == places:
+                return alg
+        except RamifiedAtInfinity:
+            continue
     raise SearchExhausted(
-        "no algebra with ramification {%s} within degree %d"
-        % (", ".join(str(p) for p in places), bound)
+        "no algebra ramified exactly at {%s} has a maximal standard order"
+        % ", ".join(str(p) for p in places)
     )

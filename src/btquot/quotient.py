@@ -43,8 +43,15 @@ from .gfpoly import Place, Poly, choose_xi, is_irreducible, polys_upto
 from .invariants import RamProfile, v1 as formula_v1, vq1 as formula_vq1
 from .laurent import MIN_TERMS, LaurentSeries, dot_head, embed
 from .linalg import nullspace
-from .order import StandardOrder, TorsionUnit, Witness, power_pairs, span_units
-from .quat import SquarefreeShells, find_algebra, ramified_set
+from .order import (
+    StandardOrder,
+    TorsionUnit,
+    Witness,
+    power_cycle,
+    power_pairs,
+    span_units,
+)
+from .quat import find_algebra, ramified_set
 
 # The class count may exceed the formula prediction V1 + Vq1 only by
 # this factor (plus two) before the BFS aborts with NonterminationGuard.
@@ -56,49 +63,45 @@ def ram_profile(q, places):
     return RamProfile(q, [pl.degree for pl in places])
 
 
-def find_quotient_algebra(field, degrees, bound=4):
-    """Algebra whose ramified places have the given degrees and whose
-    standard order is certified maximal, so build_quotient accepts it.
+def find_quotient_algebra(field, degrees):
+    """The first algebra whose ramified places have the given degrees and
+    whose standard order is maximal, so build_quotient accepts it; place
+    sets realizing the degrees are tried in ascending order.
 
-    Place sets realizing the degrees are tried in ascending order; for a
-    given set the smallest matching algebra can still have a standard
-    order that is a proper suborder (its discriminant picks up a split
-    prime), and such hits are skipped.  The degrees are validated as a
-    RamProfile (positive, an even count) before any place pool is built.
+    find_algebra settles each place set with a proof, so running out of
+    place sets proves that no algebra of the searched shape has these
+    degrees.  Before any place pool is built, the degrees are validated as
+    a RamProfile (positive, an even count), and for even q an even degree
+    is refused: such a place never ramifies in H(xi, b).
     """
     RamProfile(field.q, degrees)
+    if field.p == 2 and any(d % 2 == 0 for d in degrees):
+        raise SearchExhausted(
+            "even q: only odd-degree places can ramify in the supported shape"
+        )
     need = {}
     for d in degrees:
         need[d] = need.get(d, 0) + 1
     pools = []
     for d in sorted(need):
-        # the filter is each polynomial's one irreducibility check
-        pool = sorted(
-            (
-                Place(f)
-                for f in polys_upto(field, d)
-                if f.deg == d and f.is_monic and is_irreducible(f)
-            ),
-            key=Place.sort_key,
-        )
+        # the monic polynomials of degree d in code order, which is place order
+        top = Poly.monomial(field, d)
+        monics = (top + f for f in polys_upto(field, d - 1))
+        pool = [Place(f) for f in monics if is_irreducible(f)]
         if len(pool) < need[d]:
             raise InvalidProfile(
                 "only %d places of degree %d exist over F_%d"
                 % (len(pool), d, field.q)
             )
         pools.append(combinations(pool, need[d]))
-    shells = SquarefreeShells(field)  # shared: it does not depend on places
     for combo in product(*pools):
-        places = [pl for group in combo for pl in group]
         try:
-            alg = find_algebra(field, places, bound, shells)
+            return find_algebra(field, [pl for group in combo for pl in group])
         except SearchExhausted:
             continue
-        if StandardOrder(alg).certify_maximal():
-            return alg
     raise SearchExhausted(
-        "no degree-%s algebra with a certified maximal standard order within"
-        " degree %d" % (sorted(degrees), bound)
+        "no algebra ramified at places of degrees %s has a maximal standard"
+        " order" % sorted(degrees)
     )
 
 
@@ -396,8 +399,8 @@ class StabilizerGroup:
         for g in self.elements:
             if n == q * q - 1 and g.is_scalar:
                 continue
-            pairs = _powers_of_order(g, n)
-            if pairs is not None:
+            pairs = power_cycle(g, n)
+            if pairs is not None and len(pairs) == n:
                 break
         else:
             raise StabilizerAnomalousOrder(
@@ -480,21 +483,6 @@ class StabilizerGroup:
 
     def __repr__(self):
         return "StabilizerGroup(order=%d)" % self.order
-
-
-def _powers_of_order(g, n):
-    """The pairs (u_k, v_k), k = 1..n, of power_pairs(g, n) when g has
-    order exactly n (the first pair equal to (1, 0) is the n-th), else
-    None."""
-    pairs = power_pairs(g, n)
-    if pairs is None:
-        return None
-    out = []
-    for uv in pairs:
-        out.append(uv)
-        if uv == (1, 0):
-            break
-    return out if len(out) == n and out[-1] == (1, 0) else None
 
 
 def stabilizer(emb, vertex):

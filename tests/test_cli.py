@@ -267,14 +267,6 @@ def test_torsion_negative_bound_is_a_usage_error(capsys):
     assert err.startswith("usage error:") and "--bound" in err
 
 
-def test_ramification_negative_search_bound_is_a_usage_error(capsys):
-    code, out, err = run(
-        capsys, "ramification", "--q", "3", "--R-degrees", "1,1", "--search-bound", "-1"
-    )
-    assert (code, out) == (3, "")
-    assert err.startswith("usage error:") and "--search-bound" in err
-
-
 def test_ramification_nonpositive_degrees_checked_before_pools(capsys, monkeypatch):
     def no_pools(f):
         raise AssertionError("a place pool was scanned")
@@ -295,6 +287,48 @@ def test_ramification_odd_degree_count_checked_before_pools(capsys, monkeypatch)
         code, out, err = run(capsys, "ramification", "--q", "3", "--R-degrees", degrees)
         assert (code, out) == (3, "")
         assert err == "unsupported: a ramification set has even size, got %d places\n" % count
+
+
+def test_ramification_even_q_even_degree_refused_before_pools(capsys, monkeypatch):
+    def no_pools(f):
+        raise AssertionError("a place pool was scanned")
+
+    monkeypatch.setattr("btquot.quotient.is_irreducible", no_pools)
+    code, out, err = run(capsys, "ramification", "--q", "2", "--R-degrees", "1,2")
+    assert (code, out) == (3, "")
+    assert err == (
+        "unsupported: even q: only odd-degree places can ramify in the supported shape\n"
+    )
+
+
+def test_ramification_finds_former_search_failures(capsys):
+    code, out, _ = run(capsys, "ramification", "--q", "3", "--R-degrees", "3,3")
+    assert code == 0
+    data = json.loads(out)
+    assert data["certified"] is True
+    assert [p["degree"] for p in data["ramified"]] == [3, 3]
+    code, out, _ = run(capsys, "quotient", "--q", "5", "--R-degrees", "1,3")
+    assert code == 0
+    assert all(json.loads(out)["report"]["checks"].values())
+
+
+def test_uncertified_suborder_is_refused(capsys, monkeypatch):
+    # the Gram determinant 2*T^6+T^5+2*T^4 = 2*T^2*(T^2+T)^2 has the
+    # squarefree part T^2+T of the ramified places, but carries T^2 more
+    code, out, err = run(capsys, "ramification", "--q", "3", "--a", "T", "--b", "T^2+T")
+    assert (code, err) == (2, "")
+    data = json.loads(out)
+    assert data["certified"] is False
+    assert data["gram_disc"] == "2*T^6+T^5+2*T^4"
+    assert data["squarefree_part"] == data["expected"] == "T^2+T"
+
+    def no_graph(*args):
+        raise AssertionError("a graph was built")
+
+    monkeypatch.setattr("btquot.quotient.SplitEmbedding", no_graph)
+    code, out, err = run(capsys, "quotient", "--q", "3", "--a", "T", "--b", "T^2+T")
+    assert (code, out) == (2, "")
+    assert err.startswith("check failed: standard order of H(T, T^2+T) is not certified")
 
 
 def test_exit_code_unsupported(capsys):
@@ -334,8 +368,7 @@ def test_quotient_commands_take_no_tuning_options(capsys):
             for opt in action.option_strings
         ]
         assert options == [
-            "-h", "--help", "--q", "--a", "--b", "--r", "--R-degrees",
-            "--search-bound", "--out",
+            "-h", "--help", "--q", "--a", "--b", "--r", "--R-degrees", "--out",
         ]
     code, _, err = run(capsys, "quotient", "--q", "3", "--r", "T*(T-1)",
                        "--slack", "2")

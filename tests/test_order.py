@@ -27,6 +27,7 @@ from btquot.order import (
     artin_schreier_solve,
     conj_search,
     default_conj_bound,
+    power_cycle,
     power_pairs,
     poly_sqrt,
     solve_torsion,
@@ -840,6 +841,21 @@ def test_conj_search_witness_checks_raise_under_optimize():
     assert len(lines) == 2, proc.stdout
     assert "non-unit norm" in lines[0]
     assert lines[1] == "conjugacy witness 1 does not take i to j"
+
+
+def test_power_cycle_stops_at_the_first_power_equal_to_one():
+    om = order_q3()
+    alg = om.alg
+    T = Poly.T(om.field)
+    # i^2 = 2 = -1, so i has order 4: i, -1, -i, 1
+    assert power_cycle(alg.i, 9) == [(0, 1), (2, 0), (0, 2), (1, 0)]
+    assert power_cycle(alg.i, 4) == [(0, 1), (2, 0), (0, 2), (1, 0)]
+    assert power_cycle(alg.i, 3) is None
+    assert power_cycle(alg.elem(2), 9) == [(2, 0), (1, 0)]
+    assert power_cycle(alg.elem(1), 1) == [(1, 0)]
+    assert power_cycle(alg.elem(0, T), 9) is None
+    # 1 + i has norm 1 - 2 = 2 and trace 2: order 8 in F_9^x
+    assert len(power_cycle(alg.elem(1, 1), 9)) == 8
 
 
 def test_power_pairs_of_scalars_and_non_constant_charpolys():

@@ -1,3 +1,4 @@
+import functools
 import os
 import random
 import subprocess
@@ -14,12 +15,12 @@ from btquot.gfpoly import (
     Poly,
     choose_xi,
     field_from_q,
-    gcd,
     is_irreducible,
     is_squarefree,
     make_field,
     polys_upto,
 )
+from btquot.order import StandardOrder
 from btquot.quat import (
     QuatAlgebra,
     find_algebra,
@@ -303,6 +304,14 @@ def test_find_algebra_examples():
     assert alg == QuatAlgebra(fld, 2, T * T + 2 * T)
     alg2 = find_algebra(fld, [Place.finite(T), Place.finite(T * T + T + 2)])
     assert alg2 == QuatAlgebra(fld, T, T * T + T + 2)
+    # H(2, T^4+T^3+T^2+T) ramifies at these places too, but its degree 4
+    # sorts after max(deg a, deg b) = 2
+    f5 = make_field(5)
+    T5 = Poly.T(f5)
+    places = [Place.finite(T5 + c) for c in range(4)]
+    alg3 = find_algebra(f5, places)
+    assert alg3 == QuatAlgebra(f5, T5**2 + 3 * T5, T5**2 + 3 * T5 + 2)
+    assert ramified_set(QuatAlgebra(f5, 2, T5**4 + T5**3 + T5**2 + T5)) == places
 
 
 def test_find_algebra_even_q():
@@ -321,55 +330,97 @@ def test_find_algebra_even_q():
 
 
 def test_find_algebra_result_is_minimal():
-    # nothing smaller in the scan order has the same ramification
+    # every pair before it in the scan order with the same ramification has
+    # a standard order that is not maximal; on these places the scan meets
+    # such pairs first
     fld = make_field(3)
     T = Poly.T(fld)
-    want = [Place.finite(T), Place.finite(T + 2)]
+    want = [Place.finite(T), Place.finite(T**3 + T**2 + 2)]
     found = find_algebra(fld, want)
-    for a in polys_upto(fld, 2):
+    assert found == QuatAlgebra(fld, 2, T**4 + T**3 + 2 * T)
+    assert StandardOrder(found).certify_maximal()
+    found_key = (4, found.a.sort_key(), found.b.sort_key())
+    skipped = 0
+    for a in polys_upto(fld, 4):
         if a.is_zero:
             continue
-        for b in polys_upto(fld, 2):
+        for b in polys_upto(fld, 4):
             if b.is_zero or b.deg % 2 or not fld.is_square_(b.lc):
                 continue
-            if not is_squarefree(a * b):
+            if (max(a.deg, b.deg), a.sort_key(), b.sort_key()) >= found_key:
                 continue
-            if (a.sort_key(), b.sort_key()) >= (found.a.sort_key(), found.b.sort_key()):
+            # a place not dividing a*b splits
+            if any(not pl.poly.divides(a * b) for pl in want):
                 continue
             alg = QuatAlgebra(fld, a, b)
+            if any(is_split_at(alg, pl) for pl in want):
+                continue
             try:
-                assert ramified_set(alg) != want
+                if ramified_set(alg) != want:
+                    continue
             except RamifiedAtInfinity:
-                pass
+                continue
+            assert not StandardOrder(alg).certify_maximal(), alg
+            skipped += 1
+    assert skipped
 
 
-def full_scan_find_algebra(field, places, bound):
-    """The odd-q scan with a product and a gcd per pair, kept as a reference."""
+def test_find_algebra_rejects_repeated_places():
+    fld = make_field(3)
+    T = Poly.T(fld)
+    with pytest.raises(ValueError, match="distinct"):
+        find_algebra(fld, [Place.finite(T), Place.finite(T)])
+
+
+@functools.lru_cache(maxsize=None)
+def scan_pairs(field, bound):
+    """The nonzero polynomials of degree <= bound, and the pairs (a, b) of
+    them in full scan order: by max(deg a, deg b), then a, then b.  b has
+    even degree and a square leading coefficient; for even q, a is a
+    constant of trace one."""
+    polys = [f for f in polys_upto(field, bound) if not f.is_zero]
+    if field.p == 2:
+        firsts = [f for f in polys if f.is_const and field.trace_abs_(f.lc) == 1]
+    else:
+        firsts = polys
+    seconds = [f for f in polys if f.deg % 2 == 0 and field.is_square_(f.lc)]
+    pairs = sorted(
+        ((a, b) for a in firsts for b in seconds),
+        key=lambda ab: (max(ab[0].deg, ab[1].deg), ab[0].sort_key(), ab[1].sort_key()),
+    )
+    return polys, pairs
+
+
+def full_scan_find_algebra(field, places):
+    """Reference: the first pair (a, b) in the order of a full scan, by
+    max(deg a, deg b), then a, then b, up to the degree of the product of
+    the places, whose ramified set is the places and whose standard order
+    certifies maximal, among the scan_pairs with a*b squarefree and
+    divisible by every place."""
     places = sorted(places, key=Place.sort_key)
     target = [pl.poly for pl in places]
-    for shell in range(bound + 1):
-        for a in polys_upto(field, shell):
-            if a.is_zero:
+    polys, pairs = scan_pairs(field, sum(pl.degree for pl in places))
+    divides = {f: {k for k, v in enumerate(target) if v.divides(f)} for f in polys}
+    prod = Poly.one(field)
+    for v in target:
+        prod = prod * v
+    square = prod * prod
+    for a, b in pairs:
+        if len(divides[a] | divides[b]) < len(target) or not is_squarefree(a * b):
+            continue
+        alg = QuatAlgebra(field, a, b)
+        if any(is_split_at(alg, pl) for pl in places):
+            continue
+        try:
+            if ramified_set(alg) != places:
                 continue
-            for b in polys_upto(field, shell):
-                if b.is_zero or max(a.deg, b.deg) != shell:
-                    continue
-                if b.deg % 2 or not field.is_square_(b.lc):
-                    continue
-                if not is_squarefree(a * b):
-                    continue
-                if any(not v.divides(a * b) for v in target):
-                    continue
-                alg = QuatAlgebra(field, a, b)
-                try:
-                    if quat.ramified_set(alg) == places:
-                        return alg
-                except RamifiedAtInfinity:
-                    continue
-    raise SearchExhausted(
-        "no algebra with ramification {%s} within degree %d"
-        % (", ".join(str(p) for p in places), bound)
-    )
+        except RamifiedAtInfinity:
+            continue
+        # maximal: the Gram determinant is a constant times prod(places)^2
+        quo, rem = divmod(StandardOrder(alg).gram_disc(), square)
+        if rem.is_zero and quo.is_const:
+            return alg
+    return None
 
 
 def place_sets(field, degrees):
@@ -385,17 +436,12 @@ def place_sets(field, degrees):
         yield [pl for group in combo for pl in group]
 
 
-def outcome(search, field, places, bound):
-    try:
-        return search(field, places, bound)
-    except SearchExhausted as exc:
-        return str(exc)
-
-
 @pytest.mark.parametrize(
     "q, degrees", [(3, [2, 4]), (7, [1, 2]), (3, [3, 3]), (3, [1, 3]), (5, [1, 1, 1, 1])]
 )
 def test_find_quotient_algebra_factors_each_polynomial_once(q, degrees, monkeypatch):
+    # the search reads every ramified set off known factors: it factors
+    # nothing at all
     from btquot import order
     from btquot.gfpoly import factor, field_from_q
     from btquot.quotient import find_quotient_algebra
@@ -408,165 +454,45 @@ def test_find_quotient_algebra_factors_each_polynomial_once(q, degrees, monkeypa
 
     monkeypatch.setattr(quat, "factor", recording_factor)
     monkeypatch.setattr(order, "factor", recording_factor)
-    try:
-        alg = find_quotient_algebra(field_from_q(q), degrees)
-    except SearchExhausted:
-        alg = None
-    assert factored and len(set(factored)) == len(factored)
-    if alg is not None:
-        # the ramified set is kept on the algebra: no factoring to read it
-        del factored[:]
-        assert [pl.degree for pl in ramified_set(alg)] == sorted(degrees)
-        assert factored == []
+    alg = find_quotient_algebra(field_from_q(q), degrees)
+    assert factored == []
+    # the ramified set is kept on the algebra: no factoring to read it
+    assert [pl.degree for pl in ramified_set(alg)] == sorted(degrees)
+    assert factored == []
 
 
-def test_find_algebra_matches_full_scan_reference(monkeypatch):
-    # the (a, b) of every algebra whose ramified set is computed: the
-    # reference through ramified_set, find_algebra from the shells' factors
-    tried = []
-    real_ramified_from = quat._ramified_from
-
-    def recording_ramified_from(alg, factors):
-        tried.append((alg.a, alg.b))
-        return real_ramified_from(alg, factors)
-
-    monkeypatch.setattr(quat, "_ramified_from", recording_ramified_from)
-
-    def run(search, field, places, bound):
-        del tried[:]
-        return outcome(search, field, places, bound), list(tried)
-
+def test_find_algebra_matches_full_scan_reference():
+    # same algebra, or none for both, on every place set of each profile
     profiles = [
+        (2, [1, 1]),
+        (2, [1, 2]),
+        (2, [1, 3]),
+        (2, [3, 3]),
         (3, [1, 1]),
         (3, [1, 2]),
         (3, [2, 2]),
         (3, [1, 3]),
+        (4, [1, 1]),
+        (4, [1, 2]),
         (5, [1, 1]),
         (5, [1, 2]),
         (7, [1, 1]),
     ]
     hits = exhausted = 0
     for q, degrees in profiles:
-        fld = make_field(q)
+        fld = field_from_q(q)
         for places in place_sets(fld, degrees):
-            ref, ref_tried = run(full_scan_find_algebra, fld, places, 3)
-            for bound in range(4):
-                # the scan to bound k is the scan to bound 3 cut after shell
-                # k, so a hit in a shell <= k is the outcome at k as well
-                want = ref
-                if bound < 3 and (
-                    isinstance(ref, str) or max(ref.a.deg, ref.b.deg) > bound
-                ):
-                    want = outcome(full_scan_find_algebra, fld, places, bound)
-                got, got_tried = run(find_algebra, fld, places, bound)
-                assert got == want, (q, [str(p) for p in places], bound)
-                if bound == 3:
-                    assert got_tried == ref_tried, (q, [str(p) for p in places])
-                if isinstance(want, str):
-                    exhausted += 1
-                else:
-                    hits += 1
-    assert hits and exhausted
-
-
-def test_find_algebra_tries_the_full_scan_pairs_when_nothing_hits(monkeypatch):
-    # with a ramified set that never matches, both scans run to the bound
-    tried = []
-
-    def never_matching(alg, factors):
-        tried.append((alg.a, alg.b))
-        return []
-
-    monkeypatch.setattr(quat, "_ramified_from", never_matching)
-    for q, degrees, bound in ((3, [1, 1], 3), (3, [1, 2], 3), (3, [2, 2], 3), (5, [1, 1], 2)):
-        fld = make_field(q)
-        places = next(place_sets(fld, degrees))
-        runs = []
-        for search in (full_scan_find_algebra, find_algebra):
-            del tried[:]
-            with pytest.raises(SearchExhausted):
-                search(fld, places, bound)
-            runs.append(list(tried))
-        assert runs[0] == runs[1] and runs[0], (q, degrees)
-
-
-def xi_scan_find_algebra(field, places, bound, shells):
-    """The separate even-q scan find_algebra used to run, kept as a
-    reference: a = xi, b over the squarefree polynomials of even degree."""
-    places = sorted(places, key=Place.sort_key)
-    if any(pl.degree % 2 == 0 for pl in places):
-        raise SearchExhausted(
-            "even q: only odd-degree places can ramify in the supported shape"
-        )
-    target = [pl.poly for pl in places]
-    xi = choose_xi(field)
-    for shell in range(0, bound + 1, 2):
-        for b in shells[shell]:
-            if any(not v.divides(b) for v in target):
-                continue
-            alg = QuatAlgebra(field, xi, b)
+            want = full_scan_find_algebra(fld, places)
             try:
-                if quat._ramified_from(alg, shells.factors) == places:
-                    return alg
-            except RamifiedAtInfinity:
-                continue
-    raise SearchExhausted(
-        "no algebra with ramification {%s} within degree %d"
-        % (", ".join(str(p) for p in places), bound)
-    )
-
-
-@pytest.mark.parametrize("q", [2, 4, 8])
-def test_find_algebra_even_q_matches_xi_scan(q, monkeypatch):
-    # same outcome, same SearchExhausted message and the same (a, b) pairs
-    # with their ramified set computed, in the same order
-    tried = []
-    real_ramified_from = quat._ramified_from
-
-    def recording_ramified_from(alg, factors):
-        tried.append((alg.a, alg.b))
-        return real_ramified_from(alg, factors)
-
-    monkeypatch.setattr(quat, "_ramified_from", recording_ramified_from)
-    fld = field_from_q(q)
-    shells = quat.SquarefreeShells(fld)
-    hits = exhausted = 0
-    for degrees in ([1, 1], [1, 3], [3, 3], [1, 1, 1, 1], [1, 2]):
-        places = next(place_sets(fld, degrees), None)
-        if places is None:  # F_2 has two places of degree one
-            continue
-        for bound in range(5):
-            runs = []
-            for search in (find_algebra, xi_scan_find_algebra):
-                del tried[:]
-                try:
-                    got = search(fld, places, bound, shells)
-                except SearchExhausted as exc:
-                    got = str(exc)
-                runs.append((got, list(tried)))
-            assert runs[0] == runs[1], (degrees, bound)
-            if isinstance(runs[0][0], str):
+                got = find_algebra(fld, places)
+            except SearchExhausted:
+                got = None
+            assert got == want, (q, [str(p) for p in places])
+            if got is None:
                 exhausted += 1
             else:
                 hits += 1
     assert hits and exhausted
-
-
-def test_squarefree_product_is_squarefree_coprime_factors():
-    # the identity the table-driven find_algebra rests on; F_q is perfect,
-    # and over F_3 degree 3 holds p-th powers such as T^3 + 1.  Neither side
-    # sees unit scalars, so over F_9 the monic polynomials cover every pair.
-    for fld, maxdeg, monic in ((make_field(3), 3, False), (make_field(3, 2), 2, True)):
-        polys = [
-            f
-            for f in polys_upto(fld, maxdeg)
-            if not f.is_zero and (f.is_monic or not monic)
-        ]
-        flags = {f: is_squarefree(f) for f in polys}
-        for a in polys:
-            for b in polys:
-                want = is_squarefree(a * b)
-                assert want == (flags[a] and flags[b] and gcd(a, b).is_const)
 
 
 OPTIMIZED_RAMIFIED_SET_CHECK = """

@@ -19,7 +19,14 @@ from btquot.errors import (
     Unsupported,
 )
 from btquot.gfpoly import Poly, choose_xi, field_from_q, make_field, parse_poly
-from btquot.invariants import critical_group, cross_check, graph_h1
+from btquot.invariants import (
+    critical_group,
+    cross_check,
+    graph_h1,
+    sweep_profiles,
+    v1,
+    vq1,
+)
 from btquot.laurent import MIN_TERMS, LaurentSeries, embed
 from btquot.linalg import nullspace
 from btquot.order import (
@@ -39,6 +46,7 @@ from btquot.quotient import (
     build_quotient,
     completeness_bound,
     coordinate_degree,
+    find_quotient_algebra,
     hom_units,
     series_terms,
     stabilizer,
@@ -1133,3 +1141,18 @@ def test_terminal_class_lookup_miss_exits_4(name, patch, message, monkeypatch, c
     err = capsys.readouterr().err
     assert code == 4
     assert "invariant violated" in err and message in err
+
+
+def test_sweep_profiles_build_and_cross_check():
+    # every realizable odd-q profile of the sweep with V1 + Vq1 <= 32 gets
+    # an algebra with a maximal standard order, a quotient and a clean
+    # cross-check
+    profiles = [
+        p for p in sweep_profiles(qs=(3, 5, 7, 9)) if v1(p) + vq1(p) <= 32
+    ]
+    assert len(profiles) == 25
+    for profile in profiles:
+        alg = find_quotient_algebra(field_from_q(profile.q), list(profile.degrees))
+        assert [pl.degree for pl in ramified_set(alg)] == list(profile.degrees)
+        report = cross_check(profile, build_quotient(alg))
+        assert report.ok(), (profile, str(alg), report.checks)

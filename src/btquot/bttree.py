@@ -105,11 +105,6 @@ class Mat2K:
         zero = LaurentSeries.zero(field)
         return cls(one, zero, zero, one)
 
-    @classmethod
-    def zero(cls, field):
-        z = LaurentSeries.zero(field)
-        return cls(z, z, z, z)
-
     @property
     def field(self):
         return self.a.field
@@ -130,11 +125,6 @@ class Mat2K:
             self.a + other.a, self.b + other.b, self.c + other.c, self.d + other.d
         )
 
-    def __sub__(self, other):
-        return Mat2K(
-            self.a - other.a, self.b - other.b, self.c - other.c, self.d - other.d
-        )
-
     def __neg__(self):
         return Mat2K(-self.a, -self.b, -self.c, -self.d)
 
@@ -143,9 +133,6 @@ class Mat2K:
 
     def det(self):
         return self.a * self.d - self.b * self.c
-
-    def trace(self):
-        return self.a + self.d
 
     def inverse(self, terms=None):
         """The inverse matrix; `terms` is the term count for the inverse of

@@ -325,7 +325,6 @@ def build_parser():
 
     p = sub.add_parser("report", help="formula-vs-graph comparison")
     _add_algebra_options(p)
-    _add_quotient_options(p)
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("dot", help="quotient graph as DOT")

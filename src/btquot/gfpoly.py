@@ -330,9 +330,6 @@ class Poly:
     def __mod__(self, other):
         return divmod(self, other)[1]
 
-    def divides(self, other):
-        return (other % self).is_zero
-
     def monic(self):
         if self.is_zero or self.lc == 1:
             return self

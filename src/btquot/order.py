@@ -143,26 +143,22 @@ class StandardOrder:
 
 
 def poly_sqrt(f):
-    """The polynomial square root with smallest leading coefficient, or None.
+    """The polynomial square root with smallest leading coefficient, or None;
+    odd q only.
 
-    Odd q: the root's coefficients follow from the top down, because the
+    The root's coefficients follow from the top down, because the
     coefficient of T^(2m-i) in r^2 is 2*r_m*r_(m-i) plus products of the
     coefficients already found; the final r*r == f check rejects
-    non-squares.  Even q: from the factorisation.
+    non-squares.
     """
+    fld = f.field
+    if fld.p == 2:
+        raise Unsupported("polynomial square roots are implemented for odd q")
     if f.is_zero:
         return f
-    fld = f.field
     s = fld.sqrt_(f.lc)
     if s is None:
         return None
-    if fld.p == 2:
-        root = Poly.const(fld, s)
-        for h, m in factor(f):
-            if m % 2:
-                return None
-            root = root * h ** (m // 2)
-        return root
     if f.deg % 2:
         return None
     m = f.deg // 2
@@ -236,10 +232,11 @@ class TorsionUnit:
         return "TorsionUnit(%s; order %d)" % (self.elem, self.order)
 
 
-def power_pairs(el, count):
-    """The pairs (u_k, v_k) of int codes with el^k = u_k + v_k*el, for
-    k = 1..count in turn, read off the characteristic polynomial
-    X^2 - t*X + n of el; None when t or n is not a constant.
+def power_cycle(el, count):
+    """The pairs (u_k, v_k) of int codes with el^k = u_k + v_k*el, one per
+    power el^1, ..., el^m = 1 for m the multiplicative order of el, read
+    off the characteristic polynomial X^2 - t*X + n of el; None when no
+    power up to el^count is one, or t or n is not a constant.
 
     A non-scalar el generates F_q[el] = F_q[X]/(X^2 - t*X + n) when t and
     n are constants (1 and el are independent), so el^k is X^k there; the
@@ -249,33 +246,19 @@ def power_pairs(el, count):
     t, n = el.charpoly()
     if not (t.is_const and n.is_const):
         return None
-    return _walk_powers(el.alg.field, el, t.coeff(0), n.coeff(0), count)
-
-
-def _walk_powers(fld, el, t, n, count):
-    if el.is_scalar:
-        c = el.x.coeff(0)
-        u = c
-        for _ in range(count):
-            yield u, 0
-            u = fld.mul(u, c)
-        return
-    u, v = 0, 1
-    for _ in range(count):
-        yield u, v
-        u, v = fld.neg(fld.mul(v, n)), fld.add(u, fld.mul(v, t))
-
-
-def power_cycle(el, count):
-    """The pairs of power_pairs(el, count) up to the first (1, 0), so one
-    per power el^1, ..., el^m = 1 for m the multiplicative order of el;
-    None when no power up to el^count is one, or power_pairs gives None."""
-    pairs = power_pairs(el, count)
+    fld = el.alg.field
+    t, n, c = t.coeff(0), n.coeff(0), el.x.coeff(0)
+    pair = (c, 0) if el.is_scalar else (0, 1)
     out = []
-    for uv in pairs or ():
-        out.append(uv)
-        if uv == (1, 0):
+    while len(out) < count:
+        out.append(pair)
+        if pair == (1, 0):
             return out
+        u, v = pair
+        if el.is_scalar:
+            pair = (fld.mul(u, c), 0)
+        else:
+            pair = (fld.neg(fld.mul(v, n)), fld.add(u, fld.mul(v, t)))
     return None
 
 
@@ -327,14 +310,19 @@ class Witness:
         return "Witness(%s)" % self.lam
 
 
-class NoneUpToBound:
-    """No conjugating unit with coordinate degrees up to the bound."""
+class NoWitness:
+    """The negative verdict of a unit search: no unit with coordinate
+    degrees up to the bound (None when no degree was searched).  It is
+    falsy, so a verdict is true exactly when it is a Witness."""
 
     def __init__(self, bound):
         self.bound = bound
 
+    def __bool__(self):
+        return False
+
     def __repr__(self):
-        return "NoneUpToBound(%d)" % self.bound
+        return "NoWitness(bound=%r)" % (self.bound,)
 
 
 def conj_search(order, x, y, bound):
@@ -391,7 +379,7 @@ def conj_search(order, x, y, bound):
                 "conjugacy witness %s has non-unit norm %s" % (lam, lam.norm())
             )
         return Witness(lam)
-    return NoneUpToBound(bound)
+    return NoWitness(bound)
 
 
 def span_units(alg, gens):

@@ -44,11 +44,11 @@ from .invariants import RamProfile, v1 as formula_v1, vq1 as formula_vq1
 from .laurent import MIN_TERMS, LaurentSeries, dot_head, embed
 from .linalg import nullspace
 from .order import (
+    NoWitness,
     StandardOrder,
     TorsionUnit,
     Witness,
     power_cycle,
-    power_pairs,
     span_units,
 )
 from .quat import find_algebra, ramified_set
@@ -379,9 +379,8 @@ class StabilizerGroup:
     element whose powers first reach 1 at g^n (scalars skipped when
     n = q^2 - 1), which in a cyclic group is the first with g^(n/p) != 1
     for every prime p | n.  Its n powers are read off its characteristic
-    polynomial (order.power_pairs) as u_k + v_k*g, one scale and one add
-    each, and
-    they are the element set, which proves the set is a group; the
+    polynomial (order.power_cycle) as u_k + v_k*g, one scale and one add
+    each, and they are the element set, which proves the set is a group; the
     neighbour orbits are the cycles of g on the link; and the elements
     fixing a vertex form the subgroup of order n / (its cycle length).
     """
@@ -495,22 +494,10 @@ def stabilizer(emb, vertex):
     return group
 
 
-class NoEquivalence:
-    """Definitive negative verdict: the search bound was complete."""
-
-    def __init__(self, bound):
-        self.bound = bound
-
-    def __bool__(self):
-        return False
-
-    def __repr__(self):
-        return "NoEquivalence(bound=%r)" % (self.bound,)
-
-
 def are_equivalent(emb, v, w, log=None):
-    """Witness(unit carrying v to w) or a definitive NoEquivalence; with a
-    log, exactly one equivalence event is appended."""
+    """Witness(unit carrying v to w) or NoWitness, definitive because the
+    search bound is complete (None for a parity rejection); with a log,
+    exactly one equivalence event is appended."""
     if v == w:
         if log is not None:
             log.append(
@@ -522,7 +509,7 @@ def are_equivalent(emb, v, w, log=None):
             log.append(
                 {"event": "equivalence", "outcome": "no", "reason": "parity"}
             )
-        return NoEquivalence(None)
+        return NoWitness(None)
     bound = completeness_bound(v, w)
     found = hom_units(emb, v, w, bound)
     if log is not None:
@@ -534,7 +521,7 @@ def are_equivalent(emb, v, w, log=None):
             }
         )
     if not found:
-        return NoEquivalence(bound)
+        return NoWitness(bound)
     witness = found[0]
     if emb.act(witness, v) != w:
         raise InvariantViolation("equivalence witness does not carry v to w")
@@ -588,10 +575,6 @@ class QuotientGraph:
 
     def degrees(self):
         return [self.degree(i) for i in range(len(self.vertices))]
-
-    def multiplicity(self, a, b):
-        lo, hi = min(a, b), max(a, b)
-        return sum(1 for e in self.edges if (e.a, e.b) == (lo, hi))
 
     def to_dict(self):
         return {
@@ -666,34 +649,38 @@ def _precision_checked(emb, step, *args):
 
 
 def _bfs(emb, profile, base, class_limit, log):
-    """Vertex classes in discovery order, and the half-edges between them.
+    """Vertex classes in discovery order, and the edges between them.
 
     Class `cursor` is expanded by taking the first neighbour of each orbit
     of its stabilizer on the link, in neighbor_orbits order, and finding
-    that neighbour's class; the orbit is one half-edge.  A neighbour of no
-    known class becomes the next class.
+    that neighbour's class.  A neighbour of no known class becomes the
+    next class.
 
-    Each edge orbit is looked up once, not once from each end.  By Serre's
-    *Trees*, an edge orbit between classes a and b is one Stab(a)-orbit on
-    the link of reps[a] and one Stab(b)-orbit on the link of reps[b].
-    When the lookup of nb from class a finds class b > a with witness
-    gamma (gamma * nb = reps[b]), the tree automorphism gamma carries the
-    edge (reps[a], nb) to (gamma * reps[a], reps[b]), so gamma * reps[a]
-    is a neighbour of reps[b] in class a; it is recorded for b.  When nb
-    becomes the new class b, reps[a] itself is recorded.  Expanding b,
-    each record settles its Stab(b)-orbit with no test, and the settled
-    orbits are exactly b's half-edges to earlier classes:
+    Each edge orbit is looked up once, not once from each end, and is
+    recorded once, by that lookup.  By Serre's *Trees*, an edge orbit
+    between classes a and b is one Stab(a)-orbit on the link of reps[a]
+    and one Stab(b)-orbit on the link of reps[b].  When the lookup of nb
+    from class a finds class b > a with witness gamma
+    (gamma * nb = reps[b]), the edge (a, b, edge stabilizer order) is
+    recorded, and since the tree automorphism gamma carries the edge
+    (reps[a], nb) to (gamma * reps[a], reps[b]), gamma * reps[a] is a
+    neighbour of reps[b] in class a; it is kept for b with the index of the
+    edge record.  When nb becomes the new class b, reps[a] itself is kept.
+    Expanding b, each kept neighbour settles its Stab(b)-orbit with no
+    test, and the settled orbits are exactly b's edges to earlier classes:
     - an edge orbit between b and an earlier class a was looked up from a,
-      because a settles only orbits that lead below a, and its record lies
-      in its own Stab(b)-orbit;
-    - two records x = gamma * reps[a] and x' = gamma' * reps[a] with
-      x' = s * x, s in Stab(b), would make gamma'^-1 * s * gamma fix
+      because a settles only orbits that lead below a, and its kept
+      neighbour lies in its own Stab(b)-orbit;
+    - two kept neighbours x = gamma * reps[a] and x' = gamma' * reps[a]
+      with x' = s * x, s in Stab(b), would make gamma'^-1 * s * gamma fix
       reps[a] and carry nb to nb', so the two lookups of a would have been
       one Stab(a)-orbit.
-    The orbits left open lead to later classes (never to b itself:
-    adjacent vertices differ in level parity), so they are tested against
-    reps[cursor + 1:] only.  A record off the link, or two in one orbit,
-    raise InvariantViolation.  Every equivalence event names the class it
+    So every record is settled exactly once: a kept neighbour off the link,
+    or two in one orbit, raise InvariantViolation, and so does a settled
+    orbit whose edge stabilizer order differs from the record's.  The
+    orbits left open lead to later classes (never to b itself: adjacent
+    vertices differ in level parity), so they are tested against
+    reps[cursor + 1:] only.  Every equivalence event names the class it
     tests or settles under "class".
     """
     alg = emb.alg
@@ -702,8 +689,9 @@ def _bfs(emb, profile, base, class_limit, log):
         base = TreeVertex.base(fld)
     reps = [base]
     stabs = [stabilizer(emb, base)]
-    # reverse[b]: (neighbour of reps[b], its class) for each half-edge of b
-    # into an earlier class, recorded by the lookup that found it
+    records = []  # (class a, class b > a, edge stabilizer order), one per edge
+    # reverse[b]: (neighbour of reps[b], index of its record) for each edge
+    # of b into an earlier class, kept by the lookup that found it
     reverse = [[]]
     log.append(
         {
@@ -713,7 +701,6 @@ def _bfs(emb, profile, base, class_limit, log):
             "level": base.n,
         }
     )
-    half_edges = []  # (source class, target class, edge stabilizer order)
     cursor = 0
     while cursor < len(reps):
         vertex = reps[cursor]
@@ -722,40 +709,54 @@ def _bfs(emb, profile, base, class_limit, log):
         orbits = group.neighbor_orbits(emb, vertex)
         orbit_of = {nbs[i]: k for k, orbit in enumerate(orbits) for i in orbit}
         settled = {}
-        for x, source in reverse[cursor]:
+        for x, index in reverse[cursor]:
             k = orbit_of.get(x)
             if k is None:
                 raise InvariantViolation(
                     "reverse edge from class %d is off the link of class %d"
-                    % (source, cursor)
+                    % (records[index][0], cursor)
                 )
             if k in settled:
                 raise InvariantViolation(
                     "reverse edges from classes %d and %d share a neighbour"
-                    " orbit of class %d" % (settled[k], source, cursor)
+                    " orbit of class %d"
+                    % (records[settled[k]][0], records[index][0], cursor)
                 )
-            settled[k] = source
+            settled[k] = index
         for k, orbit in enumerate(orbits):
             nb = nbs[orbit[0]]
-            target = settled.get(k)
-            if target is not None:
+            edge_stab = group.order // len(orbit)
+            fixers = group.fixing_count(emb, nb)
+            if edge_stab != fixers:
+                raise InvariantViolation(
+                    "%d elements fix a neighbor whose orbit has size %d in a"
+                    " stabilizer of order %d" % (fixers, len(orbit), group.order)
+                )
+            if k in settled:
+                source, _, recorded = records[settled[k]]
+                if recorded != edge_stab:
+                    raise InvariantViolation(
+                        "edge between classes %d and %d has stabilizer order %d"
+                        " at class %d but %d at class %d"
+                        % (source, cursor, recorded, source, edge_stab, cursor)
+                    )
                 log.append(
                     {
                         "event": "equivalence",
-                        "class": target,
+                        "class": source,
                         "outcome": "witness",
                         "reason": "reverse edge",
                     }
                 )
-            else:
-                for j in range(cursor + 1, len(reps)):
-                    verdict = are_equivalent(emb, nb, reps[j], log)
-                    log[-1]["class"] = j
-                    if verdict:
-                        target = j
-                        back = emb.act(verdict.lam, vertex)
-                        reverse[j].append((back, cursor))
-                        break
+                continue
+            target = None
+            for j in range(cursor + 1, len(reps)):
+                verdict = are_equivalent(emb, nb, reps[j], log)
+                log[-1]["class"] = j
+                if verdict:
+                    target = j
+                    reverse[j].append((emb.act(verdict.lam, vertex), len(records)))
+                    break
             if target is None:
                 if len(reps) >= class_limit:
                     raise NonterminationGuard(
@@ -763,10 +764,10 @@ def _bfs(emb, profile, base, class_limit, log):
                         "at most %d+%d from the counting formulas"
                         % (class_limit, formula_v1(profile), formula_vq1(profile))
                     )
+                target = len(reps)
                 reps.append(nb)
                 stabs.append(stabilizer(emb, nb))
-                reverse.append([(vertex, cursor)])
-                target = len(reps) - 1
+                reverse.append([(vertex, len(records))])
                 log.append(
                     {
                         "event": "vertex",
@@ -775,21 +776,17 @@ def _bfs(emb, profile, base, class_limit, log):
                         "level": nb.n,
                     }
                 )
-            edge_stab = group.order // len(orbit)
-            fixers = group.fixing_count(emb, nb)
-            if edge_stab != fixers:
-                raise InvariantViolation(
-                    "%d elements fix a neighbor whose orbit has size %d in a"
-                    " stabilizer of order %d" % (fixers, len(orbit), group.order)
-                )
-            half_edges.append((cursor, target, edge_stab))
+            records.append((cursor, target, edge_stab))
         cursor += 1
 
     vertices = [
         QVertex(i, reps[i], stabs[i].order, stabs[i].generator)
         for i in range(len(reps))
     ]
-    edges = _pair_half_edges(half_edges)
+    edges = [
+        QEdge(i, a, b, stab)
+        for i, (a, b, stab) in enumerate(sorted(records, key=lambda r: r[:2]))
+    ]
     graph = QuotientGraph(fld.q, alg, profile, vertices, edges, log, emb)
     for i in range(len(reps)):
         if graph.degree(i) not in (1, fld.q + 1):
@@ -806,34 +803,6 @@ def _bfs(emb, profile, base, class_limit, log):
         }
     )
     return graph
-
-
-def _pair_half_edges(half_edges):
-    by_pair = {}
-    for src, dst, stab in half_edges:
-        key = (min(src, dst), max(src, dst))
-        by_pair.setdefault(key, {"out": {}, "stabs": set()})
-        side = by_pair[key]
-        side["out"][src] = side["out"].get(src, 0) + 1
-        side["stabs"].add(stab)
-    edges = []
-    for key in sorted(by_pair):
-        a, b = key
-        side = by_pair[key]
-        counts = side["out"]
-        if counts.get(a, 0) != counts.get(b, 0):
-            raise InvariantViolation(
-                "half-edge mismatch between classes %d and %d" % key
-            )
-        if len(side["stabs"]) != 1:
-            raise InvariantViolation(
-                "edges between classes %d and %d have different stabilizers"
-                % key
-            )
-        stab = side["stabs"].pop()
-        for _ in range(counts[a]):
-            edges.append(QEdge(len(edges), a, b, stab))
-    return edges
 
 
 def terminal_classes(graph, units):
@@ -920,28 +889,28 @@ def _fixed_vertex(emb, x, base):
 
 def _square_roots(vertex, xi):
     """The two elements of a terminal stabilizer that square to the
-    constant xi (an int code), in the order of the generator's powers.
+    constant xi (an int code).
 
-    Each power is u + v*g with (u, v) from power_pairs, and g^2 = t*g - n,
-    so (u + v*g)^2 = (u^2 - v^2*n) + (2uv + v^2*t)*g: it is xi exactly when
-    2uv + v^2*t = 0 and u^2 - v^2*n = xi.  Only the roots are built."""
+    The generator g has characteristic polynomial X^2 - t*X + n, and F_q[g]
+    is a field, so delta = t^2/4 - n, the square of g - t/2, is a
+    non-square and xi/delta is a square.  (u + v*(g - t/2))^2 is
+    u^2 + v^2*delta + 2uv*(g - t/2), which is xi only when u = 0 and
+    v^2 = xi/delta: the roots are +-v*(g - t/2).  A root is checked by
+    trace 0 and norm -xi, its negative then too, with no quaternion
+    product."""
     g = vertex.generator
     fld = g.alg.field
     t, n = (c.coeff(0) for c in g.charpoly())
-    roots = []
-    for u, v in power_pairs(g, vertex.stabilizer_order):
-        uv, vv = fld.mul(u, v), fld.mul(v, v)
-        if (
-            fld.add(fld.add(uv, uv), fld.mul(vv, t)) == 0
-            and fld.sub(fld.mul(u, u), fld.mul(vv, n)) == xi
-        ):
-            roots.append(g.scale(v) + u)
-    if len(roots) != 2:
-        raise InvariantViolation(
-            "stabilizer of class %d has %d square roots of xi, not 2"
-            % (vertex.index, len(roots))
-        )
-    return roots
+    half_t = fld.mul(t, fld.inv(fld.add(1, 1)))
+    delta = fld.sub(fld.mul(half_t, half_t), n)
+    v = fld.sqrt_(fld.mul(xi, fld.inv(delta))) if delta else None
+    if v is not None:
+        root = (g - half_t).scale(v)
+        if root.trace().is_zero and root.norm() == Poly.const(fld, fld.neg(xi)):
+            return [root, -root]
+    raise InvariantViolation(
+        "stabilizer of class %d has no square root of xi" % vertex.index
+    )
 
 
 def _terminal_class(emb, vertex, terminal, tries):

@@ -225,6 +225,30 @@ def test_quotient_artifacts_match_pinned_digests(spec, tmp_path, capsys):
     assert digests == PINNED_ARTIFACTS[spec]
 
 
+# sha256 of torsion stdout: the census, its classes (the odd-q ones read off
+# the terminal stabilizers of the quotient) and the Eichler check.
+PINNED_TORSION = {
+    ("--q", "3", "--r", "T*(T-1)", "--bound", "2"):
+        "28f515244978c84ae4015978c4eb81ec8f12a960ea813c11841ee9eafec6a421",
+    ("--q", "5", "--r", "T*(T-1)", "--bound", "1"):
+        "85100b653a384c4232cbf45d518676e9008c2e039b9e6073018a4a957e7b4701",
+    ("--q", "3", "--r", "T^4+2*T^2+T", "--bound", "2"):
+        "f456e9567aa0b1675c75b3285cda40ee188a59a647eb197f235e212a8513df28",
+    # eight terminal vertices, and a is not a constant
+    ("--q", "5", "--R-degrees", "1,1,1,1", "--bound", "1"):
+        "e2c4968d4ebc393c7a864a4cfdc154d1207bc127b3a18c7227ae06660e115b9b",
+    ("--q", "4", "--r", "T*(T+1)", "--bound", "1"):
+        "1c16f942b78cce34f0362ea317b9db8a3fd1750332d31de3ed4988abf52a9116",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(PINNED_TORSION))
+def test_torsion_stdout_matches_pinned_digest(spec, capsys):
+    code, out, _ = run(capsys, "torsion", *spec)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_TORSION[spec]
+
+
 def test_report_banana(capsys):
     code, out, _ = run(capsys, "report", "--q", "3", "--R-degrees", "1,2")
     assert code == 0
@@ -358,32 +382,31 @@ def test_exit_code_resource_guard(capsys, monkeypatch):
 
 def test_quotient_commands_take_no_tuning_options(capsys):
     # The degree bound and the series precision are proven, and the class
-    # guard is a constant: the graph commands take the algebra and --out
-    # only.
+    # guard is a constant: the graph commands take the algebra, and the
+    # ones that write artifacts --out, only.
     parser = build_parser()
     sub = next(a for a in parser._actions if a.dest == "command")
-    for name in ("quotient", "report", "dot"):
+    algebra = ["-h", "--help", "--q", "--a", "--b", "--r", "--R-degrees"]
+    for name, extra in (("quotient", ["--out"]), ("report", []), ("dot", ["--out"])):
         options = [
             opt for action in sub.choices[name]._actions
             for opt in action.option_strings
         ]
-        assert options == [
-            "-h", "--help", "--q", "--a", "--b", "--r", "--R-degrees", "--out",
-        ]
-    code, _, err = run(capsys, "quotient", "--q", "3", "--r", "T*(T-1)",
-                       "--slack", "2")
-    assert code == 3
-    assert "usage error" in err
+        assert options == algebra + extra
+    for argv in (["quotient", "--slack", "2"], ["report", "--out", "x"]):
+        code, _, err = run(capsys, argv[0], "--q", "3", "--r", "T*(T-1)", *argv[1:])
+        assert code == 3
+        assert "usage error" in err
 
 
 def test_exit_code_invariant_violation(capsys, monkeypatch):
     def broken(*args, **kwargs):
-        raise InvariantViolation("half-edge mismatch between classes 0 and 1")
+        raise InvariantViolation("vertex class 1 has degree 2; expected 1 or 4")
 
     monkeypatch.setattr("btquot.cli.build_quotient", broken)
     code, _, err = run(capsys, "quotient", "--q", "3", "--r", "T*(T-1)")
     assert code == 4
-    assert "invariant violated: half-edge mismatch" in err
+    assert "invariant violated: vertex class 1 has degree 2" in err
 
 
 def test_no_subcommand_prints_help(capsys):

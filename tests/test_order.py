@@ -19,7 +19,7 @@ from btquot.gfpoly import (
 )
 from btquot.linalg import nullspace
 from btquot.order import (
-    NoneUpToBound,
+    NoWitness,
     StandardOrder,
     TorsionUnit,
     Witness,
@@ -28,7 +28,6 @@ from btquot.order import (
     conj_search,
     default_conj_bound,
     power_cycle,
-    power_pairs,
     poly_sqrt,
     solve_torsion,
     span_units,
@@ -160,6 +159,11 @@ def test_poly_sqrt():
         fld = make_field(p, e)
         for _ in range(25):
             f = Poly(fld, [rng.randrange(q) for _ in range(4)])
+            if p == 2:
+                # solve_torsion takes square roots for odd q only
+                with pytest.raises(Unsupported):
+                    poly_sqrt(f * f)
+                continue
             r = poly_sqrt(f * f)
             assert r is not None
             assert r * r == f * f
@@ -365,7 +369,8 @@ def test_conj_search_rejects_unrelated():
     om = order_q3()
     alg = om.alg
     res = conj_search(om, alg.i, alg.j, 2)
-    assert isinstance(res, NoneUpToBound)
+    assert isinstance(res, NoWitness)
+    assert not res
     assert res.bound == 2
 
 
@@ -609,7 +614,7 @@ def reference_conj_search(order, x, y, bound):
     rows = [[cols[c][r] for c in range(ncols)] for r in range(nrows)]
     kern = nullspace(rows, ncols, fld)
     if not kern:
-        return NoneUpToBound(bound)
+        return NoWitness(bound)
     gens = [
         QuatElem(alg, *(Poly(fld, vec[mu * (bound + 1) : (mu + 1) * (bound + 1)])
                         for mu in range(4)))
@@ -624,7 +629,7 @@ def reference_conj_search(order, x, y, bound):
     for p in norms.values():
         common = gcd(common, p)
     if common.is_zero or common.deg >= 1:
-        return NoneUpToBound(bound)
+        return NoWitness(bound)
     for vec in _projective_vectors(fld, k):
         val = Poly.zero(fld)
         for t in range(k):
@@ -639,7 +644,7 @@ def reference_conj_search(order, x, y, bound):
                 if vec[t]:
                     lam = lam + gens[t].scale(vec[t])
             return Witness(lam)
-    return NoneUpToBound(bound)
+    return NoWitness(bound)
 
 
 def assert_same_verdict(order, x, y, bound):
@@ -858,15 +863,17 @@ def test_power_cycle_stops_at_the_first_power_equal_to_one():
     assert len(power_cycle(alg.elem(1, 1), 9)) == 8
 
 
-def test_power_pairs_of_scalars_and_non_constant_charpolys():
+def test_power_cycle_of_scalars_and_non_constant_charpolys():
     om = order_q3()
     alg = om.alg
     fld = om.field
     T = Poly.T(fld)
-    assert power_pairs(alg.elem(0, T), 4) is None
-    assert power_pairs(alg.elem(T), 4) is None
-    assert list(power_pairs(alg.elem(2), 4)) == [(2, 0), (1, 0), (2, 0), (1, 0)]
+    assert power_cycle(alg.elem(0, T), 4) is None
+    assert power_cycle(alg.elem(T), 4) is None
+    assert power_cycle(alg.elem(2), 4) == [(2, 0), (1, 0)]
     i = alg.i
-    powers = [i, i * i, i * i * i]
-    for (u, v), want in zip(power_pairs(i, 3), powers):
+    powers = [i, i * i, i * i * i, i * i * i * i]
+    pairs = power_cycle(i, 4)
+    assert len(pairs) == len(powers)
+    for (u, v), want in zip(pairs, powers):
         assert i.scale(v) + u == want

@@ -30,15 +30,15 @@ from btquot.invariants import (
 from btquot.laurent import MIN_TERMS, LaurentSeries, embed
 from btquot.linalg import nullspace
 from btquot.order import (
+    NoWitness,
     StandardOrder,
     Witness,
-    power_pairs,
+    power_cycle,
     solve_torsion,
     torsion_classes,
 )
 from btquot.quat import QuatAlgebra, QuatElem, ramified_set
 from btquot.quotient import (
-    NoEquivalence,
     QVertex,
     SplitEmbedding,
     StabilizerGroup,
@@ -424,7 +424,7 @@ def test_are_equivalent_basics():
     assert log == [{"event": "equivalence", "outcome": "witness", "reason": "same vertex"}]
     for nb in base.neighbors():
         verdict = are_equivalent(emb, base, nb)
-        assert isinstance(verdict, NoEquivalence)
+        assert isinstance(verdict, NoWitness)
         assert not verdict
 
 
@@ -482,7 +482,6 @@ def test_build_quotient_banana():
     assert [v.stabilizer_order for v in graph.vertices] == [2, 2]
     assert len(graph.edges) == 4
     assert all((e.a, e.b) == (0, 1) for e in graph.edges)
-    assert graph.multiplicity(0, 1) == 4
     assert graph.degrees() == [4, 4]
     assert graph_h1(graph) == 3
     assert critical_group(graph) == [4]
@@ -564,10 +563,30 @@ def test_build_quotient_work_is_pinned(monkeypatch):
     assert counts == {"hom_units": 173, "units": 106, "nullspace": 173, "kernel_dim": 53}
 
 
+def pair_half_edges(half_edges):
+    """Edges from half-edges (source, target, stabilizer order): between
+    classes a < b, as many edges as a has half-edges into b, which must be
+    as many as b has into a, all with one stabilizer order."""
+    by_pair = {}
+    for src, dst, stab in half_edges:
+        side = by_pair.setdefault((min(src, dst), max(src, dst)), {"out": {}, "stabs": set()})
+        side["out"][src] = side["out"].get(src, 0) + 1
+        side["stabs"].add(stab)
+    edges = []
+    for (a, b), side in sorted(by_pair.items()):
+        counts = side["out"]
+        assert counts.get(a, 0) == counts.get(b, 0), (a, b)
+        assert len(side["stabs"]) == 1, (a, b)
+        stab = side["stabs"].pop()
+        for _ in range(counts[a]):
+            edges.append(quotient.QEdge(len(edges), a, b, stab))
+    return edges
+
+
 def reference_bfs(emb, profile, base, class_limit, log):
     """The all-classes search: each neighbour orbit is tested against every
     representative from class 0 up, so each edge is looked up from both
-    ends.  Graph and half-edges go through the module's _pair_half_edges."""
+    ends, and the half-edges are paired by counting (pair_half_edges)."""
     fld = emb.alg.field
     if base is None:
         base = TreeVertex.base(fld)
@@ -597,7 +616,7 @@ def reference_bfs(emb, profile, base, class_limit, log):
         quotient.QVertex(i, reps[i], stabs[i].order, stabs[i].generator)
         for i in range(len(reps))
     ]
-    edges = quotient._pair_half_edges(half_edges)
+    edges = pair_half_edges(half_edges)
     return quotient.QuotientGraph(fld.q, emb.alg, profile, vertices, edges, log, emb)
 
 
@@ -619,21 +638,11 @@ REFERENCE_CASES = [
 
 @pytest.mark.parametrize("q, text", REFERENCE_CASES)
 def test_bfs_matches_all_classes_reference(q, text, monkeypatch):
-    captured = []
-
-    def capture(half_edges):
-        captured.append(list(half_edges))
-        return pair_half_edges(half_edges)
-
-    pair_half_edges = quotient._pair_half_edges
-    monkeypatch.setattr("btquot.quotient._pair_half_edges", capture)
     alg = parse_algebra(field_from_q(q), text)
     graph = build_quotient(alg)
     monkeypatch.setattr("btquot.quotient._bfs", reference_bfs)
     reference = build_quotient(alg)
     assert graph.to_dict() == reference.to_dict()
-    assert len(captured) == 2
-    assert captured[0] == captured[1]
 
 
 @pytest.mark.parametrize(
@@ -703,6 +712,28 @@ def test_bfs_rejects_reverse_edge_off_the_link(monkeypatch):
         InvariantViolation, match="reverse edge from class 3 is off the link of class 4"
     ):
         build_quotient(alg)
+
+
+def test_bfs_rejects_edge_stabilizer_orders_that_differ_at_the_ends(monkeypatch):
+    # Class 1 of the banana claims order 4 after its stabilizer is built:
+    # its own orbits and fixers agree with that, but the four edges class 0
+    # recorded into it have stabilizer order 2.
+    built = []
+
+    def doubled_after_base(emb, vertex):
+        group = stabilizer(emb, vertex)
+        if built:
+            group.order *= 2
+        built.append(group)
+        return group
+
+    monkeypatch.setattr("btquot.quotient.stabilizer", doubled_after_base)
+    with pytest.raises(
+        InvariantViolation,
+        match="edge between classes 0 and 1 has stabilizer order 2 at class 0"
+        " but 4 at class 1",
+    ):
+        build_quotient(banana_algebra())
 
 
 def test_build_quotient_class_limit_guard(monkeypatch):
@@ -993,14 +1024,15 @@ def test_stabilizer_generators_powers_and_roots_match_products(q, text):
         assert g == product_generator(alg, elements)
         n = vertex.stabilizer_order
         powers = product_powers(g, n)
-        pairs = list(power_pairs(g, n))
+        pairs = power_cycle(g, n)
         assert len(pairs) == n
         for k, (u, v) in enumerate(pairs, 1):
             assert g.scale(v) + u == powers[k]
         if n == q * q - 1:
             terminal += 1
             roots = quotient._square_roots(vertex, xi)
-            assert roots == [h for h in powers[1:] if h * h == xi_el]
+            assert len(roots) == 2
+            assert set(roots) == {h for h in powers[1:] if h * h == xi_el}
             assert set(roots) == {h for h in elements if h * h == xi_el}
     assert terminal
 
@@ -1120,7 +1152,7 @@ def test_terminal_classes_make_one_lookup_per_fixed_vertex(monkeypatch):
 
 
 def _no_class(emb, v, w, log=None):
-    return NoEquivalence(None)
+    return NoWitness(None)
 
 
 def _wrong_roots(vertex, xi):

@@ -284,13 +284,16 @@ def solve_torsion(order, bound):
                 for x in artin_schreier_solve(rhs):
                     out.append(alg.elem(x, Poly.one(fld), z, w))
     else:
-        for z in polys_upto(fld, bound):
-            for w in polys_upto(fld, bound):
-                rhs = xi - b * z * z + a * b * w * w
-                quo, rem = divmod(rhs, a)
-                if not rem.is_zero:
-                    continue
-                y = poly_sqrt(quo)
+        # y^2 = (xi - b*z^2)/a + b*w^2, and a divides a*b*w^2: one division
+        # per z decides every w, and b*w^2 is formed once per w
+        ws = list(polys_upto(fld, bound))
+        bw2 = [b * w * w for w in ws]
+        for z in ws:
+            base, rem = divmod(xi - b * z * z, a)
+            if not rem.is_zero:
+                continue
+            for w, bww in zip(ws, bw2):
+                y = poly_sqrt(base + bww)
                 if y is None:
                     continue
                 for yy in sorted({y, -y}, key=Poly.sort_key):
@@ -444,6 +447,37 @@ def default_conj_bound(order):
     return ram_product(order.alg).deg + 2
 
 
+def conjugation_map(lam):
+    """The map x -> lam*x*lam^-1 for a unit lam with constant coordinates,
+    as a function on elements.
+
+    It is A-linear (A is central), so it is the 4x4 matrix over A whose
+    columns are the images lam*e*lam^-1 of the basis e = 1, i, j, ij, built
+    once; lam^-1 = conj(lam)/N(lam) with N(lam) a nonzero constant.
+    """
+    alg = lam.alg
+    fld = alg.field
+    inv = lam.conj().scale(fld.inv(lam.norm().coeff(0)))
+    cols = [(lam * e * inv).coords for e in alg.basis()]
+    rows = [
+        [(k, col[r]) for k, col in enumerate(cols) if not col[r].is_zero]
+        for r in range(4)
+    ]
+    zero = Poly.zero(fld)
+
+    def image(x):
+        xc = x.coords
+        out = []
+        for row in rows:
+            acc = zero
+            for k, m in row:
+                acc = acc + xc[k] * m
+            out.append(acc)
+        return QuatElem(alg, *out)
+
+    return image
+
+
 def torsion_classes(order, units, expected=None):
     """Partition torsion units into conjugacy classes of the unit group.
 
@@ -454,6 +488,24 @@ def torsion_classes(order, units, expected=None):
     count still exceeds the expected value, a second sweep covers only the
     new bounds, up to twice the cutoff: classes only merge, so every pair
     of classes left was searched at each bound up to the cutoff and failed.
+
+    Bound 0 needs no search.  A bound-0 witness has constant coordinates
+    and a nonzero constant norm, so it lies in U0 = span_units(basis)
+    (F_q[i]^x when a is a constant and deg b >= 1); conversely each lam in
+    U0 with lam*x = y*lam lies in the bound-0 kernel, whose units
+    conj_search finds.  So conj_search(x, y, 0) succeeds exactly when
+    lam*x*lam^-1 = y for some lam in U0, and scalar multiples of lam act
+    alike.  A pairwise sweep at bound 0 starts from singletons and tests
+    every pair of the bucket it has not yet joined, so it ends at the
+    connected components of that relation, whether or not U0 is a group:
+    each union is an edge, and each edge is either joined already or
+    tested and joined.  The orbit pass applies each lam of U0 modulo
+    scalars to every unit and joins the unit to its image when the image
+    is in the census: the same edges, so the same components.  An image
+    in another bucket breaks an invariant and raises InvariantViolation.
+    The union-find root is always the smallest index of its class, so
+    every later sweep sees the same roots and makes the same calls in the
+    same order as after a bound-0 sweep.
     """
     cutoff = default_conj_bound(order)
     n = len(units)
@@ -470,10 +522,30 @@ def torsion_classes(order, units, expected=None):
         if ri != rj:
             parent[max(ri, rj)] = min(ri, rj)
 
+    keys = [
+        (u.trace.coeffs, u.norm.coeffs, order.residue_key(u.elem)) for u in units
+    ]
     buckets = {}
-    for idx, u in enumerate(units):
-        key = (u.trace.coeffs, u.norm.coeffs, order.residue_key(u.elem))
+    for idx, key in enumerate(keys):
         buckets.setdefault(key, []).append(idx)
+
+    alg = order.alg
+    index = {u.elem.coords: idx for idx, u in enumerate(units)}
+    # span_units yields each projective unit lam, then c*lam for c = 2..q-1
+    for lam in list(span_units(alg, alg.basis()))[:: alg.field.q - 1]:
+        if lam.is_scalar:
+            continue
+        image = conjugation_map(lam)
+        for i, u in enumerate(units):
+            j = index.get(image(u.elem).coords)
+            if j is None:
+                continue
+            if keys[j] != keys[i]:
+                raise InvariantViolation(
+                    "conjugating %s by %s gives %s, whose trace, norm or"
+                    " residue key differs" % (u.elem, lam, units[j].elem)
+                )
+            union(i, j)
 
     def sweep(bounds):
         for b in bounds:
@@ -481,17 +553,17 @@ def torsion_classes(order, units, expected=None):
                 reps = {}
                 for i in idxs:
                     reps.setdefault(find(i), i)
-                keys = sorted(reps)
-                for ai in range(len(keys)):
-                    for bi in range(ai + 1, len(keys)):
-                        i, j = reps[keys[ai]], reps[keys[bi]]
+                roots = sorted(reps)
+                for ai in range(len(roots)):
+                    for bi in range(ai + 1, len(roots)):
+                        i, j = reps[roots[ai]], reps[roots[bi]]
                         if find(i) == find(j):
                             continue
                         res = conj_search(order, units[i].elem, units[j].elem, b)
                         if isinstance(res, Witness):
                             union(i, j)
 
-    sweep(range(cutoff + 1))
+    sweep(range(1, cutoff + 1))
     count = len({find(i) for i in range(n)})
     if expected is not None and count > expected:
         sweep(range(cutoff + 1, 2 * cutoff + 1))

@@ -239,6 +239,10 @@ PINNED_TORSION = {
         "e2c4968d4ebc393c7a864a4cfdc154d1207bc127b3a18c7227ae06660e115b9b",
     ("--q", "4", "--r", "T*(T+1)", "--bound", "1"):
         "1c16f942b78cce34f0362ea317b9db8a3fd1750332d31de3ed4988abf52a9116",
+    ("--q", "2", "--r", "T*(T+1)", "--bound", "3"):
+        "f06deaceedcca1ab19458530c4ed4082ceca48bcf35461b6415223531f0eabbd",
+    ("--q", "8", "--r", "T*(T+1)", "--bound", "1"):
+        "77100b6ca61c64e37a99302dd52b99b01a8d163260395d6788b6d53452324350",
 }
 
 

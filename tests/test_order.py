@@ -11,6 +11,7 @@ from btquot.errors import InvariantViolation, NotCertified, RamifiedAtInfinity, 
 from btquot.gfpoly import (
     Place,
     Poly,
+    choose_xi,
     factor,
     field_from_q,
     gcd,
@@ -285,6 +286,45 @@ def test_solve_torsion_q3_matches_oracle():
         assert paired_unit(u).elem in elems
 
 
+def per_pair_division_census(order, bound):
+    """The odd-q census with one division by a per pair (z, w): the units
+    0 + y*i + z*j + w*ij with y^2 = (xi - b*z^2 + a*b*w^2)/a."""
+    alg = order.alg
+    fld = alg.field
+    xi = Poly.const(fld, choose_xi(fld))
+    out = []
+    for z in polys_upto(fld, bound):
+        for w in polys_upto(fld, bound):
+            quo, rem = divmod(xi - alg.b * z * z + alg.a * alg.b * w * w, alg.a)
+            if not rem.is_zero:
+                continue
+            y = poly_sqrt(quo)
+            if y is None:
+                continue
+            for yy in {y, -y}:
+                out.append(alg.elem(Poly.zero(fld), yy, z, w))
+    return sorted(out, key=lambda el: [c.sort_key() for c in reversed(el.coords)])
+
+
+# (q, algebra, census bound); the last two have a nonconstant a, so some z
+# leave a remainder and are skipped
+CENSUS_ORACLE_CASES = [
+    (3, "H(xi, T^2+2*T)", 2),
+    (5, "H(xi, T*(T-1))", 2),
+    (3, "H(xi, T^4+2*T^2+T)", 2),
+    (5, "H(T^2+3*T, T^2+3*T+2)", 2),
+    (7, "H(T^2+2*T, T^2+4*T+3)", 1),
+]
+
+
+@pytest.mark.parametrize("q, text, bound", CENSUS_ORACLE_CASES)
+def test_solve_torsion_matches_per_pair_division_census(q, text, bound):
+    om = StandardOrder(parse_algebra(field_from_q(q), text))
+    got = [u.elem for u in solve_torsion(om, bound)]
+    assert got
+    assert got == per_pair_division_census(om, bound)
+
+
 def test_solve_torsion_q2():
     om = order_q2()
     alg = om.alg
@@ -493,9 +533,11 @@ def test_torsion_classes_match_trace_norm_sweep(q, text, bound, expected):
         assert om.residue_key(x) == om.residue_key(y)
 
 
-@pytest.mark.parametrize("q, bound, calls", [(2, 3, 1162), (4, 1, 388)])
+@pytest.mark.parametrize("q, bound, calls", [(2, 3, 52), (4, 1, 8)])
 def test_torsion_classes_search_count(q, bound, calls, monkeypatch, capsys):
-    # buckets keyed by (trace, norm) alone made 4 592 and 1 338 searches
+    # buckets keyed by (trace, norm) alone made 4 592 and 1 338 searches,
+    # and pairwise searches at bound 0 made 1 162 and 388; the orbit pass
+    # of the constant units leaves only the searches at bound 1 and up
     from btquot import cli
 
     made = []
@@ -512,7 +554,8 @@ def test_torsion_classes_search_count(q, bound, calls, monkeypatch, capsys):
 
 def test_second_sweep_searches_only_the_new_bounds(monkeypatch):
     # with the cutoff at 1 the census keeps 6 classes, so the second sweep
-    # runs; every pair it could repeat was searched at bounds 0 and 1
+    # runs; every pair it could repeat was joined by the bound-0 orbit pass
+    # or searched at bound 1
     monkeypatch.setattr("btquot.order.default_conj_bound", lambda order: 1)
     om = StandardOrder(parse_algebra(field_from_q(3), "H(xi, T^4+2*T^2+T)"))
     units = solve_torsion(om, 2)
@@ -526,11 +569,78 @@ def test_second_sweep_searches_only_the_new_bounds(monkeypatch):
     monkeypatch.setattr("btquot.order.conj_search", recording)
     classes = torsion_classes(om, units, expected=1)
     assert len(classes) == 2
-    assert len(made) == 70
+    assert len(made) == 10
     assert len({call[:3] for call in made}) == len(made)
     assert [b for _, _, b, _ in made[:-4]] == sorted(b for _, _, b, _ in made[:-4])
-    assert {b for _, _, b, _ in made[:-4]} == {0, 1}
+    assert {b for _, _, b, _ in made[:-4]} == {1}
     assert [(b, found) for _, _, b, found in made[-4:]] == [(2, True)] * 4
+
+
+def pairwise_bound_zero_classes(order, units):
+    """The connected components of "conj_search at bound 0 finds a witness"
+    over every pair of units with the same trace and norm."""
+    comp = list(range(len(units)))
+
+    def find(i):
+        while comp[i] != i:
+            i = comp[i]
+        return i
+
+    for i, x in enumerate(units):
+        for j in range(i + 1, len(units)):
+            y = units[j]
+            if (x.trace, x.norm) != (y.trace, y.norm):
+                continue
+            if conj_search(order, x.elem, y.elem, 0):
+                comp[find(j)] = find(i)
+    classes = {}
+    for i, u in enumerate(units):
+        classes.setdefault(find(i), set()).add(u.elem)
+    return {frozenset(cl) for cl in classes.values()}
+
+
+# (q, algebra, census bound, number of constant units U0)
+ORBIT_PASS_CASES = [
+    (2, "H(xi, T^2+T)", 3, 3),
+    (4, "H(xi, T*(T+1))", 1, 15),
+    (3, "H(xi, T*(T-1))", 2, 8),
+    # a is not constant and U0 is the scalars: the pass joins nothing
+    (7, "H(T^2+2*T, T^2+4*T+3)", 1, 6),
+    # U0 is F_5[n]^x and F_5[n']^x for n, n' = j +- 2i (n^2 = n'^2 = 2),
+    # meeting in the scalars: not a group, yet the components still agree
+    (5, "H(T^2+3*T, T^2+3*T+2)", 2, 44),
+]
+
+
+@pytest.mark.parametrize("q, text, bound, u0", ORBIT_PASS_CASES)
+def test_orbit_pass_matches_pairwise_bound_zero_searches(
+    q, text, bound, u0, monkeypatch
+):
+    om = StandardOrder(parse_algebra(field_from_q(q), text))
+    units = solve_torsion(om, bound)
+    want = pairwise_bound_zero_classes(om, units)
+    assert len(list(span_units(om.alg, om.alg.basis()))) == u0
+
+    def no_search(order, x, y, b):
+        raise AssertionError("searched at bound %d" % b)
+
+    # with the cutoff at 0 only the orbit pass runs
+    monkeypatch.setattr("btquot.order.default_conj_bound", lambda order: 0)
+    monkeypatch.setattr("btquot.order.conj_search", no_search)
+    got = {frozenset(u.elem for u in cl) for cl in torsion_classes(om, units)}
+    assert got == want
+    assert (len(got) < len(units)) == (u0 > q - 1)
+
+
+def test_orbit_pass_rejects_an_image_in_another_bucket(monkeypatch):
+    # a residue key that tells every element apart is no conjugacy
+    # invariant: the first census unit with another unit in its orbit
+    # under the constant units breaks it
+    om = StandardOrder(parse_algebra(field_from_q(2), "H(xi, T^2+T)"))
+    units = solve_torsion(om, 1)
+    monkeypatch.setattr(StandardOrder, "residue_key", lambda self, el: el.coords)
+    with pytest.raises(InvariantViolation, match="residue key differs"):
+        torsion_classes(om, units)
 
 
 def reference_mult_order(el):
@@ -772,7 +882,9 @@ def test_span_units_matches_brute_force_on_conj_search_systems(monkeypatch):
         del spans[:]
         om = StandardOrder(parse_algebra(field_from_q(q), "H(xi, T*(T+1))"))
         torsion_classes(om, solve_torsion(om, 1))
-        assert {len(gens) for _, gens in spans} == {0, 1, 2}, q
+        # 4: the constant units of the bound-0 orbit pass; 2: the kernels
+        # of the searches at bound 1
+        assert {len(gens) for _, gens in spans} == {2, 4}, q
         for alg, gens in spans:
             assert_span_units_match(alg, gens)
 
@@ -817,9 +929,19 @@ def one_only(rows, width, fld):
     return [[1] + [0] * (width - 1)]
 
 
+class ElementKeys(order.StandardOrder):
+    def residue_key(self, el):
+        return el.coords  # tells every element apart: no invariant
+
+
 caught = []
 try:
     order.conj_search(NoUnits(alg), alg.i, target, 1)
+except InvariantViolation as exc:
+    caught.append(str(exc))
+keyed = ElementKeys(alg)
+try:
+    order.torsion_classes(keyed, order.solve_torsion(keyed, 1))
 except InvariantViolation as exc:
     caught.append(str(exc))
 order.nullspace = one_only  # the kernel claims 1 commutes i with j
@@ -843,9 +965,10 @@ def test_conj_search_witness_checks_raise_under_optimize():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) == 2, proc.stdout
+    assert len(lines) == 3, proc.stdout
     assert "non-unit norm" in lines[0]
-    assert lines[1] == "conjugacy witness 1 does not take i to j"
+    assert "residue key differs" in lines[1]
+    assert lines[2] == "conjugacy witness 1 does not take i to j"
 
 
 def test_power_cycle_stops_at_the_first_power_equal_to_one():

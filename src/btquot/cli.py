@@ -10,13 +10,14 @@ Subcommands::
     dot           quotient graph in DOT format
 
 Exit codes: 0 all checks green, 2 a check failed, 3 unsupported or invalid
-input, 4 a resource guard tripped or an internal invariant broke.  All
-output is byte-deterministic for a fixed configuration; JSON objects are
-emitted with sorted keys.
+input or an --out file that cannot be written, 4 a resource guard tripped
+or an internal invariant broke.  All output is byte-deterministic for a
+fixed configuration; JSON objects are emitted with sorted keys.
 """
 
 import argparse
 import json
+import os
 import sys
 
 from .errors import (
@@ -102,6 +103,10 @@ def _algebra_from(args):
 
 
 def _build_graph(args):
+    out = getattr(args, "out", None)
+    if out and not os.path.isdir(os.path.dirname(out) or "."):
+        # refused before the build rather than after it
+        raise FileNotFoundError("no such directory: %r" % os.path.dirname(out))
     return build_quotient(_algebra_from(args))
 
 
@@ -367,6 +372,9 @@ def main(argv=None):
     except InvariantViolation as exc:
         print("invariant violated: %s" % exc, file=sys.stderr)
         return 4
+    except OSError as exc:
+        print("cannot write: %s" % exc, file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

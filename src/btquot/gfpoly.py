@@ -500,6 +500,17 @@ def _some_irreducible_factor(f):
     return min(_berlekamp_split(f.monic()), key=Poly.sort_key)
 
 
+def strip_power(f, h):
+    """(m, f / h^m) for the largest m with h^m dividing the nonzero f."""
+    m = 0
+    q, r = divmod(f, h)
+    while r.is_zero:
+        f = q
+        m += 1
+        q, r = divmod(f, h)
+    return m, f
+
+
 def factor(f):
     """Monic irreducible factors with multiplicity, sorted; lc(f) is dropped."""
     if f.is_zero:
@@ -508,13 +519,7 @@ def factor(f):
     out = {}
     while work.deg >= 1:
         h = _some_irreducible_factor(work)
-        m = 0
-        q, r = divmod(work, h)
-        while r.is_zero:
-            work = q
-            m += 1
-            q, r = divmod(work, h)
-        out[h] = m
+        out[h], work = strip_power(work, h)
     return sorted(out.items(), key=lambda kv: kv[0].sort_key())
 
 

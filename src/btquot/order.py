@@ -6,9 +6,9 @@ from __future__ import annotations
 from itertools import zip_longest
 
 from .errors import InvariantViolation, NotCertified, Unsupported
-from .gfpoly import Place, Poly, choose_xi, factor, gcd, polys_upto
+from .gfpoly import Poly, choose_xi, factor, gcd, polys_upto
 from .linalg import nullspace
-from .quat import QuatElem, is_split_at, ram_product, ramified_set
+from .quat import QuatElem, ram_product
 
 
 def _det3(m):
@@ -32,12 +32,11 @@ def _det4(m):
 class CertifyReport:
     """Outcome of the discriminant check on the standard order."""
 
-    def __init__(self, certified, gram_det, reduced, expected, split_primes):
+    def __init__(self, certified, gram_det, reduced, expected):
         self.certified = certified
         self.gram_det = gram_det
         self.reduced = reduced
         self.expected = expected
-        self.split_primes = split_primes
 
     def __bool__(self):
         return self.certified
@@ -107,22 +106,19 @@ class StandardOrder:
         to a constant, and a maximal order has the product of the ramified
         primes as reduced discriminant.  Comparing only the squarefree
         parts would accept a suborder whose discriminant has a ramified
-        prime to a higher power.  The squarefree part and the split primes
-        dividing the determinant are reported alongside.
+        prime to a higher power.  The squarefree part of the determinant is
+        reported alongside.
         """
         det = self.gram_disc()
         expected = ram_product(self.alg)
         if det.is_zero:
-            return CertifyReport(False, det, det, expected, [])
+            return CertifyReport(False, det, det, expected)
         reduced = Poly.one(det.field)
-        split = []
         for h, _ in factor(det):
             reduced = reduced * h
-            if is_split_at(self.alg, Place(h)):
-                split.append(Place(h))
         quo, rem = divmod(det, expected * expected)
         certified = rem.is_zero and quo.is_const
-        return CertifyReport(certified, det, reduced, expected, split)
+        return CertifyReport(certified, det, reduced, expected)
 
     def ensure_maximal(self):
         rep = self.certify_maximal()
@@ -304,13 +300,15 @@ def solve_torsion(order, bound):
 
 
 class Witness:
-    """A unit lam with lam * x = y * lam."""
+    """A unit lam with lam * x = y * lam, found by a search of coordinate
+    degrees up to the bound (None when no degree was searched)."""
 
-    def __init__(self, lam):
+    def __init__(self, lam, bound):
         self.lam = lam
+        self.bound = bound
 
     def __repr__(self):
-        return "Witness(%s)" % self.lam
+        return "Witness(%s, bound=%r)" % (self.lam, self.bound)
 
 
 class NoWitness:
@@ -332,13 +330,13 @@ def conj_search(order, x, y, bound):
     """Search for a unit conjugating x to y, coordinates of degree <= bound.
 
     The commutation condition is linear, so candidates form an F_q-space,
-    the kernel of a linear system; the witness is the first unit
-    span_units finds in it.
+    the kernel of a linear system, whose vectors kernel_elements reads; the
+    witness is the first unit span_units finds in it.
     """
     alg = order.alg
     fld = alg.field
     if x == y:
-        return Witness(alg.one)
+        return Witness(alg.one, None)
     # column image e*x - y*e of each basis element e, as coefficient lists
     right, _ = order.basis_products(x)
     _, left = order.basis_products(y)
@@ -366,13 +364,7 @@ def conj_search(order, x, y, bound):
                     for k in range(bound + 1):
                         rows[ci * (maxdeg + 1) + d + k][mu * (bound + 1) + k] = cf
     kern = nullspace(rows, ncols, fld)
-    gens = []
-    for vec in kern:
-        coords = []
-        for mu in range(4):
-            coords.append(Poly(fld, vec[mu * (bound + 1) : (mu + 1) * (bound + 1)]))
-        gens.append(QuatElem(alg, *coords))
-    for lam in span_units(alg, gens):
+    for lam in span_units(alg, kernel_elements(alg, kern, bound)):
         if lam * x != y * lam:
             raise InvariantViolation(
                 "conjugacy witness %s does not take %s to %s" % (lam, x, y)
@@ -381,8 +373,20 @@ def conj_search(order, x, y, bound):
             raise InvariantViolation(
                 "conjugacy witness %s has non-unit norm %s" % (lam, lam.norm())
             )
-        return Witness(lam)
+        return Witness(lam, bound)
     return NoWitness(bound)
+
+
+def kernel_elements(alg, kernel, bound):
+    """The elements of unit-search kernel vectors: four blocks of bound + 1
+    coefficients, block mu the coordinate on (1, i, j, ij)[mu]."""
+    fld = alg.field
+    width = bound + 1
+    blocks = range(0, 4 * width, width)
+    return [
+        QuatElem(alg, *(Poly(fld, vec[k : k + width]) for k in blocks))
+        for vec in kernel
+    ]
 
 
 def span_units(alg, gens):

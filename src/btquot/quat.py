@@ -23,6 +23,7 @@ from .gfpoly import (
     is_squarefree,
     powmod,
     sqr_test_residue,
+    strip_power,
 )
 
 
@@ -197,10 +198,11 @@ class QuatElem:
             other = self.alg.elem(other)
         if not isinstance(other, QuatElem):
             return NotImplemented
-        return self.alg == other.alg and self.coords == other.coords
+        alg = other.alg
+        return (alg is self.alg or alg == self.alg) and self.coords == other.coords
 
     def __hash__(self):
-        return hash((self.alg, self.coords))
+        return hash(self.coords)  # equal elements have equal coordinates
 
     def __str__(self):
         names = ("", "i", "j", "ij")
@@ -223,16 +225,6 @@ class QuatElem:
         return "QuatElem(%s)" % self
 
 
-def _strip_place_power(f, v):
-    m = 0
-    q, r = divmod(f, v)
-    while r.is_zero:
-        f = q
-        m += 1
-        q, r = divmod(f, v)
-    return m, f
-
-
 def hilbert_symbol(alg, place):
     """+1 if the algebra splits at the place, -1 if it ramifies."""
     fld = alg.field
@@ -240,7 +232,7 @@ def hilbert_symbol(alg, place):
         if place.is_infinity:
             ordb = -alg.b.deg
         else:
-            ordb, _ = _strip_place_power(alg.b, place.poly)
+            ordb, _ = strip_power(alg.b, place.poly)
         if ordb % 2 == 0 or place.degree % 2 == 0:
             return 1
         return -1
@@ -252,8 +244,8 @@ def hilbert_symbol(alg, place):
         u = fld.mul(sign, fld.mul(fld.pow_(ua, beta), fld.pow_(ub, -alpha)))
         return 1 if fld.is_square_(u) else -1
     v = place.poly
-    alpha, a0 = _strip_place_power(a, v)
-    beta, b0 = _strip_place_power(b, v)
+    alpha, a0 = strip_power(a, v)
+    beta, b0 = strip_power(b, v)
     u = powmod(a0, beta, v) if beta >= 0 else powmod(_inv_mod(a0, v), -beta, v)
     ub = powmod(b0, alpha, v) if alpha >= 0 else powmod(_inv_mod(b0, v), -alpha, v)
     u = (u * _inv_mod(ub, v)) % v

@@ -48,6 +48,7 @@ from .order import (
     StandardOrder,
     TorsionUnit,
     Witness,
+    kernel_elements,
     power_cycle,
     span_units,
 )
@@ -288,10 +289,11 @@ def hom_units(emb, v, w, B):
     c[image, k] T^k times image over the basis images (1, i, j, ij) and
     degrees k <= B.  "pi^{-m} V^{-1} iota(lambda) U is integral" is then a
     linear system for the c over the constant field: one column per
-    (image, k), images outermost, and one row per (entry, t) saying that
-    the coefficient of u^t, t < 0, vanishes in that matrix entry.  Its
-    cell is the coefficient of u^(t+k+m) in the entry of the core
-    (V^{-1} iota(image)) U, so the rows read only the exponents in
+    (image, k), images outermost as order.kernel_elements reads them, and
+    one row per (entry, t) saying that the coefficient of u^t, t < 0,
+    vanishes in that matrix entry.  Its cell is the coefficient of
+    u^(t+k+m) in the entry of the core (V^{-1} iota(image)) U, so the rows
+    read only the exponents in
     [lo+m, B+m) of each core entry.  The series carry the precision
     series_terms derives from v, w and B.  The left factors
     V^{-1} iota(image) come from the embedding's memo, since w is one of a
@@ -356,19 +358,15 @@ def hom_units(emb, v, w, B):
                 row.extend(w[start : start + width])
             if any(row):
                 rows.append(row)
-    ncols = 4 * width
-    kernel = nullspace(rows, ncols, fld)
+    kernel = nullspace(rows, 4 * width, fld)
     if kernel and fld.q ** len(kernel) > 500000:
         raise NonterminationGuard(
             "unit candidate space has dimension %d; refusing to enumerate"
             % len(kernel)
         )
-    gens = [
-        alg.elem(*(Poly(fld, vec[cix * width : (cix + 1) * width]) for cix in range(4)))
-        for vec in kernel
-    ]
     return sorted(
-        span_units(alg, gens), key=lambda g: tuple(c.sort_key() for c in g.coords)
+        span_units(alg, kernel_elements(alg, kernel, B)),
+        key=lambda g: tuple(c.sort_key() for c in g.coords),
     )
 
 
@@ -465,20 +463,10 @@ class StabilizerGroup:
                 )
         return orbits
 
-    def fixing_count(self, emb, vertex):
-        """How many elements fix the given vertex (an edge stabilizer size):
-        n divided by the length of the vertex's cycle under the generator."""
-        length = 1
-        moved = act(self.image(emb, [vertex]), vertex)
-        while moved != vertex:
-            length += 1
-            if length > self.order:
-                raise InvariantViolation(
-                    "vertex cycle under the stabilizer generator is longer"
-                    " than the group order %d" % self.order
-                )
-            moved = act(self.image(emb, [moved]), moved)
-        return self.order // length
+    def fixing_count(self, orbit):
+        """How many elements fix a neighbour in the given orbit (an edge
+        stabilizer size): n divided by the orbit length."""
+        return self.order // len(orbit)
 
     def __repr__(self):
         return "StabilizerGroup(order=%d)" % self.order
@@ -494,38 +482,37 @@ def stabilizer(emb, vertex):
     return group
 
 
-def are_equivalent(emb, v, w, log=None):
-    """Witness(unit carrying v to w) or NoWitness, definitive because the
-    search bound is complete (None for a parity rejection); with a log,
-    exactly one equivalence event is appended."""
+def are_equivalent(emb, v, w):
+    """Witness(unit carrying v to w, bound) or NoWitness(bound), definitive
+    because the search bound is complete; the bound is None when no search
+    was needed (v == w, or a parity rejection)."""
     if v == w:
-        if log is not None:
-            log.append(
-                {"event": "equivalence", "outcome": "witness", "reason": "same vertex"}
-            )
-        return Witness(emb.alg.one)
+        return Witness(emb.alg.one, None)
     if (v.n - w.n) % 2:
-        if log is not None:
-            log.append(
-                {"event": "equivalence", "outcome": "no", "reason": "parity"}
-            )
         return NoWitness(None)
     bound = completeness_bound(v, w)
     found = hom_units(emb, v, w, bound)
-    if log is not None:
-        log.append(
-            {
-                "event": "equivalence",
-                "bound": bound,
-                "outcome": "witness" if found else "no",
-            }
-        )
     if not found:
         return NoWitness(bound)
     witness = found[0]
     if emb.act(witness, v) != w:
         raise InvariantViolation("equivalence witness does not carry v to w")
-    return Witness(witness)
+    return Witness(witness, bound)
+
+
+def _equivalence_event(cls, verdict=None):
+    """The log event for class cls: the verdict of testing it, or with no
+    verdict a reverse edge that settled it.  A verdict without a bound came
+    from a shortcut, the same vertex or a parity rejection."""
+    found = verdict is None or bool(verdict)
+    event = {"event": "equivalence", "class": cls, "outcome": "witness" if found else "no"}
+    if verdict is None:
+        event["reason"] = "reverse edge"
+    elif verdict.bound is None:
+        event["reason"] = "same vertex" if found else "parity"
+    else:
+        event["bound"] = verdict.bound
+    return event
 
 
 class QVertex:
@@ -659,7 +646,8 @@ def _bfs(emb, profile, base, class_limit, log):
     Each edge orbit is looked up once, not once from each end, and is
     recorded once, by that lookup.  By Serre's *Trees*, an edge orbit
     between classes a and b is one Stab(a)-orbit on the link of reps[a]
-    and one Stab(b)-orbit on the link of reps[b].  When the lookup of nb
+    and one Stab(b)-orbit on the link of reps[b], so its stabilizer order
+    is |Stab(a)| over the orbit length.  When the lookup of nb
     from class a finds class b > a with witness gamma
     (gamma * nb = reps[b]), the edge (a, b, edge stabilizer order) is
     recorded, and since the tree automorphism gamma carries the edge
@@ -680,8 +668,8 @@ def _bfs(emb, profile, base, class_limit, log):
     orbit whose edge stabilizer order differs from the record's.  The
     orbits left open lead to later classes (never to b itself: adjacent
     vertices differ in level parity), so they are tested against
-    reps[cursor + 1:] only.  Every equivalence event names the class it
-    tests or settles under "class".
+    reps[cursor + 1:] only.  Every equivalence event is written by
+    _equivalence_event and names the class it tests or settles.
     """
     alg = emb.alg
     fld = alg.field
@@ -725,13 +713,7 @@ def _bfs(emb, profile, base, class_limit, log):
             settled[k] = index
         for k, orbit in enumerate(orbits):
             nb = nbs[orbit[0]]
-            edge_stab = group.order // len(orbit)
-            fixers = group.fixing_count(emb, nb)
-            if edge_stab != fixers:
-                raise InvariantViolation(
-                    "%d elements fix a neighbor whose orbit has size %d in a"
-                    " stabilizer of order %d" % (fixers, len(orbit), group.order)
-                )
+            edge_stab = group.fixing_count(orbit)
             if k in settled:
                 source, _, recorded = records[settled[k]]
                 if recorded != edge_stab:
@@ -740,19 +722,12 @@ def _bfs(emb, profile, base, class_limit, log):
                         " at class %d but %d at class %d"
                         % (source, cursor, recorded, source, edge_stab, cursor)
                     )
-                log.append(
-                    {
-                        "event": "equivalence",
-                        "class": source,
-                        "outcome": "witness",
-                        "reason": "reverse edge",
-                    }
-                )
+                log.append(_equivalence_event(source))
                 continue
             target = None
             for j in range(cursor + 1, len(reps)):
-                verdict = are_equivalent(emb, nb, reps[j], log)
-                log[-1]["class"] = j
+                verdict = are_equivalent(emb, nb, reps[j])
+                log.append(_equivalence_event(j, verdict))
                 if verdict:
                     target = j
                     reverse[j].append((emb.act(verdict.lam, vertex), len(records)))

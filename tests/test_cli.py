@@ -413,6 +413,32 @@ def test_exit_code_invariant_violation(capsys, monkeypatch):
     assert "invariant violated: vertex class 1 has degree 2" in err
 
 
+@pytest.mark.parametrize("command", ["quotient", "dot"])
+def test_out_into_missing_directory_exits_3_before_building(
+    command, tmp_path, capsys, monkeypatch
+):
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("graph built for an --out that cannot be written")
+
+    monkeypatch.setattr("btquot.cli.build_quotient", unbuilt)
+    prefix = str(tmp_path / "missing" / "x")
+    code, out, err = run(capsys, command, "--q", "3", "--r", "T*(T-1)", "--out", prefix)
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("cannot write:") and str(tmp_path / "missing") in err
+
+
+def test_out_write_error_exits_3(tmp_path, capsys):
+    # the directory exists, but the graph file's path is taken by a directory
+    (tmp_path / "x.graph.json").mkdir()
+    code, out, err = run(capsys, "quotient", "--q", "3", "--r", "T*(T-1)",
+                         "--out", str(tmp_path / "x"))
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("cannot write:")
+
+
 def test_no_subcommand_prints_help(capsys):
     code, out, _ = run(capsys)
     assert code == 3

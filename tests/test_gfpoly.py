@@ -23,6 +23,7 @@ from btquot.gfpoly import (
     powmod,
     prime_power,
     sqr_test_residue,
+    strip_power,
 )
 
 
@@ -343,6 +344,15 @@ def test_factor_pth_power():
     for v in range(1, 9):
         fs = factor(T9**3 + Poly.const(f9, v))
         assert fs == [(T9 + Poly.const(f9, f9.pow_(v, 3)), 3)]
+
+
+def test_strip_power():
+    fld = make_field(3)
+    T = Poly.T(fld)
+    rest = T * T + 1
+    assert strip_power(rest * T**3, T) == (3, rest)
+    assert strip_power(rest, T) == (0, rest)
+    assert strip_power((T + 1) ** 2 * 2, T + 1) == (2, Poly.const(fld, 2))
 
 
 def test_radical_and_squarefree():

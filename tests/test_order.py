@@ -9,7 +9,6 @@ import pytest
 import btquot
 from btquot.errors import InvariantViolation, NotCertified, RamifiedAtInfinity, Unsupported
 from btquot.gfpoly import (
-    Place,
     Poly,
     choose_xi,
     factor,
@@ -132,7 +131,6 @@ def test_certify_maximal_rejects_split_square():
     om = StandardOrder(QuatAlgebra(fld, 1, T * T))
     rep = om.certify_maximal()
     assert not rep.certified
-    assert Place.finite(T) in rep.split_primes
     with pytest.raises(NotCertified):
         om.ensure_maximal()
 
@@ -705,7 +703,7 @@ def reference_conj_search(order, x, y, bound):
     alg = order.alg
     fld = alg.field
     if x == y:
-        return Witness(alg.one)
+        return Witness(alg.one, None)
     images = [e * x - y * e for e in alg.basis()]
     ncols = 4 * (bound + 1)
     maxdeg = bound + 1 + max(
@@ -753,7 +751,7 @@ def reference_conj_search(order, x, y, bound):
             for t in range(k):
                 if vec[t]:
                     lam = lam + gens[t].scale(vec[t])
-            return Witness(lam)
+            return Witness(lam, bound)
     return NoWitness(bound)
 
 
@@ -763,6 +761,7 @@ def assert_same_verdict(order, x, y, bound):
     assert type(got) is type(want), (x, y, bound)
     if isinstance(got, Witness):
         assert got.lam == want.lam
+        assert got.bound == want.bound
         assert got.lam * x == y * got.lam
         assert order.is_unit(got.lam)
     else:

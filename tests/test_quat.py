@@ -129,6 +129,17 @@ def test_norm_and_trace():
                 assert a * a - a.scale(t) + alg.elem(n) == alg.zero
 
 
+def test_equal_elements_of_equal_algebras_hash_equal():
+    fld = make_field(3)
+    T = Poly.T(fld)
+    one, other = QuatAlgebra(fld, 2, T * T + 2 * T), QuatAlgebra(fld, 2, T * T + 2 * T)
+    assert one is not other and one == other
+    x, y = one.elem(T, 1, 0, T + 2), other.elem(T, 1, 0, T + 2)
+    assert x == y and hash(x) == hash(y)
+    assert {x: 1}[y] == 1
+    assert x != QuatAlgebra(fld, 1, T).elem(T, 1, 0, T + 2)
+
+
 def test_str():
     fld = make_field(3)
     T = Poly.T(fld)

@@ -417,11 +417,13 @@ def test_are_equivalent_basics():
     fld = alg.field
     emb = SplitEmbedding(alg)
     base = TreeVertex.base(fld)
-    log = []
-    same = are_equivalent(emb, base, base, log=log)
+    same = are_equivalent(emb, base, base)
     assert isinstance(same, Witness)
     assert same.lam == alg.one
-    assert log == [{"event": "equivalence", "outcome": "witness", "reason": "same vertex"}]
+    assert same.bound is None
+    assert quotient._equivalence_event(0, same) == {
+        "event": "equivalence", "class": 0, "outcome": "witness", "reason": "same vertex"
+    }
     for nb in base.neighbors():
         verdict = are_equivalent(emb, base, nb)
         assert isinstance(verdict, NoWitness)
@@ -440,11 +442,11 @@ def test_are_equivalent_same_type_vertices():
     deep = TreeVertex(fld, -2)
     verdict2 = are_equivalent(emb, base, deep)
     assert isinstance(verdict2, Witness)
-    log = []
-    are_equivalent(emb, base, TreeVertex(fld, -1), log=log)
-    assert log == [
-        {"event": "equivalence", "outcome": "no", "reason": "parity"}
-    ]
+    parity = are_equivalent(emb, base, TreeVertex(fld, -1))
+    assert isinstance(parity, NoWitness) and parity.bound is None
+    assert quotient._equivalence_event(2, parity) == {
+        "event": "equivalence", "class": 2, "outcome": "no", "reason": "parity"
+    }
 
 
 def test_build_quotient_segment_q3():
@@ -661,8 +663,8 @@ def test_bfs_looks_up_each_edge_once(q, text, monkeypatch):
         expanding.append(vertex)
         return neighbor_orbits(group, emb, vertex)
 
-    def counted(emb, v, w, log=None):
-        verdict = are_equivalent(emb, v, w, log)
+    def counted(emb, v, w):
+        verdict = are_equivalent(emb, v, w)
         tests.append((expanding[-1], w, bool(verdict)))
         return verdict
 
@@ -687,9 +689,9 @@ def test_bfs_looks_up_each_edge_once(q, text, monkeypatch):
 def test_bfs_rejects_two_reverse_edges_in_one_orbit(monkeypatch):
     # With the identity as every witness, class 0 records the base vertex
     # for class 1 once per lookup that finds it.
-    def identity_witness(emb, v, w, log=None):
-        verdict = are_equivalent(emb, v, w, log)
-        return Witness(emb.alg.one) if verdict else verdict
+    def identity_witness(emb, v, w):
+        verdict = are_equivalent(emb, v, w)
+        return Witness(emb.alg.one, verdict.bound) if verdict else verdict
 
     monkeypatch.setattr("btquot.quotient.are_equivalent", identity_witness)
     with pytest.raises(
@@ -702,9 +704,11 @@ def test_bfs_rejects_two_reverse_edges_in_one_orbit(monkeypatch):
 def test_bfs_rejects_reverse_edge_off_the_link(monkeypatch):
     # The identity carries nb's neighbour to a vertex at distance >= 2 from
     # w when d(nb, w) >= 3, so that record cannot lie on the link of w.
-    def identity_when_far(emb, v, w, log=None):
-        verdict = are_equivalent(emb, v, w, log)
-        return Witness(emb.alg.one) if verdict and distance(v, w) >= 3 else verdict
+    def identity_when_far(emb, v, w):
+        verdict = are_equivalent(emb, v, w)
+        if verdict and distance(v, w) >= 3:
+            return Witness(emb.alg.one, verdict.bound)
+        return verdict
 
     monkeypatch.setattr("btquot.quotient.are_equivalent", identity_when_far)
     alg = parse_algebra(field_from_q(3), "H(xi, T^4+2*T^2+T)")
@@ -918,13 +922,13 @@ def test_stabilizer_generator_matches_all_element_reference():
             assert reference_closure(alg, group.elements)
             orbits = group.neighbor_orbits(emb, vertex)
             assert orbits == reference_orbits(emb, group, vertex)
-            assert group.fixing_count(emb, vertex) == order
+            assert reference_fixing_count(emb, group, vertex) == order
             nbs = vertex.neighbors()
             for orbit in orbits:
+                got = group.fixing_count(orbit)
+                assert got * len(orbit) == order
                 for i in orbit:
-                    got = group.fixing_count(emb, nbs[i])
                     assert got == reference_fixing_count(emb, group, nbs[i])
-                    assert got * len(orbit) == order
 
 
 def product_powers(g, count):
@@ -1141,9 +1145,9 @@ def test_terminal_classes_make_one_lookup_per_fixed_vertex(monkeypatch):
     fixed = {midpoint(base, emb.act(u.elem, base)) for u in units}
     calls = []
 
-    def counting(emb, v, w, log=None):
+    def counting(emb, v, w):
         calls.append(v)
-        return are_equivalent(emb, v, w, log)
+        return are_equivalent(emb, v, w)
 
     monkeypatch.setattr(quotient, "are_equivalent", counting)
     terminal_classes(graph, units)
@@ -1151,7 +1155,7 @@ def test_terminal_classes_make_one_lookup_per_fixed_vertex(monkeypatch):
     assert set(calls) == fixed
 
 
-def _no_class(emb, v, w, log=None):
+def _no_class(emb, v, w):
     return NoWitness(None)
 
 

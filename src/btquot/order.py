@@ -274,10 +274,15 @@ def solve_torsion(order, bound):
     if fld.p == 2:
         if a != xi:
             raise Unsupported("even-q torsion search needs the H(xi, b) shape")
-        for z in polys_upto(fld, bound):
-            for w in polys_upto(fld, bound):
-                rhs = b * (z * z + z * w + xi * w * w)
-                for x in artin_schreier_solve(rhs):
+        # b*(z^2 + z*w + xi*w^2): b*z and b*z^2 once per z, b*xi*w^2 once
+        # per w, so each (z, w) pair costs one product
+        ws = list(polys_upto(fld, bound))
+        bxw2 = [b * xi * w * w for w in ws]
+        for z in ws:
+            bz = b * z
+            bz2 = bz * z
+            for w, bxww in zip(ws, bxw2):
+                for x in artin_schreier_solve(bz2 + bz * w + bxww):
                     out.append(alg.elem(x, Poly.one(fld), z, w))
     else:
         # y^2 = (xi - b*z^2)/a + b*w^2, and a divides a*b*w^2: one division
@@ -464,22 +469,85 @@ def conjugation_map(lam):
     inv = lam.conj().scale(fld.inv(lam.norm().coeff(0)))
     cols = [(lam * e * inv).coords for e in alg.basis()]
     rows = [
-        [(k, col[r]) for k, col in enumerate(cols) if not col[r].is_zero]
+        [(k, col[r].coeffs) for k, col in enumerate(cols) if not col[r].is_zero]
         for r in range(4)
     ]
-    zero = Poly.zero(fld)
+    mult, add = fld._mult, fld._addt
 
     def image(x):
-        xc = x.coords
+        # each coordinate sum(x_k * m_k) on coefficient codes, as Poly.__mul__
+        xc = [c.coeffs for c in x.coords]
         out = []
         for row in rows:
-            acc = zero
+            acc = [0] * max(len(xc[k]) + len(m) for k, m in row)
             for k, m in row:
-                acc = acc + xc[k] * m
-            out.append(acc)
+                for s, c in enumerate(xc[k]):
+                    if c:
+                        by_c = mult[c]
+                        for t, d in enumerate(m, s):
+                            if d:
+                                acc[t] = add[acc[t]][by_c[d]]
+            out.append(Poly._from_codes(fld, acc))
         return QuatElem(alg, *out)
 
     return image
+
+
+def conjugacy_key(order, unit):
+    """The (trace, norm, residue key) of a census unit: conjugation by a
+    unit of the order keeps all three."""
+    return (unit.trace.coeffs, unit.norm.coeffs, order.residue_key(unit.elem))
+
+
+def census_index(units):
+    """The position of each census unit, keyed by its coordinates."""
+    return {u.elem.coords: idx for idx, u in enumerate(units)}
+
+
+def constant_unit_orbits(order, units, index):
+    """For each census unit, the smallest index of its orbit under
+    conjugation by the constant units U0 = span_units(basis); index is
+    census_index(units).
+
+    Each lam of U0 modulo scalars (scalar multiples act alike) conjugates
+    every unit through its 4x4 matrix conjugation_map, and a unit is joined
+    with its image when the image is in the census.  The orbits are the
+    connected components of these joins, whether or not U0 is a group (it
+    is F_q[i]^x when a is a constant and deg b >= 1).  Each join is an
+    explicit conjugator in O^x, so a component lies in one conjugacy class.
+    An image with another conjugacy_key breaks an invariant and raises
+    InvariantViolation.
+    """
+    parent = list(range(len(units)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    # each distinct key as a small int, so a join compares two ints
+    key_ids = {}
+    keys = [key_ids.setdefault(conjugacy_key(order, u), len(key_ids)) for u in units]
+    alg = order.alg
+    # span_units yields each projective unit lam, then c*lam for c = 2..q-1
+    for lam in list(span_units(alg, alg.basis()))[:: alg.field.q - 1]:
+        if lam.is_scalar:
+            continue
+        image = conjugation_map(lam)
+        for i, u in enumerate(units):
+            j = index.get(image(u.elem).coords)
+            if j is None:
+                continue
+            if keys[j] != keys[i]:
+                raise InvariantViolation(
+                    "conjugating %s by %s gives %s, whose trace, norm or"
+                    " residue key differs" % (u.elem, lam, units[j].elem)
+                )
+            ri, rj = find(i), find(j)
+            if ri != rj:
+                parent[max(ri, rj)] = min(ri, rj)
+    return [find(i) for i in range(len(units))]
 
 
 def torsion_classes(order, units, expected=None):
@@ -503,17 +571,15 @@ def torsion_classes(order, units, expected=None):
     every pair of the bucket it has not yet joined, so it ends at the
     connected components of that relation, whether or not U0 is a group:
     each union is an edge, and each edge is either joined already or
-    tested and joined.  The orbit pass applies each lam of U0 modulo
-    scalars to every unit and joins the unit to its image when the image
-    is in the census: the same edges, so the same components.  An image
-    in another bucket breaks an invariant and raises InvariantViolation.
-    The union-find root is always the smallest index of its class, so
-    every later sweep sees the same roots and makes the same calls in the
-    same order as after a bound-0 sweep.
+    tested and joined.  constant_unit_orbits joins each unit to its images
+    under U0 in the census: the same edges, so the same components, and
+    the union-find starts from them.  Its root is always the smallest
+    index of its class, so every later sweep sees the same roots and
+    makes the same calls in the same order as after a bound-0 sweep.
     """
     cutoff = default_conj_bound(order)
     n = len(units)
-    parent = list(range(n))
+    parent = constant_unit_orbits(order, units, census_index(units))
 
     def find(i):
         while parent[i] != i:
@@ -526,30 +592,9 @@ def torsion_classes(order, units, expected=None):
         if ri != rj:
             parent[max(ri, rj)] = min(ri, rj)
 
-    keys = [
-        (u.trace.coeffs, u.norm.coeffs, order.residue_key(u.elem)) for u in units
-    ]
     buckets = {}
-    for idx, key in enumerate(keys):
-        buckets.setdefault(key, []).append(idx)
-
-    alg = order.alg
-    index = {u.elem.coords: idx for idx, u in enumerate(units)}
-    # span_units yields each projective unit lam, then c*lam for c = 2..q-1
-    for lam in list(span_units(alg, alg.basis()))[:: alg.field.q - 1]:
-        if lam.is_scalar:
-            continue
-        image = conjugation_map(lam)
-        for i, u in enumerate(units):
-            j = index.get(image(u.elem).coords)
-            if j is None:
-                continue
-            if keys[j] != keys[i]:
-                raise InvariantViolation(
-                    "conjugating %s by %s gives %s, whose trace, norm or"
-                    " residue key differs" % (u.elem, lam, units[j].elem)
-                )
-            union(i, j)
+    for idx, u in enumerate(units):
+        buckets.setdefault(conjugacy_key(order, u), []).append(idx)
 
     def sweep(bounds):
         for b in bounds:

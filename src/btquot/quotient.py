@@ -40,7 +40,12 @@ from .errors import (
     Unsupported,
 )
 from .gfpoly import Place, Poly, choose_xi, is_irreducible, polys_upto
-from .invariants import RamProfile, v1 as formula_v1, vq1 as formula_vq1
+from .invariants import (
+    RamProfile,
+    count_monic_irreducibles,
+    v1 as formula_v1,
+    vq1 as formula_vq1,
+)
 from .laurent import MIN_TERMS, LaurentSeries, dot_head, embed
 from .linalg import nullspace
 from .order import (
@@ -48,6 +53,8 @@ from .order import (
     StandardOrder,
     TorsionUnit,
     Witness,
+    census_index,
+    constant_unit_orbits,
     kernel_elements,
     power_cycle,
     span_units,
@@ -71,9 +78,13 @@ def find_quotient_algebra(field, degrees):
 
     find_algebra settles each place set with a proof, so running out of
     place sets proves that no algebra of the searched shape has these
-    degrees.  Before any place pool is built, the degrees are validated as
-    a RamProfile (positive, an even count), and for even q an even degree
-    is refused: such a place never ramifies in H(xi, b).
+    degrees.  Before any place is built, the degrees are validated as a
+    RamProfile (positive, an even count), for even q an even degree is
+    refused (such a place never ramifies in H(xi, b)), and each degree is
+    checked against its number of places, from Gauss's formula.  Place
+    sets are index combinations, and a place is built, through one
+    irreducibility test per monic polynomial before it, the first time a
+    combination reaches it.
     """
     RamProfile(field.q, degrees)
     if field.p == 2 and any(d % 2 == 0 for d in degrees):
@@ -83,27 +94,48 @@ def find_quotient_algebra(field, degrees):
     need = {}
     for d in degrees:
         need[d] = need.get(d, 0) + 1
-    pools = []
+    pools, index_sets = [], []
     for d in sorted(need):
-        # the monic polynomials of degree d in code order, which is place order
-        top = Poly.monomial(field, d)
-        monics = (top + f for f in polys_upto(field, d - 1))
-        pool = [Place(f) for f in monics if is_irreducible(f)]
-        if len(pool) < need[d]:
+        count = count_monic_irreducibles(field.q, d)
+        if count < need[d]:
             raise InvalidProfile(
-                "only %d places of degree %d exist over F_%d"
-                % (len(pool), d, field.q)
+                "only %d places of degree %d exist over F_%d" % (count, d, field.q)
             )
-        pools.append(combinations(pool, need[d]))
-    for combo in product(*pools):
+        pools.append(_PlacePool(field, d))
+        index_sets.append(combinations(range(count), need[d]))
+    for combo in product(*index_sets):
+        places = [pool[k] for pool, group in zip(pools, combo) for k in group]
         try:
-            return find_algebra(field, [pl for group in combo for pl in group])
+            return find_algebra(field, places)
         except SearchExhausted:
             continue
     raise SearchExhausted(
         "no algebra ramified at places of degrees %s has a maximal standard"
         " order" % sorted(degrees)
     )
+
+
+class _PlacePool:
+    """The places of one degree in place order (the code order of their
+    monic polynomials), each built the first time it is asked for."""
+
+    def __init__(self, field, d):
+        top = Poly.monomial(field, d)
+        self._monics = (top + f for f in polys_upto(field, d - 1))
+        self._places = []
+        self._degree = d
+
+    def __getitem__(self, k):
+        while len(self._places) <= k:
+            f = next(self._monics, None)
+            if f is None:
+                raise InvariantViolation(
+                    "fewer than %d monic irreducibles of degree %d exist"
+                    % (k + 1, self._degree)
+                )
+            if is_irreducible(f):
+                self._places.append(Place(f))
+        return self._places[k]
 
 
 class SplitEmbedding:
@@ -792,17 +824,26 @@ def terminal_classes(graph, units):
     elements of Stab(reps[j]) squaring to xi, and two units are conjugate
     exactly when they give the same j and the same root.  So each terminal
     vertex carries two classes, found from its stabilizer generator without
-    the census, and the census units are sorted into them: one action
-    and one lookup per distinct p(x), since -x acts on the tree as x does
-    (scalars act trivially) and so fixes the same vertex.  The residue key
-    (StandardOrder.residue_key) is a conjugacy invariant, so reps[j] has a
-    root with the key of x: the lookup tries those terminal vertices
-    first, then the rest in order, so a miss still tests every one.
+    the census, and the census units are sorted into them.
+
+    One lookup serves a pair of orbits.  order.constant_unit_orbits joins
+    x to y = lam x lam^-1 for lam a constant unit, an explicit conjugator
+    in O^x checked by exact coordinates, so a whole orbit lies in one
+    class: only its root (smallest index) is looked up, with one action to
+    o and one to p(x), and every member takes the root's (j, root).  Then
+    gamma (-x) gamma^-1 = -(gamma x gamma^-1) is the other root at the
+    same j, and the orbit of -x, the negatives of the orbit of x, takes it
+    with no lookup.  The residue key (StandardOrder.residue_key) is a
+    conjugacy invariant, so reps[j] has a root with the key of x: the
+    lookup tries those terminal vertices first, then the rest in order, so
+    a miss still tests every one.
 
     Returns the classes as sorted lists of units: the classes the census
     meets ordered by first member, then an empty list for each class it
-    misses.  A unit that fixes no vertex of a terminal class, or maps to no
-    root, raises InvariantViolation.
+    misses.  A looked-up unit that fixes no vertex of a terminal class, or
+    maps to no root, raises InvariantViolation, as do a constant-unit
+    conjugate with another trace, norm or residue key and a unit that a
+    constant unit conjugates to its negative.
     """
     return _precision_checked(graph.embedding, _sort_census, graph, units)
 
@@ -816,32 +857,39 @@ def _sort_census(graph, units):
     roots = [_square_roots(v, xi) for v in terminal]
     order = StandardOrder(alg)
     root_keys = [{order.residue_key(r) for r in rs} for rs in roots]
-    members = [[[], []] for _ in terminal]
     base = TreeVertex.base(fld)
-    found = {}  # fixed vertex -> (terminal index, unit carrying it there)
-    fixed_of = {}  # census element -> the vertex it fixes
-    for unit in units:
+    index = census_index(units)
+    orbit = constant_unit_orbits(order, units, index)
+    label = {}  # orbit root -> (terminal position, root position)
+    for i, unit in enumerate(units):
+        if orbit[i] in label:
+            continue
         x = unit.elem
-        # -x acts as x does (scalars act trivially): one action per pair
-        fixed = fixed_of.get(-x)
-        if fixed is None:
-            fixed = _fixed_vertex(emb, x, base)
-        fixed_of[x] = fixed
-        hit = found.get(fixed)
-        if hit is None:
-            key = order.residue_key(x)
-            tries = sorted(
-                range(len(terminal)), key=lambda t: key not in root_keys[t]
-            )
-            hit = found[fixed] = _terminal_class(emb, fixed, terminal, tries)
-        t, gamma = hit
+        fixed = _fixed_vertex(emb, x, base)
+        key = order.residue_key(x)
+        tries = sorted(range(len(terminal)), key=lambda t: key not in root_keys[t])
+        t, gamma = _terminal_class(emb, fixed, terminal, tries)
         conj = (gamma * x * gamma.conj()).scale(fld.inv(gamma.norm().coeff(0)))
         if conj not in roots[t]:
             raise InvariantViolation(
                 "census unit %s is conjugate to %s, not a root of xi in the"
                 " stabilizer of class %d" % (x, conj, terminal[t].index)
             )
-        members[t][roots[t].index(conj)].append(unit)
+        r = roots[t].index(conj)
+        label[i] = (t, r)
+        j = index.get((-x).coords)
+        if j is not None:
+            if orbit[j] == i:
+                raise InvariantViolation(
+                    "census unit %s is conjugate to its negative by a constant"
+                    " unit" % (x,)
+                )
+            # roots[t] is [root, -root]: -conj is the other one
+            label[orbit[j]] = (t, 1 - r)
+    members = [[[], []] for _ in terminal]
+    for i, unit in enumerate(units):
+        t, r = label[orbit[i]]
+        members[t][r].append(unit)
     classes = [sorted(m, key=TorsionUnit.sort_key) for pair in members for m in pair]
     met = sorted((c for c in classes if c), key=lambda c: c[0].sort_key())
     return met + [c for c in classes if not c]

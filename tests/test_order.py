@@ -26,6 +26,9 @@ from btquot.order import (
     _projective_vectors,
     artin_schreier_solve,
     conj_search,
+    census_index,
+    conjugation_map,
+    constant_unit_orbits,
     default_conj_bound,
     power_cycle,
     poly_sqrt,
@@ -321,6 +324,31 @@ def test_solve_torsion_matches_per_pair_division_census(q, text, bound):
     got = [u.elem for u in solve_torsion(om, bound)]
     assert got
     assert got == per_pair_division_census(om, bound)
+
+
+def per_pair_product_census(order, bound):
+    """The even-q census with the right-hand side b*(z^2 + z*w + xi*w^2)
+    formed from scratch for each pair (z, w)."""
+    alg = order.alg
+    fld = alg.field
+    xi = Poly.const(fld, choose_xi(fld))
+    out = []
+    for z in polys_upto(fld, bound):
+        for w in polys_upto(fld, bound):
+            for x in artin_schreier_solve(alg.b * (z * z + z * w + xi * w * w)):
+                out.append(alg.elem(x, Poly.one(fld), z, w))
+    return sorted(out, key=lambda el: [c.sort_key() for c in reversed(el.coords)])
+
+
+@pytest.mark.parametrize(
+    "q, text, bound",
+    [(2, "H(xi, T^2+T)", 3), (4, "H(xi, T*(T+1))", 1), (8, "H(xi, T*(T+1))", 0)],
+)
+def test_even_census_matches_per_pair_products(q, text, bound):
+    om = StandardOrder(parse_algebra(field_from_q(q), text))
+    got = [u.elem for u in solve_torsion(om, bound)]
+    assert got
+    assert got == per_pair_product_census(om, bound)
 
 
 def test_solve_torsion_q2():
@@ -628,6 +656,29 @@ def test_orbit_pass_matches_pairwise_bound_zero_searches(
     got = {frozenset(u.elem for u in cl) for cl in torsion_classes(om, units)}
     assert got == want
     assert (len(got) < len(units)) == (u0 > q - 1)
+    # the orbit helper gives each unit the smallest index of its component,
+    # whether U0 modulo scalars is a group or not
+    where = {u.elem: i for i, u in enumerate(units)}
+    low = {e: min(where[f] for f in comp) for comp in want for e in comp}
+    orbits = constant_unit_orbits(om, units, census_index(units))
+    assert orbits == [low[u.elem] for u in units]
+
+
+def test_constant_unit_orbits_follow_paths_when_u0_is_no_group():
+    # U0 = F_5[n]^x u F_5[n']^x is no group.  The chain x -> y -> z -> w of
+    # conjugations by lam, mu and nu in U0 sorts as x, y, w, z, and mapping
+    # only the first unit of each orbit would join x with y and w with z
+    # but never y with z: every unit must be mapped
+    alg = parse_algebra(field_from_q(5), "H(T^2+3*T, T^2+3*T+2)")
+    om = StandardOrder(alg)
+    lam, mu, nu = alg.elem(1, 3, 1), alg.elem(1, 2, 1), alg.elem(0, 1, 2)
+    x = alg.elem(0, 2, 1)
+    y = conjugation_map(lam)(x)
+    z = conjugation_map(mu)(y)
+    w = conjugation_map(nu)(z)
+    units = sorted(map(TorsionUnit, (x, y, z, w)), key=TorsionUnit.sort_key)
+    assert [u.elem for u in units] == [x, y, w, z]
+    assert constant_unit_orbits(om, units, census_index(units)) == [0, 0, 0, 0]
 
 
 def test_orbit_pass_rejects_an_image_in_another_bucket(monkeypatch):

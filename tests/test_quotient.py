@@ -18,8 +18,16 @@ from btquot.errors import (
     StabilizerAnomalousOrder,
     Unsupported,
 )
-from btquot.gfpoly import Poly, choose_xi, field_from_q, make_field, parse_poly
+from btquot.gfpoly import (
+    Poly,
+    choose_xi,
+    field_from_q,
+    is_irreducible,
+    make_field,
+    parse_poly,
+)
 from btquot.invariants import (
+    count_monic_irreducibles,
     critical_group,
     cross_check,
     graph_h1,
@@ -32,7 +40,10 @@ from btquot.linalg import nullspace
 from btquot.order import (
     NoWitness,
     StandardOrder,
+    TorsionUnit,
     Witness,
+    census_index,
+    constant_unit_orbits,
     power_cycle,
     solve_torsion,
     torsion_classes,
@@ -1134,15 +1145,72 @@ def test_terminal_classes_list_missed_classes_empty():
     assert [c[0] for c in got[:2]] == units
 
 
-def test_terminal_classes_make_one_lookup_per_fixed_vertex(monkeypatch):
-    # the residue key puts the right terminal vertex first; tried in plain
-    # terminal order, the same census took 93 lookups
+def per_unit_terminal_classes(graph, units):
+    """The census sorted one unit at a time: a fixed vertex per unit (shared
+    by x and -x), a lookup per fixed vertex and a conjugate per unit."""
+    emb = graph.embedding
+    alg = graph.algebra
+    fld = alg.field
+    xi = choose_xi(fld)
+    terminal = [v for v in graph.vertices if v.stabilizer_order == fld.q**2 - 1]
+    roots = [quotient._square_roots(v, xi) for v in terminal]
+    order = StandardOrder(alg)
+    root_keys = [{order.residue_key(r) for r in rs} for rs in roots]
+    members = [[[], []] for _ in terminal]
+    base = TreeVertex.base(fld)
+    found = {}
+    fixed_of = {}
+    for unit in units:
+        x = unit.elem
+        fixed = fixed_of.get(-x)
+        if fixed is None:
+            fixed = quotient._fixed_vertex(emb, x, base)
+        fixed_of[x] = fixed
+        hit = found.get(fixed)
+        if hit is None:
+            key = order.residue_key(x)
+            tries = sorted(range(len(terminal)), key=lambda t: key not in root_keys[t])
+            hit = found[fixed] = quotient._terminal_class(emb, fixed, terminal, tries)
+        t, gamma = hit
+        conj = (gamma * x * gamma.conj()).scale(fld.inv(gamma.norm().coeff(0)))
+        members[t][roots[t].index(conj)].append(unit)
+    classes = [sorted(m, key=TorsionUnit.sort_key) for pair in members for m in pair]
+    met = sorted((c for c in classes if c), key=lambda c: c[0].sort_key())
+    return met + [c for c in classes if not c]
+
+
+@pytest.mark.parametrize(
+    "q, text, bound",
+    CENSUS_ORACLE_CASES
+    + [
+        (5, "H(xi, T*(T-1))", 2),
+        # the algebra of --R-degrees 1,1,1,1: a is not constant, and U0
+        # modulo scalars is not a group
+        (5, "H(T^2+3*T, T^2+3*T+2)", 1),
+    ],
+)
+def test_terminal_classes_match_per_unit_lookups(q, text, bound):
+    alg = parse_algebra(field_from_q(q), text)
+    units = solve_torsion(StandardOrder(alg), bound)
+    graph = build_quotient(alg)
+    assert terminal_classes(graph, units) == per_unit_terminal_classes(graph, units)
+
+
+def test_terminal_classes_make_one_lookup_per_orbit_pair(monkeypatch):
+    # one lookup per pair of constant-unit orbits {O, -O}, at the fixed
+    # vertex of the first unit of the pair in census order
     alg = parse_algebra(field_from_q(3), "H(xi, T*(T-1))")
-    units = solve_torsion(StandardOrder(alg), 2)
+    order = StandardOrder(alg)
+    units = solve_torsion(order, 2)
     graph = build_quotient(alg)
     emb = graph.embedding
     base = TreeVertex.base(alg.field)
-    fixed = {midpoint(base, emb.act(u.elem, base)) for u in units}
+    where = census_index(units)
+    orbit = constant_unit_orbits(order, units, where)
+    pairs = {}
+    for i, u in enumerate(units):
+        pairs.setdefault(frozenset((orbit[i], orbit[where[(-u.elem).coords]])), i)
+    fixed = [midpoint(base, emb.act(units[i].elem, base)) for i in sorted(pairs.values())]
     calls = []
 
     def counting(emb, v, w):
@@ -1151,8 +1219,29 @@ def test_terminal_classes_make_one_lookup_per_fixed_vertex(monkeypatch):
 
     monkeypatch.setattr(quotient, "are_equivalent", counting)
     terminal_classes(graph, units)
-    assert len(calls) == len(fixed) == 53
-    assert set(calls) == fixed
+    assert len(calls) == len(pairs) == 14
+    assert calls == fixed
+
+
+def test_terminal_classes_check_constant_unit_conjugates(monkeypatch, capsys):
+    # x -> -x keeps trace and norm but not the residue key of a unit with
+    # y not divisible by a place of b: an orbit joined through it is refused
+    monkeypatch.setattr("btquot.order.conjugation_map", lambda lam: lambda x: -x)
+    code = main(["torsion", "--q", "3", "--r", "T*(T-1)", "--bound", "1"])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert "invariant violated" in err and "residue key differs" in err
+
+
+def test_terminal_classes_refuse_a_unit_joined_with_its_negative(monkeypatch, capsys):
+    # with x -> -x let through the key check, x and -x share an orbit: they
+    # would need both roots of one terminal vertex at once
+    monkeypatch.setattr("btquot.order.conjugation_map", lambda lam: lambda x: -x)
+    monkeypatch.setattr("btquot.order.conjugacy_key", lambda order, unit: None)
+    code = main(["torsion", "--q", "3", "--r", "T*(T-1)", "--bound", "1"])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert "invariant violated" in err and "conjugate to its negative" in err
 
 
 def _no_class(emb, v, w):
@@ -1177,6 +1266,54 @@ def test_terminal_class_lookup_miss_exits_4(name, patch, message, monkeypatch, c
     err = capsys.readouterr().err
     assert code == 4
     assert "invariant violated" in err and message in err
+
+
+def test_place_pools_hold_gauss_count_of_places():
+    # Gauss's count (1/d) * sum mu(d/e) q^e against the monic irreducibles
+    # the lazy pool enumerates, in code order, for q <= 9 and d <= 4
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        fld = field_from_q(q)
+        for d in range(1, 5):
+            count = count_monic_irreducibles(q, d)
+            pool = quotient._PlacePool(fld, d)
+            places = [pool[k] for k in range(count)]
+            assert all(pl.degree == d for pl in places)
+            codes = [pl.poly.sort_key() for pl in places]
+            assert codes == sorted(set(codes))
+            with pytest.raises(InvariantViolation, match="fewer than"):
+                pool[count]
+
+
+def test_find_quotient_algebra_builds_places_lazily(monkeypatch):
+    # each place is built the first time a place set reaches it: the
+    # search tests the monic polynomials up to the last place it reached,
+    # not both full pools (9 + 81 polynomials)
+    tested = []
+
+    def recording(f):
+        tested.append(f)
+        return is_irreducible(f)
+
+    monkeypatch.setattr(quotient, "is_irreducible", recording)
+    alg = find_quotient_algebra(field_from_q(3), [2, 4])
+    assert str(alg) == "H(T^2+1, T^4+T^2+T+1)"
+    assert [f.deg for f in tested] == [2] * 2 + [4] * 14
+    assert [str(pl.poly) for pl in ramified_set(alg)] == ["T^2+1", "T^4+T^2+T+1"]
+
+
+def test_too_few_places_refused_before_any_place_is_built(monkeypatch, capsys):
+    def no_pools(f):
+        raise AssertionError("a place pool was scanned")
+
+    monkeypatch.setattr(quotient, "is_irreducible", no_pools)
+    for q, degrees, message in (
+        ("2", "1,1,1,1", "only 2 places of degree 1 exist over F_2"),
+        ("3", "1,1,2,2,2,2", "only 3 places of degree 2 exist over F_3"),
+    ):
+        code = main(["ramification", "--q", q, "--R-degrees", degrees])
+        out, err = capsys.readouterr()
+        assert (code, out) == (3, "")
+        assert err == "unsupported: %s\n" % message
 
 
 def test_sweep_profiles_build_and_cross_check():

@@ -237,6 +237,14 @@ def distance(v, w):
     return v.n + w.n - 2 * _meet_level(v, w)
 
 
+def base_distance(v):
+    """distance(TreeVertex.base(field), v) with no series arithmetic: the
+    base vertex has level 0 and shift 0, so the meet level is
+    min(n, 0, ord x), with ord x left out when x = 0."""
+    meet = min(v.n, 0, v.x.val) if v.x.coeffs else min(v.n, 0)
+    return v.n - 2 * meet
+
+
 def midpoint(v, w):
     """The vertex halfway along the path from v to w, computed exactly.
 

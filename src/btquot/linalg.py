@@ -62,3 +62,27 @@ def nullspace(rows, width, fld):
                 v[pc] = fld.neg(red[i][fc])
         basis.append(v)
     return basis
+
+
+def restrict(row, basis, fld):
+    """The values of the linear form `row` on each vector of basis."""
+    add, mult = fld._addt, fld._mult
+    out = []
+    for vec in basis:
+        acc = 0
+        for x, y in zip(row, vec):
+            if x and y:
+                acc = add[acc][mult[x][y]]
+        out.append(acc)
+    return out
+
+
+def combine(coeffs, basis, fld):
+    """The vector sum of coeffs[j] * basis[j] over a nonempty basis."""
+    add, mult = fld._addt, fld._mult
+    out = [0] * len(basis[0])
+    for c, vec in zip(coeffs, basis):
+        if c:
+            scale = mult[c]
+            out = [add[x][scale[y]] for x, y in zip(out, vec)]
+    return out

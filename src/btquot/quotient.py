@@ -29,7 +29,15 @@ from __future__ import annotations
 
 from itertools import combinations, product
 
-from .bttree import Mat2K, TreeVertex, act, canonical_form, distance, midpoint
+from .bttree import (
+    Mat2K,
+    TreeVertex,
+    act,
+    base_distance,
+    canonical_form,
+    distance,
+    midpoint,
+)
 from .errors import (
     InvalidProfile,
     InvariantViolation,
@@ -47,7 +55,7 @@ from .invariants import (
     vq1 as formula_vq1,
 )
 from .laurent import MIN_TERMS, LaurentSeries, dot_head, embed
-from .linalg import nullspace
+from .linalg import combine, nullspace, restrict
 from .order import (
     NoWitness,
     StandardOrder,
@@ -147,7 +155,8 @@ class SplitEmbedding:
     is asked for at an explicit number of terms of s, and series_terms
     derives the number one search or action needs.  The images, and the
     left images V^{-1} * image of each class representative asked for, are
-    cached per precision.
+    cached per precision; the common systems of hom_units are kept for the
+    last parent vertex searched.
     """
 
     def __init__(self, alg):
@@ -161,6 +170,9 @@ class SplitEmbedding:
         self._b_series = embed(alg.b)
         self._cache = {}
         self._left = {}
+        # the sibling systems of one parent vertex, keyed by (w, B, terms)
+        self._parent = None
+        self._systems = {}
         # (terms, bound) of the last precision derived, for error messages
         self.request = None
         self._images(MIN_TERMS)  # validates that sqrt(b) exists, else NotASquare
@@ -204,6 +216,19 @@ class SplitEmbedding:
         if got is None:
             vinv = w.matrix().inverse()
             got = self._left[key] = tuple(vinv * img for img in self.images(terms))
+        return got
+
+    def sibling_system(self, parent, w, bound, terms):
+        """_sibling_system(self, parent, w, bound, terms), memoised for one
+        parent at a time: the BFS asks for all the children of a class
+        before it moves on, so the memo stays as small as the class list."""
+        if parent != self._parent:
+            self._parent = parent
+            self._systems = {}
+        key = (w, bound, terms)
+        got = self._systems.get(key)
+        if got is None:
+            got = self._systems[key] = _sibling_system(self, parent, w, bound, terms)
         return got
 
     def matrix(self, el, terms):
@@ -283,8 +308,7 @@ def series_terms(alg, bound, vertices):
     Every condition bounds P from below, and the results (units, vertices)
     are exact, so any larger precision gives the same results.
     """
-    base = TreeVertex.base(alg.field)
-    reach = max(distance(base, x) + abs(x.n) for x in vertices)
+    reach = max(base_distance(x) + abs(x.n) for x in vertices)
     return 2 * (alg.a.deg + alg.b.deg // 2 + bound) + reach + MIN_TERMS
 
 
@@ -306,8 +330,7 @@ def completeness_bound(v, w):
     deg P <= (d(o,v) + d(o,w))/2, and the floor of that is complete with
     no margin on top.
     """
-    base = TreeVertex.base(v.field)
-    return (distance(base, v) + distance(base, w)) // 2
+    return (base_distance(v) + base_distance(w)) // 2
 
 
 def hom_units(emb, v, w, B):
@@ -322,75 +345,42 @@ def hom_units(emb, v, w, B):
     degrees k <= B.  "pi^{-m} V^{-1} iota(lambda) U is integral" is then a
     linear system for the c over the constant field: one column per
     (image, k), images outermost as order.kernel_elements reads them, and
-    one row per (entry, t) saying that the coefficient of u^t, t < 0,
-    vanishes in that matrix entry.  Its cell is the coefficient of
-    u^(t+k+m) in the entry of the core (V^{-1} iota(image)) U, so the rows
-    read only the exponents in
-    [lo+m, B+m) of each core entry.  The series carry the precision
-    series_terms derives from v, w and B.  The left factors
-    V^{-1} iota(image) come from the embedding's memo, since w is one of a
-    few class representatives, and each core entry is a sum of two
-    products that dot_head evaluates below u^(B+m) only.  t runs up from
-    the lowest valuation any column reaches, and rows that are entirely
-    zero are dropped.  The norm filter on the kernel's span is
-    order.span_units, the one conj_search uses too.  A unit it yields
-    meets the lattice condition by construction; callers check what they
-    use (the stabilizer its generator, are_equivalent its witness).
+    one row (pos, t) per entry pos = 0..3 of the 2x2 matrix (row major)
+    and t < 0, saying that the coefficient of u^t vanishes there.  Its
+    cell is the coefficient of u^(t+k+m) in entry pos of the core
+    (V^{-1} iota(image)) U.
+
+    Siblings share almost all of that system.  v = (n, x) is child c of
+    p = v.parent(), c the digit of x at u^(n-1), so U = U_0 [[1, c/u],
+    [0, 1]] with U_0 = [[u^n, x_p], [0, 1]] the matrix of child 0.  The
+    right factor adds c/u times column 0 to column 1, so row (1, t) of v
+    is row_0(1, t) + c*row(0, t+1) and row (3, t) is
+    row_0(3, t) + c*row(2, t+1), while rows (0, t) and (2, t) do not
+    depend on c.  For t <= -2 the added row is itself a constraint, so v's
+    rows span the same space as the common system S of _sibling_system
+    (child 0's rows without (1, -1) and (3, -1)) plus f1 + c*f0 and
+    g1 + c*g0, where f1, g1 are rows (1, -1), (3, -1) of child 0 and f0,
+    g0 are rows (0, 0), (2, 0).  So the kernel of v's system is the kernel
+    of the 2 x dim(ker S) system those two rows give on a basis of ker S:
+    the same space, and the units of a space do not depend on its basis.
+    ker S is computed once per (p, w, B, terms) and memoised by the
+    embedding (SplitEmbedding.sibling_system).
+
+    The series carry the precision series_terms derives from v, w and B.
+    The norm filter on the kernel's span is order.span_units, the one
+    conj_search uses too, and the units are returned sorted.  A unit it
+    yields meets the lattice condition by construction; callers check what
+    they use (the stabilizer its generator, are_equivalent its witness).
     """
     alg = emb.alg
     fld = alg.field
-    if B < 0:
+    if B < 0 or (v.n - w.n) % 2:
         return []
-    diff = v.n - w.n
-    if diff % 2:
-        return []
-    m = diff // 2
-    end = B + m
-    ua, ub, uc, ud = v.matrix().entries()
-    cores = []
-    for left in emb.left_images(w, emb.terms(B, (v, w))):
-        la, lb, lc, ld = left.entries()
-        cores.append(
-            (
-                dot_head(la, ua, lb, uc, end),
-                dot_head(la, ub, lb, ud, end),
-                dot_head(lc, ua, ld, uc, end),
-                dot_head(lc, ub, ld, ud, end),
-            )
-        )
-    short = [prec for entries in cores for _, prec, _ in entries if prec < end]
-    if short:
-        raise PrecisionLoss(
-            "lattice constraint entry known only to O(u^%d); the rows read"
-            " below u^%d" % (min(short), end)
-        )
-    width = B + 1
-    lo = min(
-        [0]
-        + [val - end for entries in cores for val, _, _ in entries if val is not None]
-    )
-    # Exponents t+k+m for t in [lo, 0) and k in [0, B] span [lo+m, B+m).
-    # Each window holds one entry's coefficients there: every nonzero
-    # entry starts at or above lo+m, and the precision check above keeps
-    # the window below its precision.
-    span = B - lo
-    rows = []
-    for pos in range(4):
-        windows = []
-        for entries in cores:
-            val, _, head = entries[pos]
-            w = [0] * span
-            if head:
-                off = val - lo - m
-                w[off : off + len(head)] = head
-            windows.append(w)
-        for start in range(-lo):
-            row = []
-            for w in windows:
-                row.extend(w[start : start + width])
-            if any(row):
-                rows.append(row)
-    kernel = nullspace(rows, 4 * width, fld)
+    terms = emb.terms(B, (v, w))
+    basis, (f0, f1, g0, g1) = emb.sibling_system(v.parent(), w, B, terms)
+    c = (1, v.x.coeff(v.n - 1))
+    rows = [combine(c, (f1, f0), fld), combine(c, (g1, g0), fld)]
+    kernel = [combine(y, basis, fld) for y in nullspace(rows, len(basis), fld)]
     if kernel and fld.q ** len(kernel) > 500000:
         raise NonterminationGuard(
             "unit candidate space has dimension %d; refusing to enumerate"
@@ -400,6 +390,82 @@ def hom_units(emb, v, w, B):
         span_units(alg, kernel_elements(alg, kernel, B)),
         key=lambda g: tuple(c.sort_key() for c in g.coords),
     )
+
+
+def _sibling_system(emb, parent, w, B, terms):
+    """(basis of ker S, (f0, f1, g0, g1) on that basis) for the children of
+    parent searched against w at bound B and `terms` terms of sqrt(b); see
+    hom_units for S and the four rows.
+
+    The rows are built from child 0, whose matrix is
+    [[u^n, x_p], [0, 1]].  The left factors V^{-1} iota(image) come from
+    the embedding's memo, since w is one of a few class representatives,
+    and each core entry is a sum of two products that dot_head evaluates
+    below u^(B+m) only, entries 0 and 2 below u^(B+m+1): f0 and g0 read
+    the one more digit u^(B+m).  series_terms covers it, since every entry
+    is known to O(u^pi) with pi >= B + m + MIN_TERMS.  t runs up from the
+    lowest valuation any column reaches, and rows that are entirely zero
+    are dropped from S.
+    """
+    fld = emb.alg.field
+    n = parent.n + 1
+    m = (n - w.n) // 2
+    end = B + m
+    reach = (end + 1, end, end + 1, end)
+    ua, ub, uc, ud = TreeVertex(fld, n, parent.x).matrix().entries()
+    cores = []
+    for left in emb.left_images(w, terms):
+        la, lb, lc, ld = left.entries()
+        cores.append(
+            (
+                dot_head(la, ua, lb, uc, reach[0]),
+                dot_head(la, ub, lb, ud, reach[1]),
+                dot_head(lc, ua, ld, uc, reach[2]),
+                dot_head(lc, ub, ld, ud, reach[3]),
+            )
+        )
+    short = [
+        (prec, reach[pos])
+        for entries in cores
+        for pos, (_, prec, _) in enumerate(entries)
+        if prec < reach[pos]
+    ]
+    if short:
+        raise PrecisionLoss(
+            "lattice constraint entry known only to O(u^%d); the rows read"
+            " below u^%d" % min(short)
+        )
+    width = B + 1
+    lo = min(
+        [-1]
+        + [val - end for entries in cores for val, _, _ in entries if val is not None]
+    )
+    # Window index i holds the coefficient of u^(lo+m+i), i <= B - lo:
+    # every nonzero entry starts at or above lo+m, and the precision check
+    # above keeps each window below its precision.  Row (pos, t) is the
+    # slice at t - lo of each window; its last row is f0, f1, g0 or g1.
+    span = B - lo + 1
+    system, extra = [], []
+    for pos in range(4):
+        windows = []
+        for entries in cores:
+            val, _, head = entries[pos]
+            win = [0] * span
+            if head:
+                off = val - lo - m
+                win[off : off + len(head)] = head
+            windows.append(win)
+        last = reach[pos] - end - lo - 1
+        for start in range(last + 1):
+            row = []
+            for win in windows:
+                row.extend(win[start : start + width])
+            if start == last:
+                extra.append(row)
+            elif any(row):
+                system.append(row)
+    basis = nullspace(system, 4 * width, fld)
+    return basis, [restrict(row, basis, fld) for row in extra]
 
 
 class StabilizerGroup:
@@ -413,6 +479,15 @@ class StabilizerGroup:
     each, and they are the element set, which proves the set is a group; the
     neighbour orbits are the cycles of g on the link; and the elements
     fixing a vertex form the subgroup of order n / (its cycle length).
+
+    A group of order q - 1 from hom_units is the centre F_q^x: the q - 1
+    nonzero constants are units of degree 0 that fix every vertex, so
+    hom_units always finds them, and they are all q - 1 elements.  Its
+    generator is then a scalar, and a scalar fixes every vertex of the
+    tree, since it maps each lattice to a homothetic one (Serre, *Trees*,
+    ch. II §1).  So a scalar generator acts trivially: neighbor_orbits
+    returns the q + 1 singletons and stabilizer checks no fixed vertex,
+    with no action.  At order q^2 - 1 the generator is never a scalar.
     """
 
     def __init__(self, alg, elements):
@@ -457,10 +532,14 @@ class StabilizerGroup:
         """Partition the q+1 tree neighbors into orbits of this group.
 
         The orbits are the cycles of the generator, each listed in
-        ascending index order.  For the large stabilizer they must form a
-        single (q+1)-cycle; anything else is an anomaly worth aborting on.
+        ascending index order; a scalar generator fixes every neighbour, so
+        its orbits are the singletons.  For the large stabilizer they must
+        form a single (q+1)-cycle; anything else is an anomaly worth
+        aborting on.
         """
         q = self.alg.field.q
+        if self.generator.is_scalar:
+            return [[i] for i in range(q + 1)]
         nbs = vertex.neighbors()
         index = {nb: i for i, nb in enumerate(nbs)}
         mat = self.image(emb, nbs)
@@ -506,9 +585,12 @@ class StabilizerGroup:
 
 def stabilizer(emb, vertex):
     """The units fixing vertex.  Every element is a power of the group's
-    generator, so checking that the generator fixes vertex checks all."""
+    generator, so checking that the generator fixes vertex checks all; a
+    scalar generator fixes every vertex and needs no check."""
     found = hom_units(emb, vertex, vertex, completeness_bound(vertex, vertex))
     group = StabilizerGroup(emb.alg, found)
+    if group.generator.is_scalar:
+        return group
     if canonical_form(group.image(emb, [vertex]) * vertex.matrix()) != vertex:
         raise InvariantViolation("stabilizer generator does not fix the vertex")
     return group

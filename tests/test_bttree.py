@@ -3,7 +3,15 @@ import random
 
 import pytest
 
-from btquot.bttree import Mat2K, TreeVertex, act, canonical_form, distance, midpoint
+from btquot.bttree import (
+    Mat2K,
+    TreeVertex,
+    act,
+    base_distance,
+    canonical_form,
+    distance,
+    midpoint,
+)
 from btquot.errors import PrecisionLoss
 from btquot.gfpoly import Poly, make_field
 from btquot.laurent import MIN_TERMS, LaurentSeries, embed
@@ -132,6 +140,18 @@ def test_distance_matches_bfs_exhaustively():
     for v, r in d.items():
         assert distance(base, v) == r
         assert distance(v, base) == r
+
+
+def test_base_distance_matches_distance_in_a_ball():
+    # every vertex within 4 steps of the base, levels -4..4, for q = 3 and 5
+    for q, size in ((3, 161), (5, 937)):
+        fld = make_field(q)
+        base = TreeVertex.base(fld)
+        d = ball(base, 4)
+        assert len(d) == size
+        assert {v.n for v in d} == set(range(-4, 5))
+        for v, r in d.items():
+            assert base_distance(v) == distance(base, v) == r
 
 
 def test_distance_symmetry_and_triangle():

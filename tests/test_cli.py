@@ -209,6 +209,20 @@ PINNED_ARTIFACTS = {
         ".log.jsonl": "ae1b1389a272c9018e3943133295bcbe0065d4f451ac018295cb70a798054fbd",
         ".report.json": "dcf06b4a775a3ccdba3eed72d1ebe8d658bd4883f8a3ffeab394f383cff9411b",
     },
+    # V=32, the slowest many-classes benchmark case
+    ("--a", "T^2+T+2", "--b", "T^4+T^3+T^2+T"): {
+        ".graph.json": "d5e84f2d29205fb876c98af5f285ee2f8fea3ccb06332bb68f4c2412e06da4cf",
+        ".dot": "dbb107695529388f6c8045b2899c84e60f46a23738be9de053d56d5c4bb2228c",
+        ".log.jsonl": "733cb7d9d261a94298eeb10defc5f371624bf49c252aefae1e838d7a7a4dda2f",
+        ".report.json": "00007a432a3c66dea3e0bc9463367103172211fc68b3162cf0182eb0a7d451bf",
+    },
+    # V=80
+    ("--R-degrees", "2,4"): {
+        ".graph.json": "7d7ebae89e2a72dc90634e0b129092f76fb99d9649dae432885df85116b6cfba",
+        ".dot": "0b83d3573a11a6977bf94020dfbbd0ce1248626aa76615a2f4cd2dc3e596eb6c",
+        ".log.jsonl": "cfcd242b0ced6c84874c0520aa5dd613579a6464f8c85843e6ac210b71cf4fe5",
+        ".report.json": "f90ee7730104817e0847fbad8596bb4e08064228c316ec209d1fc64e8ba74cea",
+    },
 }
 
 

@@ -355,12 +355,16 @@ def rand_vertex(rng, fld, depth):
 
 def test_hom_units_matches_per_degree_reference():
     # The reference runs at twice the derived precision; units are exact,
-    # so both must return the same list.
+    # so both must return the same list.  Sibling families go through one
+    # embedding, which shares one constraint system among the children of
+    # a parent: all q children of each parent are searched against one w,
+    # at the complete bound and one below and above it, so that siblings
+    # meet the same (parent, w, terms) at different bounds.
     seen = set()
-    for alg, pairs, depth, seed in (
-        (segment_algebra(), 14, 3, 61),
-        (banana_algebra(), 10, 3, 67),
-        (segment_algebra(5), 5, 2, 71),
+    for alg, pairs, depth, families, seed in (
+        (segment_algebra(), 14, 3, 3, 61),
+        (banana_algebra(), 10, 3, 3, 67),
+        (segment_algebra(5), 5, 2, 1, 71),
     ):
         fld = alg.field
         rng = random.Random(seed)
@@ -391,7 +395,22 @@ def test_hom_units_matches_per_degree_reference():
                 else "zero m"
             )
             seen.add("found" if got else "empty")
-    assert seen >= {"stabilizer", "odd", "nonzero m", "zero m", "found", "empty"}
+        parents = [(TreeVertex(fld, -1), base), (TreeVertex(fld, -3), base)]
+        while len(parents) < 2 + families:
+            parents.append((rand_vertex(rng, fld, depth), rand_vertex(rng, fld, depth)))
+        for parent, w in parents:
+            children = parent.children()
+            bounds = [completeness_bound(v, w) for v in children]
+            for shift in (-1, 0, 1):
+                for v, bound in zip(children, bounds):
+                    got = hom_units(emb, v, w, bound + shift)
+                    terms = 2 * series_terms(alg, bound + shift, (v, w))
+                    assert got == reference_hom_units(emb, v, w, bound + shift, terms)
+                    seen.add("sibling found" if got else "sibling empty")
+    assert seen >= {
+        "stabilizer", "odd", "nonzero m", "zero m", "found", "empty",
+        "sibling found", "sibling empty",
+    }
 
 
 def test_hom_units_left_image_memo():
@@ -552,28 +571,45 @@ def test_completeness_bound_needs_no_slack(q, text, monkeypatch):
 
 
 def test_build_quotient_work_is_pinned(monkeypatch):
-    # The unit searches and eliminations of one V=26 build, counted; a
-    # cheaper assembly of the constraint rows must leave all four alone.
-    counts = {"hom_units": 0, "units": 0, "nullspace": 0, "kernel_dim": 0}
+    # The unit searches and eliminations of one V=26 build, counted.  A
+    # cheaper assembly of the constraint rows must leave all of them alone.
+    # Each search solves the two sibling rows on the kernel of a common
+    # system, and the common system is built once per (parent, w, B, terms)
+    # of the searches, so there are fewer systems than searches.
+    counts = {"hom_units": 0, "units": 0, "nullspace": 0, "kernel_dim": 0, "cells": 0}
+    searched, built = set(), []
+    sibling_system = quotient._sibling_system
 
     def counted_hom_units(emb, v, w, B):
         got = hom_units(emb, v, w, B)
         counts["hom_units"] += 1
         counts["units"] += len(got)
+        if B >= 0 and (v.n - w.n) % 2 == 0:
+            searched.add((v.parent(), w, B, series_terms(emb.alg, B, (v, w))))
         return got
 
     def counted_nullspace(rows, ncols, fld):
         kernel = nullspace(rows, ncols, fld)
         counts["nullspace"] += 1
         counts["kernel_dim"] += len(kernel)
+        counts["cells"] += len(rows) * ncols
         return kernel
+
+    def counted_system(emb, parent, w, B, terms):
+        built.append((parent, w, B, terms))
+        return sibling_system(emb, parent, w, B, terms)
 
     monkeypatch.setattr("btquot.quotient.hom_units", counted_hom_units)
     monkeypatch.setattr("btquot.quotient.nullspace", counted_nullspace)
+    monkeypatch.setattr("btquot.quotient._sibling_system", counted_system)
     alg = parse_algebra(make_field(3), "H(T^3+2*T+1, T^2+1)")
     graph = build_quotient(alg)
     assert len(graph.vertices) == 26
-    assert counts == {"hom_units": 173, "units": 106, "nullspace": 173, "kernel_dim": 53}
+    assert len(built) == len(set(built)) == 89
+    assert set(built) == searched
+    assert counts == {
+        "hom_units": 173, "units": 106, "nullspace": 262, "kernel_dim": 156, "cells": 41408,
+    }
 
 
 def pair_half_edges(half_edges):
@@ -761,13 +797,20 @@ def test_build_quotient_class_limit_guard(monkeypatch):
 
 def test_precision_loss_raised_when_window_unreachable(monkeypatch):
     # At 8 terms of sqrt(b), far below what series_terms derives, the
-    # search at a vertex six steps out cannot read its rows.
+    # search at a vertex six steps out cannot read its rows, also on an
+    # embedding that already holds the system of that search at the
+    # derived precision.
     alg = segment_algebra()
     far = TreeVertex(alg.field, -6)
-    assert series_terms(alg, completeness_bound(far, far), [far]) > 8
+    bound = completeness_bound(far, far)
+    assert series_terms(alg, bound, [far]) > 8
+    warm = SplitEmbedding(alg)
+    assert len(hom_units(warm, far, far, bound)) == 8
     monkeypatch.setattr("btquot.quotient.series_terms", lambda alg, bound, vertices: 8)
     with pytest.raises(PrecisionLoss):
         stabilizer(SplitEmbedding(alg), far)
+    with pytest.raises(PrecisionLoss):
+        hom_units(warm, far, far, bound)
 
 
 def test_canonical_form_pivot_next_to_exact_zero():
@@ -940,6 +983,26 @@ def test_stabilizer_generator_matches_all_element_reference():
                 assert got * len(orbit) == order
                 for i in orbit:
                     assert got == reference_fixing_count(emb, group, nbs[i])
+
+
+@pytest.mark.parametrize("q, text", PROOF_CASES)
+def test_central_stabilizers_give_singleton_orbits(q, text):
+    # A stabilizer of order q - 1 is F_q^x, generated by a scalar, and its
+    # orbits on the link are read off with no action: they must be the
+    # singletons that the action of every element gives.  Every other
+    # stabilizer is checked against the same reference.
+    graph = build_quotient(parse_algebra(field_from_q(q), text))
+    emb = graph.embedding
+    orders = set()
+    for v in graph.vertices:
+        group = stabilizer(emb, v.lift)
+        orbits = group.neighbor_orbits(emb, v.lift)
+        assert orbits == reference_orbits(emb, group, v.lift)
+        assert group.generator.is_scalar == (group.order == q - 1)
+        if group.order == q - 1:
+            assert orbits == [[i] for i in range(q + 1)]
+        orders.add(group.order)
+    assert orders <= {q - 1, q * q - 1}
 
 
 def product_powers(g, count):

@@ -3,6 +3,8 @@ name that is renamed or removed, or a tracer hook that breaks a run, must
 fail here, not only in a traced benchmark run."""
 
 import importlib.util
+import json
+import math
 import os
 import sys
 
@@ -51,3 +53,22 @@ def test_traced_must_hit_case_runs_correctly(workload, index):
     assert outcome.crash is None, outcome.crash
     assert outcome.code == 0
     assert not outcome.failed, outcome.problems
+
+
+@pytest.mark.parametrize("workload", sorted(BENCH.workloads.LADDERS))
+def test_traced_benchmark_run_reports_every_layer(workload, tmp_path):
+    # run.traced_run is the pass behind `perfbench/run.py --trace 1`: every
+    # seed-0 case traced, then once more untraced, and each per-layer metric
+    # BENCHMARK.json names read off the tracer or the two passes.
+    cases = BENCH.workloads.cases(workload, 0)
+    spans = tmp_path / "spans.jsonl"
+    outcomes, _, result, metrics = BENCH.run.traced_run(BENCH.cli, cases, str(spans))
+    assert [o.crash for o in outcomes] == [None] * len(cases)
+    assert result["correct"] and result["attempted"] == len(cases)
+    with open(os.path.join(os.path.dirname(PERFBENCH), "BENCHMARK.json")) as fh:
+        per_layer = json.load(fh)["per_layer"]
+    assert [(n, u) for n, (_, u) in metrics.items()] == [
+        (m["name"], m["unit"]) for m in per_layer
+    ]
+    assert all(math.isfinite(value) and value >= 0 for value, _ in metrics.values())
+    assert spans.stat().st_size > 0

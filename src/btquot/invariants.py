@@ -76,14 +76,6 @@ class RamProfile:
                 return False
         return True
 
-    def __eq__(self, other):
-        if not isinstance(other, RamProfile):
-            return NotImplemented
-        return self.q == other.q and self.degrees == other.degrees
-
-    def __hash__(self):
-        return hash((self.q, self.degrees))
-
     def __repr__(self):
         return "RamProfile(q=%d, degrees=%r)" % (self.q, self.degrees)
 

@@ -189,9 +189,6 @@ class LaurentSeries:
     __radd__ = __add__
     __rmul__ = __mul__
 
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
     def shift(self, k):
         """Multiply by u^k (exactness preserved)."""
         if self.is_zero:

@@ -216,14 +216,6 @@ class TorsionUnit:
         e = self.elem
         return (e.w.sort_key(), e.z.sort_key(), e.y.sort_key(), e.x.sort_key())
 
-    def __eq__(self, other):
-        if not isinstance(other, TorsionUnit):
-            return NotImplemented
-        return self.elem == other.elem
-
-    def __hash__(self):
-        return hash(self.elem)
-
     def __repr__(self):
         return "TorsionUnit(%s; order %d)" % (self.elem, self.order)
 
@@ -504,6 +496,22 @@ def census_index(units):
     return {u.elem.coords: idx for idx, u in enumerate(units)}
 
 
+def _find(parent, i):
+    """The root of i in the union-find forest parent, halving the path."""
+    while parent[i] != i:
+        parent[i] = parent[parent[i]]
+        i = parent[i]
+    return i
+
+
+def _union(parent, i, j):
+    """Join the trees of i and j under the smaller of their roots, so a
+    root is always the smallest index of its tree."""
+    ri, rj = _find(parent, i), _find(parent, j)
+    if ri != rj:
+        parent[max(ri, rj)] = min(ri, rj)
+
+
 def constant_unit_orbits(order, units, index):
     """For each census unit, the smallest index of its orbit under
     conjugation by the constant units U0 = span_units(basis); index is
@@ -519,13 +527,6 @@ def constant_unit_orbits(order, units, index):
     InvariantViolation.
     """
     parent = list(range(len(units)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
     # each distinct key as a small int, so a join compares two ints
     key_ids = {}
     keys = [key_ids.setdefault(conjugacy_key(order, u), len(key_ids)) for u in units]
@@ -544,10 +545,8 @@ def constant_unit_orbits(order, units, index):
                     "conjugating %s by %s gives %s, whose trace, norm or"
                     " residue key differs" % (u.elem, lam, units[j].elem)
                 )
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[max(ri, rj)] = min(ri, rj)
-    return [find(i) for i in range(len(units))]
+            _union(parent, i, j)
+    return [_find(parent, i) for i in range(len(units))]
 
 
 def torsion_classes(order, units, expected=None):
@@ -580,18 +579,6 @@ def torsion_classes(order, units, expected=None):
     cutoff = default_conj_bound(order)
     n = len(units)
     parent = constant_unit_orbits(order, units, census_index(units))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i, j):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-
     buckets = {}
     for idx, u in enumerate(units):
         buckets.setdefault(conjugacy_key(order, u), []).append(idx)
@@ -601,24 +588,24 @@ def torsion_classes(order, units, expected=None):
             for idxs in buckets.values():
                 reps = {}
                 for i in idxs:
-                    reps.setdefault(find(i), i)
+                    reps.setdefault(_find(parent, i), i)
                 roots = sorted(reps)
                 for ai in range(len(roots)):
                     for bi in range(ai + 1, len(roots)):
                         i, j = reps[roots[ai]], reps[roots[bi]]
-                        if find(i) == find(j):
+                        if _find(parent, i) == _find(parent, j):
                             continue
                         res = conj_search(order, units[i].elem, units[j].elem, b)
                         if isinstance(res, Witness):
-                            union(i, j)
+                            _union(parent, i, j)
 
     sweep(range(1, cutoff + 1))
-    count = len({find(i) for i in range(n)})
+    count = len({_find(parent, i) for i in range(n)})
     if expected is not None and count > expected:
         sweep(range(cutoff + 1, 2 * cutoff + 1))
     classes = {}
     for i in range(n):
-        classes.setdefault(find(i), []).append(units[i])
+        classes.setdefault(_find(parent, i), []).append(units[i])
     out = [sorted(v, key=TorsionUnit.sort_key) for v in classes.values()]
     out.sort(key=lambda cl: cl[0].sort_key())
     return out

@@ -114,10 +114,6 @@ class QuatElem:
         return (self.x, self.y, self.z, self.w)
 
     @property
-    def is_zero(self):
-        return all(c.is_zero for c in self.coords)
-
-    @property
     def is_scalar(self):
         return self.y.is_zero and self.z.is_zero and self.w.is_zero
 
@@ -149,13 +145,7 @@ class QuatElem:
             W = x1 * w2 + w1 * x2 + y1 * z2 - z1 * y2
         return QuatElem(self.alg, X, Y, Z, W)
 
-    def __rmul__(self, other):
-        return self._coerce(other) * self
-
     __radd__ = __add__
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
 
     def scale(self, c):
         if isinstance(c, int):

@@ -476,18 +476,21 @@ class StabilizerGroup:
     n = q^2 - 1), which in a cyclic group is the first with g^(n/p) != 1
     for every prime p | n.  Its n powers are read off its characteristic
     polynomial (order.power_cycle) as u_k + v_k*g, one scale and one add
-    each, and they are the element set, which proves the set is a group; the
-    neighbour orbits are the cycles of g on the link; and the elements
-    fixing a vertex form the subgroup of order n / (its cycle length).
+    each, and they are the element set, which proves the set is a group.
+    The link P^1(F_q) of the vertex then splits in one of two ways
+    (Serre, *Trees*, ch. II §1), and the elements fixing a neighbour form
+    the subgroup of order n / (its orbit length).
 
     A group of order q - 1 from hom_units is the centre F_q^x: the q - 1
     nonzero constants are units of degree 0 that fix every vertex, so
     hom_units always finds them, and they are all q - 1 elements.  Its
     generator is then a scalar, and a scalar fixes every vertex of the
-    tree, since it maps each lattice to a homothetic one (Serre, *Trees*,
-    ch. II §1).  So a scalar generator acts trivially: neighbor_orbits
-    returns the q + 1 singletons and stabilizer checks no fixed vertex,
-    with no action.  At order q^2 - 1 the generator is never a scalar.
+    tree, since it maps each lattice to a homothetic one.  So a scalar
+    generator acts trivially: the orbits are the q + 1 singletons, and
+    stabilizer checks no fixed vertex, with no action.  At order q^2 - 1
+    the generator is never a scalar, and F_{q^2}^x acts on the link
+    through F_{q^2}^x / F_q^x, cyclic of order q + 1 and simply transitive
+    on P^1(F_q): the link is one orbit, a (q + 1)-cycle of g.
     """
 
     def __init__(self, alg, elements):
@@ -515,64 +518,41 @@ class StabilizerGroup:
                 "stabilizer is not the cyclic group of its generator"
             )
         self.generator = g
-        self._matrix = None
-        self._terms = 0
-
-    def image(self, emb, vertices):
-        """The generator's image, precise enough to act on each vertex.
-        The most precise image asked for so far is kept; any image at or
-        above the derived precision acts the same way."""
-        terms = emb.terms(coordinate_degree(self.generator), vertices)
-        if terms > self._terms:
-            self._matrix = emb.matrix(self.generator, terms)
-            self._terms = terms
-        return self._matrix
 
     def neighbor_orbits(self, emb, vertex):
         """Partition the q+1 tree neighbors into orbits of this group.
 
-        The orbits are the cycles of the generator, each listed in
-        ascending index order; a scalar generator fixes every neighbour, so
-        its orbits are the singletons.  For the large stabilizer they must
-        form a single (q+1)-cycle; anything else is an anomaly worth
-        aborting on.
+        A scalar generator fixes every neighbour, so its orbits are the
+        singletons.  Any other generator must move the link in one
+        (q+1)-cycle, followed here from neighbour 0 with the generator's
+        image at the precision derived for the link, and the orbit is the
+        whole link.  A neighbour moved off the link, two neighbours moved
+        to one, or a shorter cycle is an anomaly worth aborting on.
         """
         q = self.alg.field.q
-        if self.generator.is_scalar:
+        g = self.generator
+        if g.is_scalar:
             return [[i] for i in range(q + 1)]
         nbs = vertex.neighbors()
         index = {nb: i for i, nb in enumerate(nbs)}
-        mat = self.image(emb, nbs)
-        perm = []
-        for nb in nbs:
-            moved = act(mat, nb)
-            if moved not in index:
+        mat = emb.matrix(g, emb.terms(coordinate_degree(g), nbs))
+        cycle = [0]
+        while True:
+            moved = index.get(act(mat, nbs[cycle[-1]]))
+            if moved is None:
                 raise StabilizerAnomalousOrder(
                     "stabilizer element moved a neighbor off the link"
                 )
-            perm.append(index[moved])
-        if len(set(perm)) != len(perm):
-            raise InvariantViolation("stabilizer generator does not permute the link")
-        orbits = []
-        seen = set()
-        for start in range(len(nbs)):
-            if start not in seen:
-                orbit = [start]
-                while perm[orbit[-1]] != start:
-                    orbit.append(perm[orbit[-1]])
-                seen.update(orbit)
-                orbits.append(sorted(orbit))
-        if self.order == q * q - 1 and len(orbits) != 1:
+            if moved == 0:
+                break
+            if moved in cycle:
+                raise InvariantViolation("stabilizer generator does not permute the link")
+            cycle.append(moved)
+        if len(cycle) != q + 1:
             raise StabilizerAnomalousOrder(
                 "large stabilizer does not cycle the whole link"
             )
-        for orbit in orbits:
-            if self.order % len(orbit):
-                raise InvariantViolation(
-                    "orbit of size %d in a stabilizer of order %d"
-                    % (len(orbit), self.order)
-                )
-        return orbits
+        return [list(range(q + 1))]
 
     def fixing_count(self, orbit):
         """How many elements fix a neighbour in the given orbit (an edge
@@ -589,9 +569,11 @@ def stabilizer(emb, vertex):
     scalar generator fixes every vertex and needs no check."""
     found = hom_units(emb, vertex, vertex, completeness_bound(vertex, vertex))
     group = StabilizerGroup(emb.alg, found)
-    if group.generator.is_scalar:
+    g = group.generator
+    if g.is_scalar:
         return group
-    if canonical_form(group.image(emb, [vertex]) * vertex.matrix()) != vertex:
+    mat = emb.matrix(g, emb.terms(coordinate_degree(g), [vertex]))
+    if canonical_form(mat * vertex.matrix()) != vertex:
         raise InvariantViolation("stabilizer generator does not fix the vertex")
     return group
 
@@ -787,22 +769,35 @@ def _bfs(emb, profile, base, class_limit, log):
     """
     alg = emb.alg
     fld = alg.field
-    if base is None:
-        base = TreeVertex.base(fld)
-    reps = [base]
-    stabs = [stabilizer(emb, base)]
+    reps, stabs = [], []
     records = []  # (class a, class b > a, edge stabilizer order), one per edge
     # reverse[b]: (neighbour of reps[b], index of its record) for each edge
     # of b into an earlier class, kept by the lookup that found it
-    reverse = [[]]
-    log.append(
-        {
-            "event": "vertex",
-            "index": 0,
-            "stabilizer": stabs[0].order,
-            "level": base.n,
-        }
-    )
+    reverse = []
+
+    def new_class(vertex, back):
+        """Make vertex the next class, with reverse edges back."""
+        if len(reps) >= class_limit:
+            raise NonterminationGuard(
+                "more than %d vertex classes discovered; expected "
+                "at most %d+%d from the counting formulas"
+                % (class_limit, formula_v1(profile), formula_vq1(profile))
+            )
+        group = stabilizer(emb, vertex)
+        reps.append(vertex)
+        stabs.append(group)
+        reverse.append(back)
+        log.append(
+            {
+                "event": "vertex",
+                "index": len(reps) - 1,
+                "stabilizer": group.order,
+                "level": vertex.n,
+            }
+        )
+        return len(reps) - 1
+
+    new_class(TreeVertex.base(fld) if base is None else base, [])
     cursor = 0
     while cursor < len(reps):
         vertex = reps[cursor]
@@ -847,24 +842,7 @@ def _bfs(emb, profile, base, class_limit, log):
                     reverse[j].append((emb.act(verdict.lam, vertex), len(records)))
                     break
             if target is None:
-                if len(reps) >= class_limit:
-                    raise NonterminationGuard(
-                        "more than %d vertex classes discovered; expected "
-                        "at most %d+%d from the counting formulas"
-                        % (class_limit, formula_v1(profile), formula_vq1(profile))
-                    )
-                target = len(reps)
-                reps.append(nb)
-                stabs.append(stabilizer(emb, nb))
-                reverse.append([(vertex, len(records))])
-                log.append(
-                    {
-                        "event": "vertex",
-                        "index": target,
-                        "stabilizer": stabs[target].order,
-                        "level": nb.n,
-                    }
-                )
+                target = new_class(nb, [(vertex, len(records))])
             records.append((cursor, target, edge_stab))
         cursor += 1
 

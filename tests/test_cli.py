@@ -197,31 +197,56 @@ def test_quotient_artifacts_deterministic(tmp_path, capsys):
 # sha256 of the four --out artifacts; any change to what a quotient run
 # computes or writes shows up here.  A key is the algebra options.
 PINNED_ARTIFACTS = {
-    ("--r", "T^4+2*T^2+T"): {
+    ("--q", "3", "--r", "T^4+2*T^2+T"): {
         ".graph.json": "c3de8220bc8d89fddd7df3b981c37f07df3902b32dc8d71e867a35e2d8d61cb3",
         ".dot": "a7e470b09979e30ddbd84aac51db152f98d2f3c3a3fcad1b7cdfdb330f26c121",
         ".log.jsonl": "a3520781067e18fc2b05de77a25f1cbbe0d6c98752dd6b5bba0b804af9b894d3",
         ".report.json": "0463e7719d37a018fb08902d123c6edfd9d5d4cb1da3771b7a16b8caa5831b21",
     },
-    ("--a", "T^3+2*T+1", "--b", "T^2+1"): {
+    ("--q", "3", "--a", "T^3+2*T+1", "--b", "T^2+1"): {
         ".graph.json": "c768343081f1bd1b1e911a5758f83df77360bdde0a710ecd09828f2a919a5be0",
         ".dot": "66952320e972cadec070584d6851830b6cd36c0acd1b3f2d280aa703e15c18d1",
         ".log.jsonl": "ae1b1389a272c9018e3943133295bcbe0065d4f451ac018295cb70a798054fbd",
         ".report.json": "dcf06b4a775a3ccdba3eed72d1ebe8d658bd4883f8a3ffeab394f383cff9411b",
     },
     # V=32, the slowest many-classes benchmark case
-    ("--a", "T^2+T+2", "--b", "T^4+T^3+T^2+T"): {
+    ("--q", "3", "--a", "T^2+T+2", "--b", "T^4+T^3+T^2+T"): {
         ".graph.json": "d5e84f2d29205fb876c98af5f285ee2f8fea3ccb06332bb68f4c2412e06da4cf",
         ".dot": "dbb107695529388f6c8045b2899c84e60f46a23738be9de053d56d5c4bb2228c",
         ".log.jsonl": "733cb7d9d261a94298eeb10defc5f371624bf49c252aefae1e838d7a7a4dda2f",
         ".report.json": "00007a432a3c66dea3e0bc9463367103172211fc68b3162cf0182eb0a7d451bf",
     },
     # V=80
-    ("--R-degrees", "2,4"): {
+    ("--q", "3", "--R-degrees", "2,4"): {
         ".graph.json": "7d7ebae89e2a72dc90634e0b129092f76fb99d9649dae432885df85116b6cfba",
         ".dot": "0b83d3573a11a6977bf94020dfbbd0ce1248626aa76615a2f4cd2dc3e596eb6c",
         ".log.jsonl": "cfcd242b0ced6c84874c0520aa5dd613579a6464f8c85843e6ac210b71cf4fe5",
         ".report.json": "f90ee7730104817e0847fbad8596bb4e08064228c316ec209d1fc64e8ba74cea",
+    },
+    # the large-q benchmark quotients: the stabilizer walk at q + 1 = 6 to 12
+    ("--q", "7", "--r", "T*(T-1)"): {
+        ".graph.json": "8b1369b0e30806740876eecf86f5316b7e700a350890216504781a95b4330bdb",
+        ".dot": "b4c544541c342f6586ba2297af779ed93aff3808bc76baa47198ff836d974dbe",
+        ".log.jsonl": "2b7dc4683341ceaf0ee47ee9ccce2cca4cd609e1644cf92cff058668ce760b6e",
+        ".report.json": "80c7172d8d5ac54f9f7fa92385218ad795f6f5eaca8f675ca1ad3911f73bc869",
+    },
+    ("--q", "9", "--a", "4", "--b", "T^2+T"): {
+        ".graph.json": "c486b9f15a07d83aa86c5ae4c961c4e41e3692ce935e05ac88ca9980033f9123",
+        ".dot": "997127390a8d1df804cfc34ac0d90781c06faced276b6ee82039f3c2c8bdf963",
+        ".log.jsonl": "f1f4c3ce4da3bfc1492d06c5deb168ed996d39a2ebcf55fa0355aa67ff72754d",
+        ".report.json": "038f243bbe7b2bb6866f2311f748b353aa96749f4a992abd714b5d16972d3acc",
+    },
+    ("--q", "11", "--r", "T*(T-1)"): {
+        ".graph.json": "58ab0db1e4848f8013e34f88491b13db290891648739135430f699d6159b9a91",
+        ".dot": "5f1cdf7b7449bdd0a16bfcb746667488607e006e95844feb30d396ae99d6ce8d",
+        ".log.jsonl": "136acb76b19dd63d0046a54e03ce3ae606a8131f70db26872413af731d7d1698",
+        ".report.json": "7f2f4f42f73168827dab813019eb08a1937009a96e180fe3fe5f9515d1b217e2",
+    },
+    ("--q", "5", "--a", "T^2+3*T", "--b", "T^2+3*T+2"): {
+        ".graph.json": "bdaaef6e9abf589ca8821f08774da7dc9108b4623f8ab16eeea6658995cd2bdb",
+        ".dot": "88e910069294ad0a471a8f06c4a04e4e96fb7ae5db53de89fe0ef30f50b875bf",
+        ".log.jsonl": "dc2590e0ed4e0f5b57110d276dd4e7266eb9059a2f193e3f2019652863d1518b",
+        ".report.json": "7a95714d8ff9d2d1f14fa61f77280dc991fd6433aa94e15d4d3275da77fa824d",
     },
 }
 
@@ -229,7 +254,7 @@ PINNED_ARTIFACTS = {
 @pytest.mark.parametrize("spec", sorted(PINNED_ARTIFACTS))
 def test_quotient_artifacts_match_pinned_digests(spec, tmp_path, capsys):
     prefix = str(tmp_path / "q")
-    code, out, _ = run(capsys, "quotient", "--q", "3", *spec, "--out", prefix)
+    code, out, _ = run(capsys, "quotient", *spec, "--out", prefix)
     assert code == 0
     assert json.loads(out)["ok"] is True
     digests = {

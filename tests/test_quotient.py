@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
 
@@ -919,6 +920,51 @@ def test_banana_neighbor_orbits_are_singletons():
     group = stabilizer(emb, base)
     assert group.order == 2
     assert group.neighbor_orbits(emb, base) == [[0], [1], [2], [3]]
+
+
+def test_neighbor_orbits_reject_a_generator_moving_the_link_away():
+    # The generator of the child's stabilizer fixes the child, a neighbour
+    # of the base, and moves the base: the cycle from neighbour 0 of the
+    # base, its parent, leaves the link of the base.
+    alg = segment_algebra()
+    emb = SplitEmbedding(alg)
+    base = TreeVertex.base(alg.field)
+    group = stabilizer(emb, TreeVertex(alg.field, 1))
+    assert emb.act(group.generator, base) != base
+    with pytest.raises(StabilizerAnomalousOrder, match="moved a neighbor off the link"):
+        group.neighbor_orbits(emb, base)
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_neighbor_orbits_reject_a_generator_with_two_cycles(q):
+    # g^2 of a terminal generator fixes the base and is not a scalar, but
+    # it moves the link in two (q+1)/2-cycles.
+    alg = segment_algebra(q)
+    emb = SplitEmbedding(alg)
+    base = TreeVertex.base(alg.field)
+    group = stabilizer(emb, base)
+    assert group.order == q * q - 1
+    square = group.generator * group.generator
+    assert not square.is_scalar and emb.act(square, base) == base
+    cycles = reference_orbits(emb, SimpleNamespace(elements=[square]), base)
+    assert sorted(map(len, cycles)) == [(q + 1) // 2] * 2
+    group.generator = square
+    with pytest.raises(
+        StabilizerAnomalousOrder, match="large stabilizer does not cycle the whole link"
+    ):
+        group.neighbor_orbits(emb, base)
+
+
+def test_neighbor_orbits_reject_an_action_that_is_not_a_permutation(monkeypatch):
+    # Every neighbour sent to neighbour 1: the cycle from 0 meets 1 twice.
+    alg = segment_algebra()
+    emb = SplitEmbedding(alg)
+    base = TreeVertex.base(alg.field)
+    group = stabilizer(emb, base)
+    nbs = base.neighbors()
+    monkeypatch.setattr("btquot.quotient.act", lambda mat, v: nbs[1])
+    with pytest.raises(InvariantViolation, match="does not permute the link"):
+        group.neighbor_orbits(emb, base)
 
 
 def reference_closure(alg, elements):

@@ -36,13 +36,10 @@ from .gfpoly import Poly, choose_xi, field_from_q, parse_poly
 from .invariants import (
     RamProfile,
     cross_check,
-    edges,
     eichler_count,
     euler_check,
-    genus,
+    formula_values,
     sweep_profiles,
-    v1,
-    vq1,
     wp,
 )
 from .order import StandardOrder, solve_torsion, torsion_classes
@@ -111,18 +108,11 @@ def _build_graph(args):
 
 
 def _formula_entry(profile):
-    return {
-        "q": profile.q,
-        "R": list(profile.degrees),
-        "wp": wp(profile),
-        "genus": genus(profile),
-        "V1": v1(profile),
-        "Vq1": vq1(profile),
-        "E": edges(profile),
-        "eichler": eichler_count(profile),
-        "realizable": profile.realizable(),
-        "checks": {"euler": euler_check(profile)},
-    }
+    return dict(
+        formula_values(profile),
+        realizable=profile.realizable(),
+        checks={"euler": euler_check(profile)},
+    )
 
 
 def render_dot(graph):
@@ -170,8 +160,7 @@ def cmd_formulas(args):
             raise UsageError("--R needs --q")
         profiles = [RamProfile(args.q, _int_list(args.R))]
     elif args.sweep:
-        qs = (args.q,) if args.q is not None else (2, 3, 4, 5, 7, 8, 9)
-        profiles = sweep_profiles(qs=qs)
+        profiles = sweep_profiles() if args.q is None else sweep_profiles((args.q,))
     else:
         raise UsageError("pass --R d1,d2,... or --sweep")
     entries = [_formula_entry(p) for p in profiles]
@@ -227,7 +216,7 @@ def cmd_torsion(args):
     if not args.no_classes:
         expected = eichler_count(ram_profile(alg.field.q, ramified_set(alg)))
         if alg.even:
-            classes = torsion_classes(order, units, expected=expected)
+            classes = torsion_classes(order, units)
         elif units or expected:
             classes = terminal_classes(build_quotient(alg), units)
         else:
@@ -314,7 +303,11 @@ def build_parser():
     p = sub.add_parser("torsion", help="torsion units and conjugacy classes")
     _add_algebra_options(p)
     p.add_argument(
-        "--bound", type=_degree_bound, default=2, help="coordinate degree bound"
+        "--bound",
+        type=_degree_bound,
+        default=2,
+        help="degree bound on the j and ij coordinates z and w; the solved"
+        " coordinate has degree at most (deg b + 2*bound) // 2",
     )
     p.add_argument(
         "--no-classes",

@@ -140,14 +140,29 @@ def eichler_count(profile):
     return count
 
 
-def sweep_profiles(qs=(2, 3, 4, 5, 7, 8, 9), sizes=(2, 4), maxdeg=4):
-    """All realizable profiles with the given sizes and degree cap."""
+def formula_values(profile):
+    """The counting formulas of a profile, keyed as the CLI prints them:
+    q, R, wp, genus, V1, Vq1, E and the Eichler count."""
+    return {
+        "q": profile.q,
+        "R": list(profile.degrees),
+        "wp": wp(profile),
+        "genus": genus(profile),
+        "V1": v1(profile),
+        "Vq1": vq1(profile),
+        "E": edges(profile),
+        "eichler": eichler_count(profile),
+    }
+
+
+def sweep_profiles(qs=(2, 3, 4, 5, 7, 8, 9)):
+    """All realizable profiles of two or four places of degree at most 4."""
     from itertools import combinations_with_replacement
 
     out = []
     for q in qs:
-        for n in sizes:
-            for degs in combinations_with_replacement(range(1, maxdeg + 1), n):
+        for n in (2, 4):
+            for degs in combinations_with_replacement(range(1, 5), n):
                 profile = RamProfile(q, degs)
                 if profile.realizable():
                     out.append(profile)
@@ -330,38 +345,32 @@ def critical_group(graph):
 
 
 class Report:
-    """Formula predictions, graph measurements, and the comparison verdicts."""
+    """Formula predictions, graph measurements, and the comparison verdicts,
+    as three dicts: formulas (formula_values), measured and checks."""
 
     def __init__(self, profile, graph):
-        self.profile = profile
-        self.graph = graph
         q = profile.q
-        self.wp = wp(profile)
-        self.genus = genus(profile)
-        self.v1 = v1(profile)
-        self.vq1 = vq1(profile)
-        self.edges = edges(profile)
-        self.eichler = eichler_count(profile)
-
+        self.formulas = f = formula_values(profile)
         degs = [graph.degree(i) for i in range(len(graph.vertices))]
-        self.graph_v1 = sum(1 for d in degs if d == 1)
-        self.graph_vq1 = sum(1 for d in degs if d == q + 1)
-        self.graph_edges = len(graph.edges)
-        self.graph_h1 = graph_h1(graph)
-        self.graph_smooth = smooth_point_criterion(graph)
-        self.degrees = sorted(degs)
-
+        self.measured = m = {
+            "V1": sum(1 for d in degs if d == 1),
+            "Vq1": sum(1 for d in degs if d == q + 1),
+            "E": len(graph.edges),
+            "h1": graph_h1(graph),
+            "smooth": smooth_point_criterion(graph),
+            "degrees": sorted(degs),
+        }
         terminal_stabs_ok = all(
             (graph.degree(v.index) == 1) == (v.stabilizer_order == q**2 - 1)
             for v in graph.vertices
         )
         self.checks = {
             "euler": euler_check(profile),
-            "v1": self.graph_v1 == self.v1,
-            "vq1": self.graph_vq1 == self.vq1,
-            "edges": self.graph_edges == self.edges,
-            "h1_equals_genus": self.graph_h1 == self.genus,
-            "smooth_matches_wp": self.graph_smooth == (self.wp == 1),
+            "v1": m["V1"] == f["V1"],
+            "vq1": m["Vq1"] == f["Vq1"],
+            "edges": m["E"] == f["E"],
+            "h1_equals_genus": m["h1"] == f["genus"],
+            "smooth_matches_wp": m["smooth"] == (f["wp"] == 1),
             "degree_set": set(degs) <= {1, q + 1},
             "terminal_stabilizers": terminal_stabs_ok,
         }
@@ -370,25 +379,7 @@ class Report:
         return all(self.checks.values())
 
     def to_dict(self):
-        return {
-            "q": self.profile.q,
-            "R": list(self.profile.degrees),
-            "wp": self.wp,
-            "genus": self.genus,
-            "V1": self.v1,
-            "Vq1": self.vq1,
-            "E": self.edges,
-            "eichler": self.eichler,
-            "graph": {
-                "V1": self.graph_v1,
-                "Vq1": self.graph_vq1,
-                "E": self.graph_edges,
-                "h1": self.graph_h1,
-                "smooth": self.graph_smooth,
-                "degrees": self.degrees,
-            },
-            "checks": dict(self.checks),
-        }
+        return dict(self.formulas, graph=dict(self.measured), checks=dict(self.checks))
 
 
 def cross_check(profile, graph):

@@ -251,12 +251,14 @@ def power_cycle(el, count):
 
 
 def solve_torsion(order, bound):
-    """All units with scalar-free canonical shape and constant charpoly,
-    coordinates of degree at most bound.
+    """All units x + y*i + z*j + w*ij with scalar-free canonical shape and
+    constant charpoly whose z and w have degree at most bound.
 
     Odd q: pure quaternions squaring to the canonical non-square constant.
     Even q: elements of trace one and norm equal to the canonical
-    trace-one constant.
+    trace-one constant.  The coordinate solved for, y for odd q and x for
+    even q, has a square of degree at most deg b + 2*bound, so its degree
+    is at most (deg b + 2*bound) // 2 and can exceed bound.
     """
     alg = order.alg
     fld = alg.field
@@ -549,16 +551,14 @@ def constant_unit_orbits(order, units, index):
     return [_find(parent, i) for i in range(len(units))]
 
 
-def torsion_classes(order, units, expected=None):
+def torsion_classes(order, units):
     """Partition torsion units into conjugacy classes of the unit group.
 
     Units are bucketed by trace, norm and residue key, all invariant under
     conjugation by a unit, so a pair in different buckets has no witness
     at any bound and is never searched.  Within a bucket, bounded searches
-    deepen iteratively up to the cutoff default_conj_bound.  When the class
-    count still exceeds the expected value, a second sweep covers only the
-    new bounds, up to twice the cutoff: classes only merge, so every pair
-    of classes left was searched at each bound up to the cutoff and failed.
+    deepen iteratively up to the cutoff default_conj_bound.  The partition
+    never reads the Eichler count that the CLI checks it against.
 
     Bound 0 needs no search.  A bound-0 witness has constant coordinates
     and a nonzero constant norm, so it lies in U0 = span_units(basis)
@@ -573,38 +573,29 @@ def torsion_classes(order, units, expected=None):
     tested and joined.  constant_unit_orbits joins each unit to its images
     under U0 in the census: the same edges, so the same components, and
     the union-find starts from them.  Its root is always the smallest
-    index of its class, so every later sweep sees the same roots and
+    index of its class, so every later bound sees the same roots and
     makes the same calls in the same order as after a bound-0 sweep.
     """
-    cutoff = default_conj_bound(order)
-    n = len(units)
     parent = constant_unit_orbits(order, units, census_index(units))
     buckets = {}
     for idx, u in enumerate(units):
         buckets.setdefault(conjugacy_key(order, u), []).append(idx)
-
-    def sweep(bounds):
-        for b in bounds:
-            for idxs in buckets.values():
-                reps = {}
-                for i in idxs:
-                    reps.setdefault(_find(parent, i), i)
-                roots = sorted(reps)
-                for ai in range(len(roots)):
-                    for bi in range(ai + 1, len(roots)):
-                        i, j = reps[roots[ai]], reps[roots[bi]]
-                        if _find(parent, i) == _find(parent, j):
-                            continue
-                        res = conj_search(order, units[i].elem, units[j].elem, b)
-                        if isinstance(res, Witness):
-                            _union(parent, i, j)
-
-    sweep(range(1, cutoff + 1))
-    count = len({_find(parent, i) for i in range(n)})
-    if expected is not None and count > expected:
-        sweep(range(cutoff + 1, 2 * cutoff + 1))
+    for b in range(1, default_conj_bound(order) + 1):
+        for idxs in buckets.values():
+            reps = {}
+            for i in idxs:
+                reps.setdefault(_find(parent, i), i)
+            roots = sorted(reps)
+            for ai in range(len(roots)):
+                for bi in range(ai + 1, len(roots)):
+                    i, j = reps[roots[ai]], reps[roots[bi]]
+                    if _find(parent, i) == _find(parent, j):
+                        continue
+                    res = conj_search(order, units[i].elem, units[j].elem, b)
+                    if isinstance(res, Witness):
+                        _union(parent, i, j)
     classes = {}
-    for i in range(n):
+    for i in range(len(units)):
         classes.setdefault(_find(parent, i), []).append(units[i])
     out = [sorted(v, key=TorsionUnit.sort_key) for v in classes.values()]
     out.sort(key=lambda cl: cl[0].sort_key())

@@ -236,17 +236,13 @@ def hilbert_symbol(alg, place):
     v = place.poly
     alpha, a0 = strip_power(a, v)
     beta, b0 = strip_power(b, v)
-    u = powmod(a0, beta, v) if beta >= 0 else powmod(_inv_mod(a0, v), -beta, v)
-    ub = powmod(b0, alpha, v) if alpha >= 0 else powmod(_inv_mod(b0, v), -alpha, v)
-    u = (u * _inv_mod(ub, v)) % v
+    # the symbol is the quadratic character of (-1)^(alpha*beta) *
+    # a0^beta / b0^alpha; a and b are polynomials, so alpha, beta >= 0, and
+    # b0^-alpha has the character of b0^alpha
+    u = powmod(a0, beta, v) * powmod(b0, alpha, v)
     if (alpha * beta) % 2:
-        u = (-u) % v
+        u = -u
     return sqr_test_residue(v, u)
-
-
-def _inv_mod(g, v):
-    fld = g.field
-    return powmod(g, fld.q**v.deg - 2, v)
 
 
 def is_split_at(alg, place):

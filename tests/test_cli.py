@@ -7,10 +7,11 @@ import sys
 import pytest
 
 import btquot
-from btquot.cli import build_parser, main, render_dot
+from btquot.cli import _algebra_from, build_parser, main, render_dot
 from btquot.errors import InvariantViolation
 from btquot.quotient import find_quotient_algebra
 from btquot.gfpoly import make_field
+from btquot.order import StandardOrder, solve_torsion
 
 
 def run(capsys, *args):
@@ -290,6 +291,43 @@ def test_torsion_stdout_matches_pinned_digest(spec, capsys):
     code, out, _ = run(capsys, "torsion", *spec)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_TORSION[spec]
+
+
+@pytest.mark.parametrize("spec", sorted(PINNED_TORSION))
+def test_torsion_bound_caps_z_and_w_and_the_solved_coordinate(spec):
+    args = build_parser().parse_args(["torsion", *spec])
+    alg = _algebra_from(args)
+    units = solve_torsion(StandardOrder(alg), args.bound)
+    assert max(max(u.elem.z.deg, u.elem.w.deg) for u in units) == args.bound
+    # y (odd q) or x (even q) comes from an equation of degree deg b + 2*bound
+    solved = [(u.elem.x if alg.even else u.elem.y).deg for u in units]
+    assert max(solved) == (alg.b.deg + 2 * args.bound) // 2 > args.bound
+
+
+# exit code and sha256 of the stdout that reads the counting formulas: the
+# formula table alone, the formulas beside a quotient's measurements, and
+# the Eichler count of an algebra whose standard order is not maximal.
+PINNED_FORMULA_STDOUT = {
+    ("formulas", "--sweep"): (
+        0, "fdddd5d5502d1969f60ed98e158d4519f23ae426a5d151506c49bf3963123d17"),
+    ("formulas", "--sweep", "--q", "3"): (
+        0, "20544a089153c8f017ada4d927ee07f66a768e2ca84b603484aa82961920cdc7"),
+    ("formulas", "--q", "3", "--R", "1,2"): (
+        0, "703b7b95fa62bd3182d701d8e5aef4de9ff569e43ab07f49d6d17a3c3cf8d7e3"),
+    ("report", "--q", "3", "--R-degrees", "1,2"): (
+        0, "4d98fa006292d4a2456df65b436bd9304e40c8288cc1b9f537ff4c1ad9552992"),
+    ("report", "--q", "5", "--R-degrees", "1,1,1,1"): (
+        0, "7a95714d8ff9d2d1f14fa61f77280dc991fd6433aa94e15d4d3275da77fa824d"),
+    ("ramification", "--q", "3", "--a", "T", "--b", "T^2+T"): (
+        2, "a5816e44085084551685cf6a1dec0a505cb562bcbce96bc1883ab494ae86f7a0"),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(PINNED_FORMULA_STDOUT))
+def test_formula_stdout_matches_pinned_digest(argv, capsys):
+    code, out, _ = run(capsys, *argv)
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert (code, digest) == PINNED_FORMULA_STDOUT[argv]
 
 
 def test_report_banana(capsys):

@@ -27,6 +27,7 @@ from btquot.order import (
     artin_schreier_solve,
     conj_search,
     census_index,
+    conjugacy_key,
     conjugation_map,
     constant_unit_orbits,
     default_conj_bound,
@@ -475,7 +476,7 @@ def test_torsion_classes_merges_constructed_conjugates(monkeypatch):
     assert sizes == [1, 2]
 
 
-def reference_torsion_classes(order, units, search, max_bound=None, expected=None):
+def reference_torsion_classes(order, units, search, max_bound=None):
     """torsion_classes with buckets keyed by (trace, norm) alone, searching
     every pair of classes in a bucket with search(order, x, y, bound)."""
     if max_bound is None:
@@ -497,30 +498,20 @@ def reference_torsion_classes(order, units, search, max_bound=None, expected=Non
     buckets = {}
     for idx, u in enumerate(units):
         buckets.setdefault((u.trace.coeffs, u.norm.coeffs), []).append(idx)
-    no_verdicts = set()
-
-    def sweep(limit):
-        for b in range(limit + 1):
-            for idxs in buckets.values():
-                reps = {}
-                for i in idxs:
-                    reps.setdefault(find(i), i)
-                keys = sorted(reps)
-                for ai in range(len(keys)):
-                    for bi in range(ai + 1, len(keys)):
-                        i, j = reps[keys[ai]], reps[keys[bi]]
-                        if find(i) == find(j) or (i, j, b) in no_verdicts:
-                            continue
-                        res = search(order, units[i].elem, units[j].elem, b)
-                        if isinstance(res, Witness):
-                            union(i, j)
-                        else:
-                            no_verdicts.add((i, j, b))
-
-    sweep(max_bound)
-    count = len({find(i) for i in range(n)})
-    if expected is not None and count > expected:
-        sweep(2 * max_bound)
+    for b in range(max_bound + 1):
+        for idxs in buckets.values():
+            reps = {}
+            for i in idxs:
+                reps.setdefault(find(i), i)
+            keys = sorted(reps)
+            for ai in range(len(keys)):
+                for bi in range(ai + 1, len(keys)):
+                    i, j = reps[keys[ai]], reps[keys[bi]]
+                    if find(i) == find(j):
+                        continue
+                    res = search(order, units[i].elem, units[j].elem, b)
+                    if isinstance(res, Witness):
+                        union(i, j)
     classes = {}
     for i in range(n):
         classes.setdefault(find(i), []).append(units[i])
@@ -551,8 +542,8 @@ def test_torsion_classes_match_trace_norm_sweep(q, text, bound, expected):
             witnesses.append((x, y))
         return res
 
-    want = reference_torsion_classes(om, units, search, expected=expected)
-    assert torsion_classes(om, units, expected=expected) == want
+    want = reference_torsion_classes(om, units, search)
+    assert torsion_classes(om, units) == want
     assert len(want) == expected
     assert witnesses
     for x, y in witnesses:
@@ -578,28 +569,26 @@ def test_torsion_classes_search_count(q, bound, calls, monkeypatch, capsys):
     assert len(made) == calls
 
 
-def test_second_sweep_searches_only_the_new_bounds(monkeypatch):
-    # with the cutoff at 1 the census keeps 6 classes, so the second sweep
-    # runs; every pair it could repeat was joined by the bound-0 orbit pass
-    # or searched at bound 1
-    monkeypatch.setattr("btquot.order.default_conj_bound", lambda order: 1)
-    om = StandardOrder(parse_algebra(field_from_q(3), "H(xi, T^4+2*T^2+T)"))
-    units = solve_torsion(om, 2)
-    made = []
+# the even-q census of SWEEP_ORACLE_CASES and the three even-q torsion specs
+# the CLI pins (the q=4 one is in both)
+EVEN_TORSION_CASES = [
+    (2, "H(xi, T^2+T)", 2),
+    (4, "H(xi, T*(T+1))", 1),
+    (2, "H(xi, T*(T+1))", 3),
+    (8, "H(xi, T*(T+1))", 1),
+]
 
-    def recording(order, x, y, b):
-        res = conj_search(order, x, y, b)
-        made.append((x, y, b, isinstance(res, Witness)))
-        return res
 
-    monkeypatch.setattr("btquot.order.conj_search", recording)
-    classes = torsion_classes(om, units, expected=1)
-    assert len(classes) == 2
-    assert len(made) == 10
-    assert len({call[:3] for call in made}) == len(made)
-    assert [b for _, _, b, _ in made[:-4]] == sorted(b for _, _, b, _ in made[:-4])
-    assert {b for _, _, b, _ in made[:-4]} == {1}
-    assert [(b, found) for _, _, b, found in made[-4:]] == [(2, True)] * 4
+@pytest.mark.parametrize("q, text, bound", EVEN_TORSION_CASES)
+def test_twice_the_cutoff_gives_the_same_classes(q, text, bound, monkeypatch):
+    om = StandardOrder(parse_algebra(field_from_q(q), text))
+    units = solve_torsion(om, bound)
+    classes = torsion_classes(om, units)
+    # the classes have distinct conjugacy keys, so no bound can join two
+    assert len({conjugacy_key(om, cl[0]) for cl in classes}) == len(classes) == 4
+    cutoff = default_conj_bound
+    monkeypatch.setattr("btquot.order.default_conj_bound", lambda o: 2 * cutoff(o))
+    assert torsion_classes(om, units) == classes
 
 
 def pairwise_bound_zero_classes(order, units):

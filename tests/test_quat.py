@@ -14,11 +14,15 @@ from btquot.gfpoly import (
     Place,
     Poly,
     choose_xi,
+    factor,
     field_from_q,
     is_irreducible,
     is_squarefree,
     make_field,
     polys_upto,
+    powmod,
+    sqr_test_residue,
+    strip_power,
 )
 from btquot.order import StandardOrder
 from btquot.quat import (
@@ -167,6 +171,42 @@ def test_hilbert_symbol_frozen_odd():
     T9 = Poly.T(f9)
     alg9 = QuatAlgebra(f9, 2, T9 * T9 + 2 * T9)
     assert ramified_set(alg9) == []
+
+
+def _inverse_hilbert_symbol(alg, v):
+    """The symbol at the finite place v as the quadratic character of
+    (-1)^(alpha*beta) * a0^beta * (b0^alpha)^-1, the inverse taken mod v."""
+    fld = alg.field
+    alpha, a0 = strip_power(alg.a, v)
+    beta, b0 = strip_power(alg.b, v)
+    ub = powmod(b0, alpha, v)
+    u = (powmod(a0, beta, v) * powmod(ub, fld.q**v.deg - 2, v)) % v
+    if (alpha * beta) % 2:
+        u = (-u) % v
+    return sqr_test_residue(v, u)
+
+
+def test_hilbert_symbol_matches_inverse_formula():
+    rng = random.Random(71)
+
+    def rand_poly(fld, deg):
+        coeffs = [rng.randrange(fld.q) for _ in range(deg)]
+        return Poly(fld, coeffs + [rng.randrange(1, fld.q)])
+
+    seen = set()
+    for q in (3, 5, 7, 9, 11):
+        fld = field_from_q(q)
+        for _ in range(12):
+            # a shared linear factor puts a place dividing both a and b
+            c = rand_poly(fld, 1)
+            a, b = (c * rand_poly(fld, rng.randint(0, 3)) for _ in range(2))
+            alg = QuatAlgebra(fld, a, b)
+            places = {h for f in (a, b) for h, _ in factor(f)}
+            for h in sorted(places, key=Poly.sort_key):
+                got = hilbert_symbol(alg, Place.finite(h))
+                assert got == _inverse_hilbert_symbol(alg, h), (alg, h)
+                seen.add((got, strip_power(a, h)[0] * strip_power(b, h)[0] % 2))
+    assert seen == {(1, 0), (1, 1), (-1, 0), (-1, 1)}
 
 
 def test_hilbert_symbol_frozen_even():

@@ -521,7 +521,7 @@ def test_build_quotient_banana():
     assert all(e.stabilizer_order == 2 for e in graph.edges)
     report = cross_check(graph.profile, graph)
     assert report.ok()
-    assert not report.graph_smooth
+    assert not report.measured["smooth"]
 
 
 def test_build_quotient_translated_base():

@@ -128,9 +128,6 @@ class Mat2K:
     def __neg__(self):
         return Mat2K(-self.a, -self.b, -self.c, -self.d)
 
-    def scale(self, s):
-        return Mat2K(self.a * s, self.b * s, self.c * s, self.d * s)
-
     def det(self):
         return self.a * self.d - self.b * self.c
 

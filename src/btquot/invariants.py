@@ -60,7 +60,9 @@ class RamProfile:
         if prime_power(q) is None:
             raise InvalidProfile("q = %r is not a prime power" % (q,))
         degs = tuple(sorted(degrees))
-        if not degs or any(not isinstance(d, int) or d < 1 for d in degs):
+        if not degs:
+            raise InvalidProfile("no ramified places")
+        if any(not isinstance(d, int) or d < 1 for d in degs):
             raise InvalidProfile("degrees must be positive integers")
         if len(degs) % 2 != 0:
             raise InvalidProfile(

@@ -73,10 +73,6 @@ class LaurentSeries:
         return cls(field, 0, (c,), True)
 
     @classmethod
-    def uniformizer(cls, field):
-        return cls(field, 1, (1,), True)
-
-    @classmethod
     def monomial(cls, field, k, c=1):
         return cls(field, k, (c,), True)
 
@@ -104,11 +100,6 @@ class LaurentSeries:
         if self.exact:
             raise ValueError("ord of exact zero")
         raise PrecisionLoss("series is zero to O(u^%s); ord unknown" % self.val)
-
-    def lc(self):
-        if not self.coeffs:
-            self.ord()  # raises the right thing
-        return self.coeffs[0]
 
     def coeff(self, k):
         """Coefficient of u^k; raises if k is past the known precision."""

@@ -54,10 +54,6 @@ class StandardOrder:
         self._products = {}
         self._moduli = None  # monic irreducible divisors of b, once factored
 
-    @property
-    def field(self):
-        return self.alg.field
-
     def basis(self):
         return self.alg.basis()
 
@@ -138,63 +134,6 @@ class StandardOrder:
         return "StandardOrder(%r)" % (self.alg,)
 
 
-def poly_sqrt(f):
-    """The polynomial square root with smallest leading coefficient, or None;
-    odd q only.
-
-    The root's coefficients follow from the top down, because the
-    coefficient of T^(2m-i) in r^2 is 2*r_m*r_(m-i) plus products of the
-    coefficients already found; the final r*r == f check rejects
-    non-squares.
-    """
-    fld = f.field
-    if fld.p == 2:
-        raise Unsupported("polynomial square roots are implemented for odd q")
-    if f.is_zero:
-        return f
-    s = fld.sqrt_(f.lc)
-    if s is None:
-        return None
-    if f.deg % 2:
-        return None
-    m = f.deg // 2
-    fc = f.coeffs
-    r = [0] * (m + 1)
-    r[m] = s
-    inv_2s = fld.inv(fld.add(s, s))
-    for i in range(1, m + 1):
-        acc = fc[2 * m - i]
-        for a in range(m - i + 1, m):
-            acc = fld.sub(acc, fld.mul(r[a], r[2 * m - i - a]))
-        r[m - i] = fld.mul(acc, inv_2s)
-    root = Poly(fld, r)
-    return root if root * root == f else None
-
-
-def artin_schreier_solve(g):
-    """All polynomial solutions of x^2 + x = g in characteristic two.
-
-    Returns [] or a sorted pair {x, x + 1}.
-    """
-    fld = g.field
-    if fld.p != 2:
-        raise Unsupported("Artin-Schreier equations need even q")
-    if g.deg <= 0:
-        c0 = g.coeff(0)
-        sols = [
-            Poly.const(fld, c)
-            for c in range(fld.q)
-            if fld.add(fld.mul(c, c), c) == c0
-        ]
-        return sorted(sols, key=Poly.sort_key)
-    if g.deg % 2:
-        return []
-    m = g.deg // 2
-    lead = Poly.monomial(fld, m, fld.sqrt_(g.lc))
-    rest = g - lead * lead - lead
-    return sorted((lead + s for s in artin_schreier_solve(rest)), key=Poly.sort_key)
-
-
 class TorsionUnit:
     """A finite-order unit together with its characteristic data."""
 
@@ -258,41 +197,42 @@ def solve_torsion(order, bound):
     Even q: elements of trace one and norm equal to the canonical
     trace-one constant.  The coordinate solved for, y for odd q and x for
     even q, has a square of degree at most deg b + 2*bound, so its degree
-    is at most (deg b + 2*bound) // 2 and can exceed bound.
+    is at most m = (deg b + 2*bound) // 2 and can exceed bound.  One table,
+    built per call, maps r^2 (odd q) or r^2 + r (even q) to its roots r of
+    degree at most m, so each (z, w) pair costs one lookup.
     """
     alg = order.alg
     fld = alg.field
     xi = Poly.const(fld, choose_xi(fld))
     a, b = alg.a, alg.b
+    if fld.p == 2 and a != xi:
+        raise Unsupported("even-q torsion search needs the H(xi, b) shape")
+    roots = {}
+    for r in polys_upto(fld, (b.deg + 2 * bound) // 2):
+        roots.setdefault(r * r + r if fld.p == 2 else r * r, []).append(r)
+    ws = list(polys_upto(fld, bound))
     out = []
     if fld.p == 2:
-        if a != xi:
-            raise Unsupported("even-q torsion search needs the H(xi, b) shape")
-        # b*(z^2 + z*w + xi*w^2): b*z and b*z^2 once per z, b*xi*w^2 once
-        # per w, so each (z, w) pair costs one product
-        ws = list(polys_upto(fld, bound))
+        # x^2 + x = b*(z^2 + z*w + xi*w^2): b*z and b*z^2 once per z,
+        # b*xi*w^2 once per w, so each (z, w) pair costs one product
         bxw2 = [b * xi * w * w for w in ws]
         for z in ws:
             bz = b * z
             bz2 = bz * z
             for w, bxww in zip(ws, bxw2):
-                for x in artin_schreier_solve(bz2 + bz * w + bxww):
+                for x in roots.get(bz2 + bz * w + bxww, ()):
                     out.append(alg.elem(x, Poly.one(fld), z, w))
     else:
         # y^2 = (xi - b*z^2)/a + b*w^2, and a divides a*b*w^2: one division
         # per z decides every w, and b*w^2 is formed once per w
-        ws = list(polys_upto(fld, bound))
         bw2 = [b * w * w for w in ws]
         for z in ws:
             base, rem = divmod(xi - b * z * z, a)
             if not rem.is_zero:
                 continue
             for w, bww in zip(ws, bw2):
-                y = poly_sqrt(base + bww)
-                if y is None:
-                    continue
-                for yy in sorted({y, -y}, key=Poly.sort_key):
-                    out.append(alg.elem(Poly.zero(fld), yy, z, w))
+                for y in roots.get(base + bww, ()):
+                    out.append(alg.elem(Poly.zero(fld), y, z, w))
     units = [TorsionUnit(el) for el in out]
     units.sort(key=TorsionUnit.sort_key)
     return units

@@ -283,6 +283,16 @@ PINNED_TORSION = {
         "f06deaceedcca1ab19458530c4ed4082ceca48bcf35461b6415223531f0eabbd",
     ("--q", "8", "--r", "T*(T+1)", "--bound", "1"):
         "77100b6ca61c64e37a99302dd52b99b01a8d163260395d6788b6d53452324350",
+    # odd q over an extension field
+    ("--q", "9", "--r", "T*(T-1)", "--bound", "1"):
+        "d18ac717cb59e3ab38401ff6e0eabfd933cba1cf9316dc4472e821375b702525",
+    # deg b = 2*bound + 4: the census's table of roots outgrows its pair loop
+    ("--q", "5", "--r", "T*(T-1)*(T-2)*(T-3)", "--bound", "0"):
+        "4224ee79b6a5ca712570a23f711fef0fec887006a7b39d0a62a21d86c69e1af7",
+    ("--q", "4", "--r", "T*(T+1)", "--bound", "2"):
+        "1b3fbb9b07d04db0b55ef417cd5bde696f226fa330eba93a2f72ec8b8462ad72",
+    ("--q", "7", "--r", "T*(T-1)", "--bound", "2", "--no-classes"):
+        "8cf185441403aa9d82b268d321719ded9f414e6e847714f3b30fe4e502936eda",
 }
 
 
@@ -381,6 +391,22 @@ def test_ramification_nonpositive_degrees_checked_before_pools(capsys, monkeypat
         code, out, err = run(capsys, "ramification", "--q", "3", "--R-degrees=" + degrees)
         assert (code, out) == (3, "")
         assert err == "unsupported: degrees must be positive integers\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("ramification", "--q", "3", "--a", "2", "--b", "2"),
+        ("quotient", "--q", "5", "--a", "2", "--b", "3"),
+        ("torsion", "--q", "3", "--a", "2", "--b", "2"),
+        ("formulas", "--q", "3", "--R", ","),
+    ],
+)
+def test_empty_ramification_profile_is_named(argv, capsys):
+    # H(a, b) with a, b constant ramifies nowhere; "--R ," lists no degree
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err == "unsupported: no ramified places\n"
 
 
 def test_ramification_odd_degree_count_checked_before_pools(capsys, monkeypatch):

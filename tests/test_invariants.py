@@ -112,7 +112,7 @@ def test_profile_validation():
         RamProfile(1, (1, 1))
     with pytest.raises(InvalidProfile):
         RamProfile(3, (1, 1, 1))
-    with pytest.raises(InvalidProfile):
+    with pytest.raises(InvalidProfile, match="no ramified places"):
         RamProfile(3, ())
     with pytest.raises(InvalidProfile):
         RamProfile(3, (0, 1))

@@ -6,14 +6,21 @@ import btquot
 
 SRC = os.path.dirname(os.path.abspath(btquot.__file__))
 
+# module-level definitions that no package code names yet, each with the
+# reason it stays: critical_group waits for the Jacobian of the quotient
+UNREFERENCED_ALLOWED = {"critical_group"}
+
+
+def _module_trees():
+    for name in sorted(os.listdir(SRC)):
+        if name.endswith(".py"):
+            with open(os.path.join(SRC, name)) as fh:
+                yield name, ast.parse(fh.read(), name)
+
 
 def test_package_imports_only_the_standard_library():
     outside = []
-    for name in sorted(os.listdir(SRC)):
-        if not name.endswith(".py"):
-            continue
-        with open(os.path.join(SRC, name)) as fh:
-            tree = ast.parse(fh.read(), name)
+    for name, tree in _module_trees():
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 mods = [alias.name for alias in node.names]
@@ -25,3 +32,29 @@ def test_package_imports_only_the_standard_library():
                 if mod.split(".")[0] not in sys.stdlib_module_names:
                     outside.append((name, node.lineno, mod))
     assert outside == []
+
+
+def test_every_module_level_definition_is_named_in_the_package():
+    # a definition counts as named when some other top-level statement of
+    # the package names it, so recursion alone does not keep it alive
+    defined = {}
+    named_by = []
+    for name, tree in _module_trees():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined[node.name] = (name, node.lineno)
+            names = set()
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name):
+                    names.add(sub.id)
+                elif isinstance(sub, ast.Attribute):
+                    names.add(sub.attr)
+                elif isinstance(sub, ast.ImportFrom):
+                    names.update(alias.name for alias in sub.names)
+            named_by.append((getattr(node, "name", None), names))
+    orphans = {
+        k: where
+        for k, where in defined.items()
+        if not any(k in names for owner, names in named_by if owner != k)
+    }
+    assert sorted(orphans) == sorted(UNREFERENCED_ALLOWED), orphans

@@ -146,7 +146,7 @@ class TorsionUnit:
         # q^2 elements (or q, for a scalar).  The census builds only elements
         # with a constant characteristic polynomial, so one that is not
         # torsion is a broken invariant.
-        cycle = power_cycle(elem, elem.alg.field.q**2)
+        cycle = power_cycle(elem, t, n, elem.alg.field.q**2)
         if cycle is None:
             raise InvariantViolation("census element %s is not torsion" % elem)
         self.order = len(cycle)
@@ -159,18 +159,18 @@ class TorsionUnit:
         return "TorsionUnit(%s; order %d)" % (self.elem, self.order)
 
 
-def power_cycle(el, count):
+def power_cycle(el, t, n, count):
     """The pairs (u_k, v_k) of int codes with el^k = u_k + v_k*el, one per
     power el^1, ..., el^m = 1 for m the multiplicative order of el, read
-    off the characteristic polynomial X^2 - t*X + n of el; None when no
-    power up to el^count is one, or t or n is not a constant.
+    off the characteristic polynomial X^2 - t*X + n of el, (t, n) as
+    el.charpoly() gives them; None when no power up to el^count is one,
+    or t or n is not a constant.
 
     A non-scalar el generates F_q[el] = F_q[X]/(X^2 - t*X + n) when t and
     n are constants (1 and el are independent), so el^k is X^k there; the
     pair (u, v) stands for u + v*X, and X*(u + v*X) = -v*n + (u + v*t)*X.
     A scalar c gives (c^k, 0).  No quaternion product is formed.
     """
-    t, n = el.charpoly()
     if not (t.is_const and n.is_const):
         return None
     fld = el.alg.field
@@ -338,7 +338,9 @@ def span_units(alg, gens):
     vectors (first nonzero coordinate one) are scanned in order; for each
     whose form value is a nonzero constant the combination lam is yielded,
     then c*lam for c = 2..q-1 (norm c^2 N(lam)).  Every unit of the span
-    is yielded once, the first projective one first.
+    is yielded once, the first projective one first.  conj_search and
+    quotient.are_equivalent take the first as witness, StabilizerGroup the
+    first of full order as generator, and constant_unit_orbits them all.
     """
     fld = alg.field
     k = len(gens)

@@ -334,13 +334,14 @@ def completeness_bound(v, w):
 
 
 def hom_units(emb, v, w, B):
-    """Unit-norm order elements of coordinate degree <= B that carry the
-    vertex v to the vertex w: their image maps the column lattice U of v
-    onto a scalar multiple of the lattice V of w.
+    """An F_q-basis of the order elements of coordinate degree <= B whose
+    image maps the column lattice U of v into a scalar multiple of the
+    lattice V of w; the units of its span (order.span_units) are the
+    transporters, the units of degree <= B carrying v to w.
 
     The scalar is pinned by the levels, since det U = u^(n_v) and
-    det V = u^(n_w): when n_v - n_w is odd no element can work and the list
-    is empty.  Otherwise m = (n_v - n_w)/2, and lambda is the sum of
+    det V = u^(n_w): when n_v - n_w is odd no element can work and the
+    basis is empty.  Otherwise m = (n_v - n_w)/2, and lambda is the sum of
     c[image, k] T^k times image over the basis images (1, i, j, ij) and
     degrees k <= B.  "pi^{-m} V^{-1} iota(lambda) U is integral" is then a
     linear system for the c over the constant field: one column per
@@ -367,10 +368,8 @@ def hom_units(emb, v, w, B):
     embedding (SplitEmbedding.sibling_system).
 
     The series carry the precision series_terms derives from v, w and B.
-    The norm filter on the kernel's span is order.span_units, the one
-    conj_search uses too, and the units are returned sorted.  A unit it
-    yields meets the lattice condition by construction; callers check what
-    they use (the stabilizer its generator, are_equivalent its witness).
+    Callers scan the span lazily with span_units and check the unit they
+    use (the stabilizer its generator, are_equivalent its witness).
     """
     alg = emb.alg
     fld = alg.field
@@ -386,10 +385,7 @@ def hom_units(emb, v, w, B):
             "unit candidate space has dimension %d; refusing to enumerate"
             % len(kernel)
         )
-    return sorted(
-        span_units(alg, kernel_elements(alg, kernel, B)),
-        key=lambda g: tuple(c.sort_key() for c in g.coords),
-    )
+    return kernel_elements(alg, kernel, B)
 
 
 def _sibling_system(emb, parent, w, B, terms):
@@ -471,51 +467,47 @@ def _sibling_system(emb, parent, w, B, terms):
 class StabilizerGroup:
     """The units fixing one vertex: a cyclic group, F_q^x or F_{q^2}^x.
 
-    Everything is read off one generator g of order n = |G|: the first
-    element whose powers first reach 1 at g^n (scalars skipped when
-    n = q^2 - 1), which in a cyclic group is the first with g^(n/p) != 1
-    for every prime p | n.  Its n powers are read off its characteristic
-    polynomial (order.power_cycle) as u_k + v_k*g, one scale and one add
-    each, and they are the element set, which proves the set is a group.
+    It is read off the hom_units basis of the vertex's space: its order is
+    n = q^dim - 1, dim 1 or 2, and its generator g is the first unit
+    span_units yields whose powers first reach 1 at g^n (scalars skipped
+    when n = q^2 - 1), the powers read off the characteristic polynomial
+    (order.power_cycle).  At the complete bound the space is O meet
+    End(L_v): a finite subring of a division algebra, so a field F_q or
+    F_{q^2}, whose nonzero elements are units fixing v, and every unit
+    fixing v lies in it by completeness_bound.  stabilizer checks that g
+    fixes v, so <g> <= Stab(v) <= space minus 0; both ends have q^dim - 1
+    elements, so <g> = Stab(v).
+
     The link P^1(F_q) of the vertex then splits in one of two ways
     (Serre, *Trees*, ch. II §1), and the elements fixing a neighbour form
-    the subgroup of order n / (its orbit length).
-
-    A group of order q - 1 from hom_units is the centre F_q^x: the q - 1
-    nonzero constants are units of degree 0 that fix every vertex, so
-    hom_units always finds them, and they are all q - 1 elements.  Its
-    generator is then a scalar, and a scalar fixes every vertex of the
-    tree, since it maps each lattice to a homothetic one.  So a scalar
-    generator acts trivially: the orbits are the q + 1 singletons, and
-    stabilizer checks no fixed vertex, with no action.  At order q^2 - 1
-    the generator is never a scalar, and F_{q^2}^x acts on the link
-    through F_{q^2}^x / F_q^x, cyclic of order q + 1 and simply transitive
-    on P^1(F_q): the link is one orbit, a (q + 1)-cycle of g.
+    the subgroup of order n / (its orbit length).  At order q - 1 the
+    group is the centre, the nonzero constants: a scalar generator maps
+    each lattice to a homothetic one, so it fixes every vertex, the orbits
+    are the q + 1 singletons, and stabilizer checks no fixed vertex.  At
+    order q^2 - 1 the generator is not a scalar, and F_{q^2}^x / F_q^x,
+    cyclic of order q + 1, is simply transitive on P^1(F_q): the link is
+    one orbit, a (q + 1)-cycle of g.
     """
 
-    def __init__(self, alg, elements):
+    def __init__(self, alg, space):
         q = alg.field.q
         self.alg = alg
-        self.elements = list(elements)
-        self.order = n = len(self.elements)
-        if n not in (q - 1, q * q - 1):
+        dim = len(space)
+        if dim not in (1, 2):
             raise StabilizerAnomalousOrder(
-                "stabilizer has %d elements; expected %d or %d"
-                % (n, q - 1, q * q - 1)
+                "stabilizer space has dimension %d; expected 1 or 2 (orders"
+                " %d or %d)" % (dim, q - 1, q * q - 1)
             )
-        for g in self.elements:
+        self.order = n = q**dim - 1
+        for g in span_units(alg, space):
             if n == q * q - 1 and g.is_scalar:
                 continue
-            pairs = power_cycle(g, n)
+            pairs = power_cycle(g, *g.charpoly(), n)
             if pairs is not None and len(pairs) == n:
                 break
         else:
             raise StabilizerAnomalousOrder(
                 "stabilizer has no element of order %d" % n
-            )
-        if {g.scale(v) + u for u, v in pairs} != set(self.elements):
-            raise StabilizerAnomalousOrder(
-                "stabilizer is not the cyclic group of its generator"
             )
         self.generator = g
 
@@ -564,11 +556,11 @@ class StabilizerGroup:
 
 
 def stabilizer(emb, vertex):
-    """The units fixing vertex.  Every element is a power of the group's
-    generator, so checking that the generator fixes vertex checks all; a
-    scalar generator fixes every vertex and needs no check."""
-    found = hom_units(emb, vertex, vertex, completeness_bound(vertex, vertex))
-    group = StabilizerGroup(emb.alg, found)
+    """The units fixing vertex, from its hom_units space at the complete
+    bound.  Every element is a power of the generator, so checking that
+    the generator fixes vertex checks all; a scalar fixes every vertex."""
+    space = hom_units(emb, vertex, vertex, completeness_bound(vertex, vertex))
+    group = StabilizerGroup(emb.alg, space)
     g = group.generator
     if g.is_scalar:
         return group
@@ -581,16 +573,16 @@ def stabilizer(emb, vertex):
 def are_equivalent(emb, v, w):
     """Witness(unit carrying v to w, bound) or NoWitness(bound), definitive
     because the search bound is complete; the bound is None when no search
-    was needed (v == w, or a parity rejection)."""
+    was needed (v == w, or a parity rejection).  The witness is the first
+    unit span_units yields, as in conj_search."""
     if v == w:
         return Witness(emb.alg.one, None)
     if (v.n - w.n) % 2:
         return NoWitness(None)
     bound = completeness_bound(v, w)
-    found = hom_units(emb, v, w, bound)
-    if not found:
+    witness = next(span_units(emb.alg, hom_units(emb, v, w, bound)), None)
+    if witness is None:
         return NoWitness(bound)
-    witness = found[0]
     if emb.act(witness, v) != w:
         raise InvariantViolation("equivalence witness does not carry v to w")
     return Witness(witness, bound)

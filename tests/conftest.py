@@ -1,5 +1,7 @@
 from btquot.gfpoly import choose_xi, parse_poly
+from btquot.order import span_units
 from btquot.quat import QuatAlgebra
+from btquot.quotient import hom_units
 
 ACCEPTANCE_FILE = "test_acceptance.py"
 
@@ -52,3 +54,19 @@ def parse_algebra(field, text):
         chunk = chunk.strip().replace("xi", "(%d)" % xi)
         parts.append(parse_poly(field, chunk))
     return QuatAlgebra(field, parts[0], parts[1])
+
+
+def coord_key(g):
+    """Sort key of a quaternion element: its coordinates on (1, i, j, ij)."""
+    return tuple(c.sort_key() for c in g.coords)
+
+
+def sorted_units(alg, space):
+    """Every unit in the F_q-span of space, sorted by coordinates."""
+    return sorted(span_units(alg, space), key=coord_key)
+
+
+def unit_list(emb, v, w, B):
+    """Every unit of coordinate degree <= B carrying v to w, sorted by
+    coordinates: the units of the span of the hom_units basis."""
+    return sorted_units(emb.alg, hom_units(emb, v, w, B))

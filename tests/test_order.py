@@ -666,6 +666,28 @@ def test_torsion_unit_metadata():
     assert paired_unit(u).elem == -om.alg.i
 
 
+@pytest.mark.parametrize(
+    "q, text, bound",
+    [(3, "H(xi, T*(T-1))", 2), (7, "H(xi, T*(T-1))", 1), (4, "H(xi, T*(T+1))", 1)],
+)
+def test_solve_torsion_takes_one_norm_per_unit(q, text, bound, monkeypatch):
+    # the census reads each unit's characteristic polynomial once, and its
+    # order walk reuses it
+    om = StandardOrder(parse_algebra(field_from_q(q), text))
+    calls = []
+    plain = QuatElem.norm
+
+    def counting(self):
+        calls.append(self)
+        return plain(self)
+
+    monkeypatch.setattr(QuatElem, "norm", counting)
+    units = solve_torsion(om, bound)
+    monkeypatch.undo()
+    assert units
+    assert len(calls) == len(units)
+
+
 def reference_conj_search(order, x, y, bound):
     """conj_search with the per-call assembly: the images e*x - y*e from
     QuatElem products, shifted by T^k through scale(Poly.monomial(...))."""
@@ -821,25 +843,25 @@ def recorded_spans(monkeypatch, module):
     return spans
 
 
-def test_span_units_matches_brute_force_on_hom_units_kernels(monkeypatch):
+def test_span_units_matches_brute_force_on_hom_units_kernels():
     from btquot import quotient
     from btquot.bttree import TreeVertex
 
-    spans = recorded_spans(monkeypatch, quotient)
     for q in (3, 5, 7, 9, 11):
-        del spans[:]
         fld = field_from_q(q)
         emb = quotient.SplitEmbedding(parse_algebra(fld, "H(xi, T*(T-1))"))
         chain = [TreeVertex.base(fld)]
         for _ in range(3):
             chain.append(chain[-1].neighbors()[2])
-        for v in chain:
-            for w in chain:
-                for bound in range(quotient.completeness_bound(v, w) + 1):
-                    quotient.hom_units(emb, v, w, bound)
-        assert {len(gens) for _, gens in spans} == {0, 1, 2}, q
-        for alg, gens in spans:
-            assert_span_units_match(alg, gens)
+        spaces = [
+            quotient.hom_units(emb, v, w, bound)
+            for v in chain
+            for w in chain
+            for bound in range(quotient.completeness_bound(v, w) + 1)
+        ]
+        assert {len(gens) for gens in spaces} == {0, 1, 2}, q
+        for gens in spaces:
+            assert_span_units_match(emb.alg, gens)
 
 
 def test_span_units_matches_brute_force_on_conj_search_systems(monkeypatch):
@@ -939,19 +961,24 @@ def test_conj_search_witness_checks_raise_under_optimize():
     assert lines[2] == "conjugacy witness 1 does not take i to j"
 
 
+def cycle(el, count):
+    """power_cycle with the characteristic polynomial of el."""
+    return power_cycle(el, *el.charpoly(), count)
+
+
 def test_power_cycle_stops_at_the_first_power_equal_to_one():
     om = order_q3()
     alg = om.alg
     T = Poly.T(om.alg.field)
     # i^2 = 2 = -1, so i has order 4: i, -1, -i, 1
-    assert power_cycle(alg.i, 9) == [(0, 1), (2, 0), (0, 2), (1, 0)]
-    assert power_cycle(alg.i, 4) == [(0, 1), (2, 0), (0, 2), (1, 0)]
-    assert power_cycle(alg.i, 3) is None
-    assert power_cycle(alg.elem(2), 9) == [(2, 0), (1, 0)]
-    assert power_cycle(alg.elem(1), 1) == [(1, 0)]
-    assert power_cycle(alg.elem(0, T), 9) is None
+    assert cycle(alg.i, 9) == [(0, 1), (2, 0), (0, 2), (1, 0)]
+    assert cycle(alg.i, 4) == [(0, 1), (2, 0), (0, 2), (1, 0)]
+    assert cycle(alg.i, 3) is None
+    assert cycle(alg.elem(2), 9) == [(2, 0), (1, 0)]
+    assert cycle(alg.elem(1), 1) == [(1, 0)]
+    assert cycle(alg.elem(0, T), 9) is None
     # 1 + i has norm 1 - 2 = 2 and trace 2: order 8 in F_9^x
-    assert len(power_cycle(alg.elem(1, 1), 9)) == 8
+    assert len(cycle(alg.elem(1, 1), 9)) == 8
 
 
 def test_power_cycle_of_scalars_and_non_constant_charpolys():
@@ -959,12 +986,12 @@ def test_power_cycle_of_scalars_and_non_constant_charpolys():
     alg = om.alg
     fld = om.alg.field
     T = Poly.T(fld)
-    assert power_cycle(alg.elem(0, T), 4) is None
-    assert power_cycle(alg.elem(T), 4) is None
-    assert power_cycle(alg.elem(2), 4) == [(2, 0), (1, 0)]
+    assert cycle(alg.elem(0, T), 4) is None
+    assert cycle(alg.elem(T), 4) is None
+    assert cycle(alg.elem(2), 4) == [(2, 0), (1, 0)]
     i = alg.i
     powers = [i, i * i, i * i * i, i * i * i * i]
-    pairs = power_cycle(i, 4)
+    pairs = cycle(i, 4)
     assert len(pairs) == len(powers)
     for (u, v), want in zip(pairs, powers):
         assert i.scale(v) + u == want

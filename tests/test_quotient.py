@@ -3,14 +3,21 @@ import random
 import subprocess
 import sys
 from itertools import product
-from types import SimpleNamespace
 
 import pytest
 
 import btquot
 from btquot import quotient
-from btquot.cli import main
-from btquot.bttree import Mat2K, TreeVertex, act, canonical_form, distance, midpoint
+from btquot.cli import _algebra_from, build_parser, main
+from btquot.bttree import (
+    Mat2K,
+    TreeVertex,
+    act,
+    base_distance,
+    canonical_form,
+    distance,
+    midpoint,
+)
 from btquot.errors import (
     InvariantViolation,
     NonterminationGuard,
@@ -47,6 +54,7 @@ from btquot.order import (
     constant_unit_orbits,
     power_cycle,
     solve_torsion,
+    span_units,
     torsion_classes,
 )
 from btquot.quat import QuatAlgebra, QuatElem, ramified_set
@@ -65,7 +73,8 @@ from btquot.quotient import (
     terminal_classes,
 )
 
-from conftest import parse_algebra
+from conftest import coord_key, parse_algebra, sorted_units, unit_list
+from test_cli import PINNED_ARTIFACTS
 
 # Terms of sqrt(b) for the tests that build matrices by hand.
 TERMS = 40
@@ -235,10 +244,11 @@ def test_stabilizer_base_q3():
     base = TreeVertex.base(fld)
     group = stabilizer(emb, base)
     assert group.order == 8
-    assert alg.i in group.elements
-    assert alg.one in group.elements
-    assert alg.elem(2) in group.elements
-    for g in group.elements[:3]:
+    elements = unit_list(emb, base, base, completeness_bound(base, base))
+    assert alg.i in elements
+    assert alg.one in elements
+    assert alg.elem(2) in elements
+    for g in elements[:3]:
         assert emb.act(g, base) == base
     orbits = group.neighbor_orbits(emb, base)
     assert orbits == [[0, 1, 2, 3]]
@@ -247,19 +257,19 @@ def test_stabilizer_base_q3():
 def test_stabilizer_neighbors_of_base():
     alg = segment_algebra()
     emb = SplitEmbedding(alg)
-    child = stabilizer(emb, TreeVertex(alg.field, 1))
-    assert child.order == 8
-    assert theta2(alg) in child.elements
-    parent = stabilizer(emb, TreeVertex(alg.field, -1))
-    assert parent.order == 8
-    assert theta2(alg) not in parent.elements
+    for n, holds_theta2 in ((1, True), (-1, False)):
+        v = TreeVertex(alg.field, n)
+        assert stabilizer(emb, v).order == 8
+        elements = unit_list(emb, v, v, completeness_bound(v, v))
+        assert (theta2(alg) in elements) == holds_theta2
 
 
 def test_hom_units_identity_example():
     alg = segment_algebra()
     emb = SplitEmbedding(alg)
     base = TreeVertex.base(alg.field)
-    found = hom_units(emb, base, base, 1)
+    assert len(hom_units(emb, base, base, 1)) == 2
+    found = unit_list(emb, base, base, 1)
     assert len(found) == 8
     assert alg.i in found
     for lam in found:
@@ -281,7 +291,8 @@ def test_hom_units_pi_lattice_example():
         LaurentSeries.one(fld),
     )
     v = canonical_form(u_mat)
-    found = hom_units(emb, v, v, 1)
+    assert len(hom_units(emb, v, v, 1)) == 2
+    found = unit_list(emb, v, v, 1)
     assert len(found) == 8
     assert theta2(alg) in found
 
@@ -387,7 +398,7 @@ def test_hom_units_matches_per_degree_reference():
             todo.append((v, v if rng.random() < 0.2 else rand_vertex(rng, fld, depth)))
         for v, w in todo:
             bound = completeness_bound(v, w)
-            got = hom_units(emb, v, w, bound)
+            got = unit_list(emb, v, w, bound)
             terms = 2 * series_terms(alg, bound, (v, w))
             assert got == reference_hom_units(emb, v, w, bound, terms)
             for lam in got:
@@ -409,7 +420,7 @@ def test_hom_units_matches_per_degree_reference():
             bounds = [completeness_bound(v, w) for v in children]
             for shift in (-1, 0, 1):
                 for v, bound in zip(children, bounds):
-                    got = hom_units(emb, v, w, bound + shift)
+                    got = unit_list(emb, v, w, bound + shift)
                     terms = 2 * series_terms(alg, bound + shift, (v, w))
                     assert got == reference_hom_units(emb, v, w, bound + shift, terms)
                     seen.add("sibling found" if got else "sibling empty")
@@ -565,7 +576,7 @@ def test_completeness_bound_needs_no_slack(q, text, monkeypatch):
 
     def with_margin(emb, v, w, B):
         got = hom_units(emb, v, w, B)
-        assert got == hom_units(emb, v, w, B + 2)
+        assert sorted_units(emb.alg, got) == unit_list(emb, v, w, B + 2)
         calls.append(B)
         return got
 
@@ -589,7 +600,7 @@ def test_build_quotient_work_is_pinned(monkeypatch):
     def counted_hom_units(emb, v, w, B):
         got = hom_units(emb, v, w, B)
         counts["hom_units"] += 1
-        counts["units"] += len(got)
+        counts["units"] += len(got)  # the kernel dimension
         if B >= 0 and (v.n - w.n) % 2 == 0:
             searched.add((v.parent(), w, B, series_terms(emb.alg, B, (v, w))))
         return got
@@ -614,7 +625,7 @@ def test_build_quotient_work_is_pinned(monkeypatch):
     assert len(built) == len(set(built)) == 89
     assert set(built) == searched
     assert counts == {
-        "hom_units": 173, "units": 106, "nullspace": 262, "kernel_dim": 156, "cells": 41408,
+        "hom_units": 173, "units": 53, "nullspace": 262, "kernel_dim": 156, "cells": 41408,
     }
 
 
@@ -811,7 +822,7 @@ def test_precision_loss_raised_when_window_unreachable(monkeypatch):
     bound = completeness_bound(far, far)
     assert series_terms(alg, bound, [far]) > 8
     warm = SplitEmbedding(alg)
-    assert len(hom_units(warm, far, far, bound)) == 8
+    assert len(unit_list(warm, far, far, bound)) == 8
     monkeypatch.setattr("btquot.quotient.series_terms", lambda alg, bound, vertices: 8)
     with pytest.raises(PrecisionLoss):
         stabilizer(SplitEmbedding(alg), far)
@@ -913,9 +924,15 @@ def test_even_q_quotient_unsupported():
 
 
 def test_stabilizer_group_rejects_bad_order():
+    # the order is read off the dimension of the space: 0 and 3 are no
+    # stabilizer's
     alg = segment_algebra()
-    with pytest.raises(StabilizerAnomalousOrder):
-        StabilizerGroup(alg, [alg.one])
+    for space in ([], [alg.one, alg.i, alg.j]):
+        with pytest.raises(
+            StabilizerAnomalousOrder,
+            match="stabilizer space has dimension %d; expected 1 or 2" % len(space),
+        ):
+            StabilizerGroup(alg, space)
 
 
 def test_banana_neighbor_orbits_are_singletons():
@@ -951,7 +968,7 @@ def test_neighbor_orbits_reject_a_generator_with_two_cycles(q):
     assert group.order == q * q - 1
     square = group.generator * group.generator
     assert not square.is_scalar and emb.act(square, base) == base
-    cycles = reference_orbits(emb, SimpleNamespace(elements=[square]), base)
+    cycles = reference_orbits(emb, [square], base)
     assert sorted(map(len, cycles)) == [(q + 1) // 2] * 2
     group.generator = square
     with pytest.raises(
@@ -982,7 +999,7 @@ def reference_closure(alg, elements):
     return all(g * h in members for g in elements for h in elements)
 
 
-def reference_orbits(emb, group, vertex):
+def reference_orbits(emb, elements, vertex):
     """Orbits on the link from the permutations of every element."""
     nbs = vertex.neighbors()
     index = {nb: i for i, nb in enumerate(nbs)}
@@ -993,7 +1010,7 @@ def reference_orbits(emb, group, vertex):
             i = parent[i]
         return i
 
-    for g in group.elements:
+    for g in elements:
         for i, nb in enumerate(nbs):
             ri, rj = find(i), find(index[emb.act(g, nb)])
             if ri != rj:
@@ -1004,8 +1021,13 @@ def reference_orbits(emb, group, vertex):
     return sorted(groups.values())
 
 
-def reference_fixing_count(emb, group, vertex):
-    return sum(1 for g in group.elements if emb.act(g, vertex) == vertex)
+def reference_fixing_count(emb, elements, vertex):
+    return sum(1 for g in elements if emb.act(g, vertex) == vertex)
+
+
+def stabilizer_units(emb, vertex):
+    """Every unit fixing vertex, sorted by coordinates."""
+    return unit_list(emb, vertex, vertex, completeness_bound(vertex, vertex))
 
 
 def q7_algebra():
@@ -1024,16 +1046,19 @@ def test_stabilizer_generator_matches_all_element_reference():
         for vertex in [base] + base.neighbors()[:neighbors]:
             group = stabilizer(emb, vertex)
             assert group.order == order
-            assert reference_closure(alg, group.elements)
+            space = hom_units(emb, vertex, vertex, completeness_bound(vertex, vertex))
+            assert group.generator == scan_generator(alg, space)
+            elements = sorted_units(alg, space)
+            assert reference_closure(alg, elements)
             orbits = group.neighbor_orbits(emb, vertex)
-            assert orbits == reference_orbits(emb, group, vertex)
-            assert reference_fixing_count(emb, group, vertex) == order
+            assert orbits == reference_orbits(emb, elements, vertex)
+            assert reference_fixing_count(emb, elements, vertex) == order
             nbs = vertex.neighbors()
             for orbit in orbits:
                 got = group.fixing_count(orbit)
                 assert got * len(orbit) == order
                 for i in orbit:
-                    assert got == reference_fixing_count(emb, group, nbs[i])
+                    assert got == reference_fixing_count(emb, elements, nbs[i])
 
 
 @pytest.mark.parametrize("q, text", PROOF_CASES)
@@ -1048,12 +1073,49 @@ def test_central_stabilizers_give_singleton_orbits(q, text):
     for v in graph.vertices:
         group = stabilizer(emb, v.lift)
         orbits = group.neighbor_orbits(emb, v.lift)
-        assert orbits == reference_orbits(emb, group, v.lift)
+        assert orbits == reference_orbits(emb, stabilizer_units(emb, v.lift), v.lift)
         assert group.generator.is_scalar == (group.order == q - 1)
         if group.order == q - 1:
             assert orbits == [[i] for i in range(q + 1)]
         orders.add(group.order)
     assert orders <= {q - 1, q * q - 1}
+
+
+def pinned_algebra(spec):
+    return _algebra_from(build_parser().parse_args(["quotient", *spec]))
+
+
+# The builds of PROOF_CASES and of the pinned --out artifacts, each once.
+PROOF_ALGEBRAS = {str(parse_algebra(field_from_q(q), text)) for q, text in PROOF_CASES}
+CLOSURE_CASES = [("proof", case) for case in PROOF_CASES] + [
+    ("pinned", spec)
+    for spec in sorted(PINNED_ARTIFACTS)
+    if "--R-degrees" in spec or str(pinned_algebra(spec)) not in PROOF_ALGEBRAS
+]
+
+
+@pytest.mark.parametrize("kind, case", CLOSURE_CASES)
+def test_every_class_stabilizer_is_the_cyclic_group_of_its_generator(kind, case):
+    # The stabilizer is read off the dimension of its space and one
+    # generator; here every unit of the space is enumerated and compared
+    # with the generator's powers, formed by quaternion products.
+    if kind == "proof":
+        alg = parse_algebra(field_from_q(case[0]), case[1])
+    else:
+        alg = pinned_algebra(case)
+    q = alg.field.q
+    graph = build_quotient(alg)
+    emb = graph.embedding
+    for vertex in graph.vertices:
+        lift = vertex.lift
+        bound = completeness_bound(lift, lift)
+        dim = len(hom_units(emb, lift, lift, bound))
+        assert dim in (1, 2)
+        units = unit_list(emb, lift, lift, bound)
+        assert q**dim - 1 == len(units) == vertex.stabilizer_order
+        powers = product_powers(vertex.generator, len(units))
+        assert powers[-1] == alg.one
+        assert sorted(powers[1:], key=coord_key) == units
 
 
 def product_powers(g, count):
@@ -1071,43 +1133,36 @@ def test_stabilizer_generator_powers_are_the_elements():
         g = group.generator
         powers = product_powers(g, group.order)
         assert len(set(powers[:-1])) == group.order
-        assert set(powers[:-1]) == set(group.elements)
+        assert set(powers[:-1]) == set(stabilizer_units(emb, TreeVertex.base(alg.field)))
         assert powers[-1] == alg.one
         if group.order == alg.field.q ** 2 - 1:
             assert not g.is_scalar
 
 
 def test_stabilizer_group_rejects_full_order_non_group():
+    # a space of dimension 2 that is no field: its only units are +-i, of
+    # order 4, not 8
     alg = segment_algebra()
-    emb = SplitEmbedding(alg)
-    fld = alg.field
-    base = stabilizer(emb, TreeVertex.base(fld)).elements
-    child = stabilizer(emb, TreeVertex(fld, 1)).elements
-    outsider = next(g for g in child if g not in base)
-    fake = base[:-1] + [outsider]
-    assert len(set(fake)) == fld.q ** 2 - 1
-    assert all(g.norm().is_const and not g.norm().is_zero for g in fake)
-    assert not reference_closure(alg, fake)
-    with pytest.raises(StabilizerAnomalousOrder):
-        StabilizerGroup(alg, fake)
+    space = [alg.i, alg.j]
+    assert set(sorted_units(alg, space)) == {alg.i, -alg.i}
+    assert product_powers(alg.i, 4)[4] == alg.one
+    with pytest.raises(StabilizerAnomalousOrder, match="no element of order 8"):
+        StabilizerGroup(alg, space)
 
 
 def test_stabilizer_group_rejects_non_constant_trace():
-    # no finite-order unit has a non-constant trace: such an element makes
-    # the stabilizer anomalous, not a census element that is "not torsion"
+    # no finite-order unit has a non-constant trace: u = (T + 1) + j has
+    # norm (T + 1)^2 - (T^2 + 2T) = 1 and trace 2T + 2, so a space whose
+    # only non-scalar units are +-u has no generator, at either dimension
     alg = segment_algebra()
     fld = alg.field
-    base = stabilizer(SplitEmbedding(alg), TreeVertex.base(fld)).elements
-    stray = alg.elem(Poly.T(fld), 1)
-    assert not stray.trace().is_const
-    for fake in ([stray] + base[1:], base[:-1] + [stray]):
-        with pytest.raises(
-            StabilizerAnomalousOrder, match="not the cyclic group of its generator"
-        ):
-            StabilizerGroup(alg, fake)
-    strays = [alg.elem(Poly.monomial(fld, k), 1) for k in range(1, 9)]
-    with pytest.raises(StabilizerAnomalousOrder, match="no element of order 8"):
-        StabilizerGroup(alg, strays)
+    u = alg.elem(Poly.T(fld) + 1, 0, 1)
+    assert u.norm() == Poly.one(fld)
+    assert not u.trace().is_const
+    for space, n in (([u], 2), ([alg.one, u], 8)):
+        assert any(not g.is_scalar for g in sorted_units(alg, space))
+        with pytest.raises(StabilizerAnomalousOrder, match="no element of order %d" % n):
+            StabilizerGroup(alg, space)
 
 
 # One profile per q: the stabilizer generators of every class, and the
@@ -1122,15 +1177,16 @@ GENERATOR_PROFILES = [
 ]
 
 
-def product_generator(alg, elements):
-    """The generator rule by quaternion products: the first element (scalars
-    skipped for q^2 - 1) with g^(n/p) != 1 for every prime p | n."""
+def scan_generator(alg, space):
+    """The generator rule by quaternion products: the first unit of the
+    span_units scan (scalars skipped for q^2 - 1) with g^(n/p) != 1 for
+    every prime p | n, n = q^dim - 1."""
     q = alg.field.q
-    n = len(elements)
+    n = q ** len(space) - 1
     primes = [
         p for p in range(2, n + 1) if n % p == 0 and all(p % d for d in range(2, p))
     ]
-    for g in elements:
+    for g in span_units(alg, space):
         if n == q * q - 1 and g.is_scalar:
             continue
         powers = product_powers(g, n)
@@ -1148,12 +1204,14 @@ def test_stabilizer_generators_powers_and_roots_match_products(q, text):
     xi_el = alg.elem(xi)
     terminal = 0
     for vertex in graph.vertices:
-        elements = stabilizer(emb, vertex.lift).elements
+        lift = vertex.lift
+        space = hom_units(emb, lift, lift, completeness_bound(lift, lift))
+        elements = sorted_units(alg, space)
         g = vertex.generator
-        assert g == product_generator(alg, elements)
+        assert g == scan_generator(alg, space)
         n = vertex.stabilizer_order
         powers = product_powers(g, n)
-        pairs = power_cycle(g, n)
+        pairs = power_cycle(g, *g.charpoly(), n)
         assert len(pairs) == n
         for k, (u, v) in enumerate(pairs, 1):
             assert g.scale(v) + u == powers[k]
@@ -1200,9 +1258,10 @@ if __debug__:
 fld = make_field(3)
 emb = quotient.SplitEmbedding(QuatAlgebra(fld, 2, parse_poly(fld, "T^2 + 2*T")))
 base = TreeVertex.base(fld)
-base_group = quotient.stabilizer(emb, base).elements
-# a cyclic group of the right order, but the base's: it moves the child
-quotient.hom_units = lambda emb, v, w, B: base_group
+base_space = quotient.hom_units(emb, base, base, quotient.completeness_bound(base, base))
+# a stabilizer space of the right dimension, but the base's: its
+# generator moves the child
+quotient.hom_units = lambda emb, v, w, B: base_space
 try:
     quotient.stabilizer(emb, TreeVertex(fld, 1))
 except InvariantViolation as exc:
@@ -1233,6 +1292,45 @@ CENSUS_ORACLE_CASES = [
     (5, "H(xi, T*(T-1))", 1),
     (3, "H(xi, T^4+2*T^2+T)", 3),
 ]
+
+
+def census_size(q, bound):
+    """2 (1 + (q + 1)(q^(bound+1) - 1)/(q - 1)): a pair {x, -x} for each
+    vertex within distance bound + 1 of the base vertex."""
+    return 2 * (1 + (q + 1) * (q ** (bound + 1) - 1) // (q - 1))
+
+
+@pytest.mark.parametrize(
+    "q, bound, units",
+    [(3, 1, 34), (3, 2, 106), (3, 3, 322), (5, 1, 74), (5, 2, 374), (7, 1, 130),
+     (7, 2, 914), (9, 1, 202)],
+)
+def test_t_t_minus_one_census_size_is_exact(q, bound, units):
+    alg = parse_algebra(field_from_q(q), "H(xi, T*(T-1))")
+    assert census_size(q, bound) == units
+    assert len(solve_torsion(StandardOrder(alg), bound)) == units
+
+
+@pytest.mark.parametrize("q, bound", [(3, 2), (5, 1)])
+def test_t_t_minus_one_census_fixes_each_vertex_of_a_ball_once(q, bound):
+    # each census unit fixes one vertex, within distance bound + 1 of the
+    # base, and each vertex of that ball is fixed by exactly one {x, -x}
+    alg = parse_algebra(field_from_q(q), "H(xi, T*(T-1))")
+    units = solve_torsion(StandardOrder(alg), bound)
+    emb = SplitEmbedding(alg)
+    base = TreeVertex.base(alg.field)
+    ball, ring = {base}, [base]
+    for _ in range(bound + 1):
+        ring = [nb for v in ring for nb in v.neighbors() if nb not in ball]
+        ball.update(ring)
+    pairs = {}
+    for unit in units:
+        fixed = quotient._fixed_vertex(emb, unit.elem, base)
+        assert base_distance(fixed) <= bound + 1
+        pairs.setdefault(fixed, set()).add(frozenset({unit.elem, -unit.elem}))
+    assert set(pairs) == ball
+    assert all(len(found) == 1 for found in pairs.values())
+    assert 2 * len(ball) == len(units) == census_size(q, bound)
 
 
 @pytest.mark.parametrize("q, text, bound", CENSUS_ORACLE_CASES)

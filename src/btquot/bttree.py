@@ -219,42 +219,11 @@ def act(g, v):
     return canonical_form(g * v.matrix())
 
 
-def _meet_level(v, w):
-    """Level of the last common vertex of v and w on their paths towards
-    the end: the digits of the shifts agree below u^level."""
-    diff = w.x - v.x
-    cands = [v.n, w.n]
-    if not diff.is_zero:
-        cands.append(diff.ord())
-    return min(cands)
-
-
-def distance(v, w):
-    """Path length in the tree, computed exactly from the coordinates."""
-    return v.n + w.n - 2 * _meet_level(v, w)
-
-
 def base_distance(v):
-    """distance(TreeVertex.base(field), v) with no series arithmetic: the
-    base vertex has level 0 and shift 0, so the meet level is
-    min(n, 0, ord x), with ord x left out when x = 0."""
+    """The path length from the base vertex o (level 0, shift 0) to v, with
+    no series arithmetic.  The paths from o and from v towards the end
+    meet at level min(n, 0, ord x), ord x left out when x = 0: the digits
+    of the shifts agree below u^level.  So the length is
+    (n - meet) + (0 - meet)."""
     meet = min(v.n, 0, v.x.val) if v.x.coeffs else min(v.n, 0)
     return v.n - 2 * meet
-
-
-def midpoint(v, w):
-    """The vertex halfway along the path from v to w, computed exactly.
-
-    The path climbs from v to the meet level and descends to w; the
-    midpoint is the ancestor of whichever end lies at least half the
-    distance above the meet.  An odd distance has no midpoint vertex and
-    raises ValueError.
-    """
-    meet = _meet_level(v, w)
-    d = v.n + w.n - 2 * meet
-    if d % 2:
-        raise ValueError("vertices at odd distance %d have no midpoint vertex" % d)
-    half = d // 2
-    if v.n - meet >= half:
-        return TreeVertex(v.field, v.n - half, v.x)
-    return TreeVertex(w.field, w.n - half, w.x)

@@ -340,7 +340,8 @@ def span_units(alg, gens):
     then c*lam for c = 2..q-1 (norm c^2 N(lam)).  Every unit of the span
     is yielded once, the first projective one first.  conj_search and
     quotient.are_equivalent take the first as witness, StabilizerGroup the
-    first of full order as generator, and constant_unit_orbits them all.
+    first of full order as generator, and constant_unit_orbits, the
+    bound-0 pass of even-q torsion_classes, them all.
     """
     fld = alg.field
     k = len(gens)
@@ -468,7 +469,8 @@ def constant_unit_orbits(order, units, index):
     is F_q[i]^x when a is a constant and deg b >= 1).  Each join is an
     explicit conjugator in O^x, so a component lies in one conjugacy class.
     An image with another conjugacy_key breaks an invariant and raises
-    InvariantViolation.
+    InvariantViolation.  Only torsion_classes, the even-q clustering, calls
+    it: odd-q classes are read off the quotient (quotient.terminal_classes).
     """
     parent = list(range(len(units)))
     # each distinct key as a small int, so a join compares two ints

@@ -29,15 +29,7 @@ from __future__ import annotations
 
 from itertools import combinations, product
 
-from .bttree import (
-    Mat2K,
-    TreeVertex,
-    act,
-    base_distance,
-    canonical_form,
-    distance,
-    midpoint,
-)
+from .bttree import Mat2K, TreeVertex, act, base_distance, canonical_form
 from .errors import (
     InvalidProfile,
     InvariantViolation,
@@ -62,7 +54,6 @@ from .order import (
     TorsionUnit,
     Witness,
     census_index,
-    constant_unit_orbits,
     kernel_elements,
     power_cycle,
     span_units,
@@ -512,14 +503,16 @@ class StabilizerGroup:
         self.generator = g
 
     def neighbor_orbits(self, emb, vertex):
-        """Partition the q+1 tree neighbors into orbits of this group.
+        """Partition the q+1 tree neighbors into orbits of this group, each
+        orbit in generator order: position m of an orbit is g^m applied to
+        its first neighbour.
 
         A scalar generator fixes every neighbour, so its orbits are the
         singletons.  Any other generator must move the link in one
         (q+1)-cycle, followed here from neighbour 0 with the generator's
-        image at the precision derived for the link, and the orbit is the
-        whole link.  A neighbour moved off the link, two neighbours moved
-        to one, or a shorter cycle is an anomaly worth aborting on.
+        image at the precision derived for the link, and the orbit is that
+        cycle.  A neighbour moved off the link, two neighbours moved to
+        one, or a shorter cycle is an anomaly worth aborting on.
         """
         q = self.alg.field.q
         g = self.generator
@@ -544,7 +537,7 @@ class StabilizerGroup:
             raise StabilizerAnomalousOrder(
                 "large stabilizer does not cycle the whole link"
             )
-        return [list(range(q + 1))]
+        return [cycle]
 
     def fixing_count(self, orbit):
         """How many elements fix a neighbour in the given orbit (an edge
@@ -634,9 +627,17 @@ class QEdge:
 
 class QuotientGraph:
     """Finite multigraph of vertex classes with stabilizer labels.  The
-    class representatives are vertices of the tree of `embedding`."""
+    class representatives are vertices of the tree of `embedding`.
 
-    def __init__(self, q, algebra, profile, vertices, edges, log, embedding):
+    links develops the graph back into the tree (Serre, *Trees*, ch. I
+    §4; Bass 1993), outside the JSON: links[a][l] = (b, e, lam, back) for
+    each class a and link position l of reps[a], where, with g the
+    generator of class a, h = g^e * lam (lam None for the identity)
+    carries reps[b] to neighbour l of reps[a], and back is the position
+    of h^-1 * reps[a] in the link of reps[b].  transporter forms h.
+    """
+
+    def __init__(self, q, algebra, profile, vertices, edges, log, embedding, links):
         self.q = q
         self.algebra = algebra
         self.profile = profile
@@ -644,6 +645,20 @@ class QuotientGraph:
         self.edges = edges
         self.log = log
         self.embedding = embedding
+        self.links = links
+
+    def transporter(self, a, pos):
+        """(b, h, back) for link position pos of class a, h formed from
+        links[a][pos]: g^e is u + v*g, read off the power cycle of the
+        generator (order.power_cycle), and lam costs one product."""
+        b, e, lam, back = self.links[a][pos]
+        h = self.algebra.one if lam is None else lam
+        if e:
+            vertex = self.vertices[a]
+            g = vertex.generator
+            u, v = power_cycle(g, *g.charpoly(), vertex.stabilizer_order)[e - 1]
+            h = (g.scale(v) + u) * h
+        return b, h, back
 
     def degree(self, i):
         return sum((e.a == i) + (e.b == i) for e in self.edges)
@@ -758,17 +773,35 @@ def _bfs(emb, profile, base, class_limit, log):
     vertices differ in level parity), so they are tested against
     reps[cursor + 1:] only.  Every equivalence event is written by
     _equivalence_event and names the class it tests or settles.
+
+    Settling an edge also fills the links of QuotientGraph at both ends,
+    from what the build already holds and with no action, search, series
+    operation or quaternion product.  Let the record from class a carry
+    the orbit O_a it looked up, in generator order (neighbor_orbits), and
+    the witness lam (gamma above; None when nb became class b), and let
+    the kept neighbour x = lam * reps[a] sit at position p of the orbit
+    O_b of b.  Position m of an orbit is g^m applied to its first
+    neighbour, and g^(q+1) is a scalar (the norm from F_{q^2} to F_q),
+    which acts trivially, so:
+    - at O_a[m], h = g_a^m * conj(lam), conj(lam) being lam^-1 times the
+      constant N(lam), carries reps[b] to g_a^m * nb; back is the position
+      of lam * reps[a] = x in the link of reps[b], O_b[p];
+    - at O_b[m], h = g_b^(m - p) * lam carries reps[a] to g_b^(m - p) * x;
+      back is the position of lam^-1 * reps[b] = nb, O_a[0].
+    Every orbit at every class is settled exactly once, so every link
+    position gets one entry.
     """
     alg = emb.alg
     fld = alg.field
-    reps, stabs = [], []
+    reps, stabs, links = [], [], []
     records = []  # (class a, class b > a, edge stabilizer order), one per edge
-    # reverse[b]: (neighbour of reps[b], index of its record) for each edge
-    # of b into an earlier class, kept by the lookup that found it
+    # reverse[b]: (neighbour x of reps[b], index of its record, witness lam
+    # or None, orbit looked up at a) for each edge of b into an earlier
+    # class, kept by the lookup that found it
     reverse = []
 
-    def new_class(vertex, back):
-        """Make vertex the next class, with reverse edges back."""
+    def new_class(vertex, kept):
+        """Make vertex the next class, with reverse edges kept."""
         if len(reps) >= class_limit:
             raise NonterminationGuard(
                 "more than %d vertex classes discovered; expected "
@@ -778,7 +811,8 @@ def _bfs(emb, profile, base, class_limit, log):
         group = stabilizer(emb, vertex)
         reps.append(vertex)
         stabs.append(group)
-        reverse.append(back)
+        reverse.append(kept)
+        links.append([None] * (fld.q + 1))
         log.append(
             {
                 "event": "vertex",
@@ -796,27 +830,30 @@ def _bfs(emb, profile, base, class_limit, log):
         group = stabs[cursor]
         nbs = vertex.neighbors()
         orbits = group.neighbor_orbits(emb, vertex)
-        orbit_of = {nbs[i]: k for k, orbit in enumerate(orbits) for i in orbit}
+        place = {
+            nbs[i]: (k, p) for k, orbit in enumerate(orbits) for p, i in enumerate(orbit)
+        }
         settled = {}
-        for x, index in reverse[cursor]:
-            k = orbit_of.get(x)
-            if k is None:
+        for x, index, lam, far in reverse[cursor]:
+            if x not in place:
                 raise InvariantViolation(
                     "reverse edge from class %d is off the link of class %d"
                     % (records[index][0], cursor)
                 )
+            k, p = place[x]
             if k in settled:
                 raise InvariantViolation(
                     "reverse edges from classes %d and %d share a neighbour"
                     " orbit of class %d"
-                    % (records[settled[k]][0], records[index][0], cursor)
+                    % (records[settled[k][0]][0], records[index][0], cursor)
                 )
-            settled[k] = index
+            settled[k] = (index, p, lam, far)
         for k, orbit in enumerate(orbits):
             nb = nbs[orbit[0]]
             edge_stab = group.fixing_count(orbit)
             if k in settled:
-                source, _, recorded = records[settled[k]]
+                index, p, lam, far = settled[k]
+                source, _, recorded = records[index]
                 if recorded != edge_stab:
                     raise InvariantViolation(
                         "edge between classes %d and %d has stabilizer order %d"
@@ -824,6 +861,11 @@ def _bfs(emb, profile, base, class_limit, log):
                         % (source, cursor, recorded, source, edge_stab, cursor)
                     )
                 log.append(_equivalence_event(source))
+                inverse = None if lam is None else lam.conj()
+                for m, pos in enumerate(far):
+                    links[source][pos] = (cursor, m, inverse, orbit[p])
+                for m, pos in enumerate(orbit):
+                    links[cursor][pos] = (source, (m - p) % len(orbit), lam, far[0])
                 continue
             target = None
             for j in range(cursor + 1, len(reps)):
@@ -831,10 +873,11 @@ def _bfs(emb, profile, base, class_limit, log):
                 log.append(_equivalence_event(j, verdict))
                 if verdict:
                     target = j
-                    reverse[j].append((emb.act(verdict.lam, vertex), len(records)))
+                    lam = verdict.lam
+                    reverse[j].append((emb.act(lam, vertex), len(records), lam, orbit))
                     break
             if target is None:
-                target = new_class(nb, [(vertex, len(records))])
+                target = new_class(nb, [(vertex, len(records), None, orbit)])
             records.append((cursor, target, edge_stab))
         cursor += 1
 
@@ -846,7 +889,7 @@ def _bfs(emb, profile, base, class_limit, log):
         QEdge(i, a, b, stab)
         for i, (a, b, stab) in enumerate(sorted(records, key=lambda r: r[:2]))
     ]
-    graph = QuotientGraph(fld.q, alg, profile, vertices, edges, log, emb)
+    graph = QuotientGraph(fld.q, alg, profile, vertices, edges, log, emb, links)
     for i in range(len(reps)):
         if graph.degree(i) not in (1, fld.q + 1):
             raise InvariantViolation(
@@ -866,100 +909,96 @@ def _bfs(emb, profile, base, class_limit, log):
 
 def terminal_classes(graph, units):
     """Conjugacy classes of the census units (odd q, x^2 = xi), read off the
-    terminal vertices of the quotient.
+    terminal vertices of the quotient by developing it into the tree.
 
-    Such an x is elliptic: x^2 is a scalar, so x acts as an involution with
-    one fixed vertex, the midpoint p(x) of [o, x o] (Serre, *Trees*).  Its
-    stabilizer holds the non-scalar x, so p(x) is in a terminal class j,
-    whose representative has a cyclic stabilizer of order q^2 - 1.  With
-    gamma carrying p(x) to reps[j], gamma x gamma^-1 is one of the two
-    elements of Stab(reps[j]) squaring to xi, and two units are conjugate
-    exactly when they give the same j and the same root.  So each terminal
-    vertex carries two classes, found from its stabilizer generator without
-    the census, and the census units are sorted into them.
-
-    One lookup serves a pair of orbits.  order.constant_unit_orbits joins
-    x to y = lam x lam^-1 for lam a constant unit, an explicit conjugator
-    in O^x checked by exact coordinates, so a whole orbit lies in one
-    class: only its root (smallest index) is looked up, with one action to
-    o and one to p(x), and every member takes the root's (j, root).  Then
-    gamma (-x) gamma^-1 = -(gamma x gamma^-1) is the other root at the
-    same j, and the orbit of -x, the negatives of the orbit of x, takes it
-    with no lookup.  The residue key (StandardOrder.residue_key) is a
-    conjugacy invariant, so reps[j] has a root with the key of x: the
-    lookup tries those terminal vertices first, then the rest in order, so
-    a miss still tests every one.
+    Each such x is elliptic with one fixed vertex p(x): x^2 = xi is a
+    scalar and x is not, so x generates a copy of F_{q^2}, and F_{q^2}^x /
+    F_q^x acts freely on the link of any vertex x fixes.  Stab(p(x)) holds
+    the non-scalar x, so p(x) is in a terminal class c, whose stabilizer
+    is cyclic of order q^2 - 1 (abelian).  The walk visits every vertex
+    gamma * reps[c] within distance R of reps[0] once, with a unit gamma
+    carrying reps[c] there, and at each vertex of a terminal class labels
+    the census unit gamma * r * gamma^-1 with (c, r) for each of the two
+    roots r of xi in Stab(reps[c]) (_square_roots).  Two units are
+    conjugate exactly when they get the same label, so the labels are the
+    classes.  Proof that each unit is labelled exactly once:
+    - p(x) lies within R of reps[0].  With D = max(deg z, deg w, 0) over
+      the census, alpha = deg a and beta = deg b / 2, y^2 =
+      (xi - b z^2)/a + b w^2 gives deg y <= beta + D, so the entries of
+      iota(x) = [[zs, y - ws], [a(y + ws), -zs]] have valuation >=
+      -(D + alpha + beta), and its determinant N(x) = -xi is a unit.  So
+      d(o, x o) <= 2(D + alpha + beta); the geodesic from o to x o passes
+      through p(x), which x fixes while it moves the neighbour towards o,
+      so d(o, p(x)) <= D + alpha + beta, and R = D + alpha + beta +
+      d(o, reps[0]).
+    - Every tree vertex is reached by exactly one non-backtracking word.
+      From gamma * reps[c], the steps gamma -> gamma * h over the link
+      positions l of reps[c] (graph.transporter) reach the q + 1
+      neighbours gamma * (neighbour l), each with the class b and the
+      position back of the vertex it came from, which the next step
+      skips.  A tree has one non-backtracking path from reps[0] to each
+      vertex, so each vertex within R is visited once.
+    - The label does not depend on gamma.  Any other unit carrying reps[c]
+      to the same vertex is gamma * s with s in Stab(reps[c]), and
+      (gamma s) r (gamma s)^-1 = gamma r gamma^-1, since s and r commute.
+      So x = gamma r gamma^-1 for the gamma of p(x) and exactly one r,
+      and no other vertex gives x, since x fixes only p(x).
+    No action, unit search or series operation is made: each step is one
+    quaternion product, and each conjugate two more.  A unit labelled
+    twice, or never, raises InvariantViolation.
 
     Returns the classes as sorted lists of units: the classes the census
     meets ordered by first member, then an empty list for each class it
-    misses.  A looked-up unit that fixes no vertex of a terminal class, or
-    maps to no root, raises InvariantViolation, as do a constant-unit
-    conjugate with another trace, norm or residue key and a unit that a
-    constant unit conjugates to its negative.
+    misses.
     """
-    return _precision_checked(graph.embedding, _sort_census, graph, units)
-
-
-def _sort_census(graph, units):
-    emb = graph.embedding
     alg = graph.algebra
     fld = alg.field
     xi = choose_xi(fld)
-    terminal = [v for v in graph.vertices if v.stabilizer_order == fld.q**2 - 1]
-    roots = [_square_roots(v, xi) for v in terminal]
-    order = StandardOrder(alg)
-    root_keys = [{order.residue_key(r) for r in rs} for rs in roots]
-    base = TreeVertex.base(fld)
+    roots = {
+        v.index: _square_roots(v, xi)
+        for v in graph.vertices
+        if v.stabilizer_order == fld.q**2 - 1
+    }
+    steps = [
+        [graph.transporter(a, pos) for pos in range(fld.q + 1)]
+        for a in range(len(graph.vertices))
+    ]
+    reach = max((max(u.elem.z.deg, u.elem.w.deg, 0) for u in units), default=0)
+    radius = alg.a.deg + alg.b.deg // 2 + reach + base_distance(graph.vertices[0].lift)
     index = census_index(units)
-    orbit = constant_unit_orbits(order, units, index)
-    label = {}  # orbit root -> (terminal position, root position)
-    for i, unit in enumerate(units):
-        if orbit[i] in label:
-            continue
-        x = unit.elem
-        fixed = _fixed_vertex(emb, x, base)
-        key = order.residue_key(x)
-        tries = sorted(range(len(terminal)), key=lambda t: key not in root_keys[t])
-        t, gamma = _terminal_class(emb, fixed, terminal, tries)
-        conj = (gamma * x * gamma.conj()).scale(fld.inv(gamma.norm().coeff(0)))
-        if conj not in roots[t]:
+    label = [None] * len(units)
+    walk = [(alg.one, 0, None, 0)]  # (gamma, class, back position, distance)
+    while walk:
+        gamma, c, back, dist = walk.pop()
+        if c in roots:
+            conj = gamma.conj()
+            inv = fld.inv(gamma.norm().coeff(0))
+            for r, root in enumerate(roots[c]):
+                i = index.get((gamma * root * conj).scale(inv).coords)
+                if i is None:
+                    continue
+                if label[i] is not None:
+                    raise InvariantViolation(
+                        "census unit %s is labelled twice, by class %d root %d"
+                        " and by class %d root %d"
+                        % ((units[i].elem,) + label[i] + (c, r))
+                    )
+                label[i] = (c, r)
+        if dist < radius:
+            for pos, (b, h, b_back) in enumerate(steps[c]):
+                if pos != back:
+                    walk.append((gamma * h, b, b_back, dist + 1))
+    members = {(c, r): [] for c in roots for r in range(len(roots[c]))}
+    for unit, at in zip(units, label):
+        if at is None:
             raise InvariantViolation(
-                "census unit %s is conjugate to %s, not a root of xi in the"
-                " stabilizer of class %d" % (x, conj, terminal[t].index)
+                "census unit %s is conjugate to no square root of xi at a"
+                " terminal vertex within distance %d" % (unit.elem, radius)
             )
-        r = roots[t].index(conj)
-        label[i] = (t, r)
-        j = index.get((-x).coords)
-        if j is not None:
-            if orbit[j] == i:
-                raise InvariantViolation(
-                    "census unit %s is conjugate to its negative by a constant"
-                    " unit" % (x,)
-                )
-            # roots[t] is [root, -root]: -conj is the other one
-            label[orbit[j]] = (t, 1 - r)
-    members = [[[], []] for _ in terminal]
-    for i, unit in enumerate(units):
-        t, r = label[orbit[i]]
-        members[t][r].append(unit)
-    classes = [sorted(m, key=TorsionUnit.sort_key) for pair in members for m in pair]
+        members[at].append(unit)
+    classes = [sorted(m, key=TorsionUnit.sort_key) for m in members.values()]
     met = sorted((c for c in classes if c), key=lambda c: c[0].sort_key())
     return met + [c for c in classes if not c]
-
-
-def _fixed_vertex(emb, x, base):
-    """The vertex a census unit x fixes: the midpoint of [o, x o]."""
-    moved = emb.act(x, base)
-    if distance(base, moved) % 2:
-        raise InvariantViolation(
-            "census unit %s moves the base vertex an odd distance" % x
-        )
-    fixed = midpoint(base, moved)
-    if emb.act(x, fixed) != fixed:
-        raise InvariantViolation(
-            "census unit %s does not fix the midpoint %s" % (x, fixed)
-        )
-    return fixed
 
 
 def _square_roots(vertex, xi):
@@ -985,17 +1024,4 @@ def _square_roots(vertex, xi):
             return [root, -root]
     raise InvariantViolation(
         "stabilizer of class %d has no square root of xi" % vertex.index
-    )
-
-
-def _terminal_class(emb, vertex, terminal, tries):
-    """(position in terminal, unit carrying vertex to that representative),
-    testing the positions in the order given by tries."""
-    for t in tries:
-        verdict = are_equivalent(emb, vertex, terminal[t].lift)
-        if verdict:
-            return t, verdict.lam
-    raise InvariantViolation(
-        "vertex %s is fixed by a census unit but lies in no terminal class"
-        % (vertex,)
     )

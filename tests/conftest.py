@@ -1,3 +1,4 @@
+from btquot.bttree import TreeVertex
 from btquot.gfpoly import choose_xi, parse_poly
 from btquot.order import span_units
 from btquot.quat import QuatAlgebra
@@ -70,3 +71,36 @@ def unit_list(emb, v, w, B):
     """Every unit of coordinate degree <= B carrying v to w, sorted by
     coordinates: the units of the span of the hom_units basis."""
     return sorted_units(emb.alg, hom_units(emb, v, w, B))
+
+
+def _meet_level(v, w):
+    """Level of the last common vertex of v and w on their paths towards
+    the end: the digits of the shifts agree below u^level."""
+    diff = w.x - v.x
+    cands = [v.n, w.n]
+    if not diff.is_zero:
+        cands.append(diff.ord())
+    return min(cands)
+
+
+def distance(v, w):
+    """Path length in the tree, computed exactly from the coordinates."""
+    return v.n + w.n - 2 * _meet_level(v, w)
+
+
+def midpoint(v, w):
+    """The vertex halfway along the path from v to w, computed exactly.
+
+    The path climbs from v to the meet level and descends to w; the
+    midpoint is the ancestor of whichever end lies at least half the
+    distance above the meet.  An odd distance has no midpoint vertex and
+    raises ValueError.
+    """
+    meet = _meet_level(v, w)
+    d = v.n + w.n - 2 * meet
+    if d % 2:
+        raise ValueError("vertices at odd distance %d have no midpoint vertex" % d)
+    half = d // 2
+    if v.n - meet >= half:
+        return TreeVertex(v.field, v.n - half, v.x)
+    return TreeVertex(w.field, w.n - half, w.x)

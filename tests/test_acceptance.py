@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from btquot.bttree import Mat2K, TreeVertex, act, canonical_form, distance
+from btquot.bttree import Mat2K, TreeVertex, act, canonical_form
 from btquot.errors import Unsupported
 from btquot.gfpoly import Poly, choose_xi, field_from_q, parse_poly
 from btquot.invariants import (
@@ -34,6 +34,8 @@ from btquot.quotient import (
     build_quotient,
     find_quotient_algebra,
 )
+
+from conftest import distance
 
 
 def segment_algebra(q):

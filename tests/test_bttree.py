@@ -3,18 +3,12 @@ import random
 
 import pytest
 
-from btquot.bttree import (
-    Mat2K,
-    TreeVertex,
-    act,
-    base_distance,
-    canonical_form,
-    distance,
-    midpoint,
-)
+from btquot.bttree import Mat2K, TreeVertex, act, base_distance, canonical_form
 from btquot.errors import PrecisionLoss
 from btquot.gfpoly import Poly, make_field
 from btquot.laurent import MIN_TERMS, LaurentSeries, embed
+
+from conftest import distance, midpoint
 
 
 def rand_vertex(rng, fld):

@@ -293,6 +293,9 @@ PINNED_TORSION = {
         "1b3fbb9b07d04db0b55ef417cd5bde696f226fa330eba93a2f72ec8b8462ad72",
     ("--q", "7", "--r", "T*(T-1)", "--bound", "2", "--no-classes"):
         "8cf185441403aa9d82b268d321719ded9f414e6e847714f3b30fe4e502936eda",
+    # 914 units sorted into 4 classes
+    ("--q", "7", "--r", "T*(T-1)", "--bound", "2"):
+        "a7f93259f6be0cf49faa33187e3dcd2b40df33791012cca22bfa977547fb8918",
 }
 
 

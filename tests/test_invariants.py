@@ -360,8 +360,8 @@ def test_package_has_no_bare_asserts():
     # Internal checks raise InvariantViolation: an assert vanishes under
     # python -O, and an AssertionError escapes the CLI's exit-code mapping.
     # The one place that turns a PrecisionLoss into InvariantViolation is
-    # quotient._precision_checked, which build_quotient and the torsion
-    # class lookup both run through, and no working-precision state is left.
+    # quotient._precision_checked, which build_quotient runs through, and
+    # no working-precision state is left.
     pkg = os.path.dirname(os.path.abspath(btquot.__file__))
     found = []
     catches = []

@@ -9,15 +9,7 @@ import pytest
 import btquot
 from btquot import quotient
 from btquot.cli import _algebra_from, build_parser, main
-from btquot.bttree import (
-    Mat2K,
-    TreeVertex,
-    act,
-    base_distance,
-    canonical_form,
-    distance,
-    midpoint,
-)
+from btquot.bttree import Mat2K, TreeVertex, act, base_distance, canonical_form
 from btquot.errors import (
     InvariantViolation,
     NonterminationGuard,
@@ -73,8 +65,15 @@ from btquot.quotient import (
     terminal_classes,
 )
 
-from conftest import coord_key, parse_algebra, sorted_units, unit_list
-from test_cli import PINNED_ARTIFACTS
+from conftest import (
+    coord_key,
+    distance,
+    midpoint,
+    parse_algebra,
+    sorted_units,
+    unit_list,
+)
+from test_cli import PINNED_ARTIFACTS, PINNED_TORSION
 
 # Terms of sqrt(b) for the tests that build matrices by hand.
 TERMS = 40
@@ -251,7 +250,8 @@ def test_stabilizer_base_q3():
     for g in elements[:3]:
         assert emb.act(g, base) == base
     orbits = group.neighbor_orbits(emb, base)
-    assert orbits == [[0, 1, 2, 3]]
+    assert [sorted(orbit) for orbit in orbits] == [[0, 1, 2, 3]]
+    assert_generator_order(emb, group, base, orbits)
 
 
 def test_stabilizer_neighbors_of_base():
@@ -683,7 +683,7 @@ def reference_bfs(emb, profile, base, class_limit, log):
         for i in range(len(reps))
     ]
     edges = pair_half_edges(half_edges)
-    return quotient.QuotientGraph(fld.q, emb.alg, profile, vertices, edges, log, emb)
+    return quotient.QuotientGraph(fld.q, emb.alg, profile, vertices, edges, log, emb, None)
 
 
 # The seven seed-0 benchmark quotients, the two segments and the banana
@@ -1021,6 +1021,17 @@ def reference_orbits(emb, elements, vertex):
     return sorted(groups.values())
 
 
+def assert_generator_order(emb, group, vertex, orbits):
+    """Position m of each orbit is g^m applied to its first neighbour, the
+    powers of the generator g formed by quaternion products."""
+    nbs = vertex.neighbors()
+    for orbit in orbits:
+        power = emb.alg.one
+        for i in orbit:
+            assert emb.act(power, nbs[orbit[0]]) == nbs[i]
+            power = power * group.generator
+
+
 def reference_fixing_count(emb, elements, vertex):
     return sum(1 for g in elements if emb.act(g, vertex) == vertex)
 
@@ -1051,7 +1062,8 @@ def test_stabilizer_generator_matches_all_element_reference():
             elements = sorted_units(alg, space)
             assert reference_closure(alg, elements)
             orbits = group.neighbor_orbits(emb, vertex)
-            assert orbits == reference_orbits(emb, elements, vertex)
+            assert sorted(map(sorted, orbits)) == reference_orbits(emb, elements, vertex)
+            assert_generator_order(emb, group, vertex, orbits)
             assert reference_fixing_count(emb, elements, vertex) == order
             nbs = vertex.neighbors()
             for orbit in orbits:
@@ -1073,7 +1085,9 @@ def test_central_stabilizers_give_singleton_orbits(q, text):
     for v in graph.vertices:
         group = stabilizer(emb, v.lift)
         orbits = group.neighbor_orbits(emb, v.lift)
-        assert orbits == reference_orbits(emb, stabilizer_units(emb, v.lift), v.lift)
+        want = reference_orbits(emb, stabilizer_units(emb, v.lift), v.lift)
+        assert sorted(map(sorted, orbits)) == want
+        assert_generator_order(emb, group, v.lift, orbits)
         assert group.generator.is_scalar == (group.order == q - 1)
         if group.order == q - 1:
             assert orbits == [[i] for i in range(q + 1)]
@@ -1311,6 +1325,15 @@ def test_t_t_minus_one_census_size_is_exact(q, bound, units):
     assert len(solve_torsion(StandardOrder(alg), bound)) == units
 
 
+def fixed_vertex(emb, x):
+    """The vertex a census unit x fixes, the midpoint of [o, x o] (Serre,
+    *Trees*, ch. I §6), checked by one more action."""
+    base = TreeVertex.base(emb.alg.field)
+    fixed = midpoint(base, emb.act(x, base))
+    assert emb.act(x, fixed) == fixed
+    return fixed
+
+
 @pytest.mark.parametrize("q, bound", [(3, 2), (5, 1)])
 def test_t_t_minus_one_census_fixes_each_vertex_of_a_ball_once(q, bound):
     # each census unit fixes one vertex, within distance bound + 1 of the
@@ -1325,12 +1348,52 @@ def test_t_t_minus_one_census_fixes_each_vertex_of_a_ball_once(q, bound):
         ball.update(ring)
     pairs = {}
     for unit in units:
-        fixed = quotient._fixed_vertex(emb, unit.elem, base)
+        fixed = fixed_vertex(emb, unit.elem)
         assert base_distance(fixed) <= bound + 1
         pairs.setdefault(fixed, set()).add(frozenset({unit.elem, -unit.elem}))
     assert set(pairs) == ball
     assert all(len(found) == 1 for found in pairs.values())
     assert 2 * len(ball) == len(units) == census_size(q, bound)
+
+
+# the census of each odd pinned torsion spec, once
+ODD_TORSION_SPECS = sorted(
+    {
+        tuple(arg for arg in spec if arg != "--no-classes")
+        for spec in PINNED_TORSION
+        if int(spec[spec.index("--q") + 1]) % 2
+    }
+)
+
+
+@pytest.mark.parametrize("spec", ODD_TORSION_SPECS, ids=" ".join)
+def test_census_units_fix_a_vertex_within_the_walk_radius(spec):
+    # the bound of the terminal_classes docstring: x fixes a vertex within
+    # bound + deg a + deg b / 2 of o, for every unit of each odd pinned
+    # census, among them q=5 --R-degrees 1,1,1,1, where a is not constant
+    args = build_parser().parse_args(["torsion", *spec])
+    alg = _algebra_from(args)
+    emb = SplitEmbedding(alg)
+    radius = args.bound + alg.a.deg + alg.b.deg // 2
+    units = solve_torsion(StandardOrder(alg), args.bound)
+    assert units
+    for unit in units:
+        assert base_distance(fixed_vertex(emb, unit.elem)) <= radius
+
+
+@pytest.mark.parametrize("q, text", PROOF_CASES)
+def test_links_develop_each_edge_both_ways(q, text):
+    # links[a][l] = (b, e, lam, back): h carries reps[b] to neighbour l of
+    # reps[a], and h^-1 carries reps[a] to neighbour back of reps[b]
+    graph = build_quotient(parse_algebra(field_from_q(q), text))
+    emb = graph.embedding
+    reps = [v.lift for v in graph.vertices]
+    for a, rep in enumerate(reps):
+        for pos, nb in enumerate(rep.neighbors()):
+            b, h, back = graph.transporter(a, pos)
+            assert emb.act(h, reps[b]) == nb
+            assert emb.act(h.conj(), rep) == reps[b].neighbors()[back]
+            assert graph.transporter(b, back)[0] == a
 
 
 @pytest.mark.parametrize("q, text, bound", CENSUS_ORACLE_CASES)
@@ -1358,32 +1421,22 @@ def test_terminal_classes_list_missed_classes_empty():
 
 
 def per_unit_terminal_classes(graph, units):
-    """The census sorted one unit at a time: a fixed vertex per unit (shared
-    by x and -x), a lookup per fixed vertex and a conjugate per unit."""
+    """The census sorted one unit at a time: a fixed vertex per unit, an
+    are_equivalent lookup against each terminal representative in turn,
+    and a conjugate per unit, with no development of the quotient."""
     emb = graph.embedding
     alg = graph.algebra
     fld = alg.field
     xi = choose_xi(fld)
     terminal = [v for v in graph.vertices if v.stabilizer_order == fld.q**2 - 1]
     roots = [quotient._square_roots(v, xi) for v in terminal]
-    order = StandardOrder(alg)
-    root_keys = [{order.residue_key(r) for r in rs} for rs in roots]
     members = [[[], []] for _ in terminal]
-    base = TreeVertex.base(fld)
-    found = {}
-    fixed_of = {}
     for unit in units:
         x = unit.elem
-        fixed = fixed_of.get(-x)
-        if fixed is None:
-            fixed = quotient._fixed_vertex(emb, x, base)
-        fixed_of[x] = fixed
-        hit = found.get(fixed)
-        if hit is None:
-            key = order.residue_key(x)
-            tries = sorted(range(len(terminal)), key=lambda t: key not in root_keys[t])
-            hit = found[fixed] = quotient._terminal_class(emb, fixed, terminal, tries)
-        t, gamma = hit
+        fixed = fixed_vertex(emb, x)
+        hits = [(t, are_equivalent(emb, fixed, v.lift)) for t, v in enumerate(terminal)]
+        (t, verdict), = [(t, verdict) for t, verdict in hits if verdict]
+        gamma = verdict.lam
         conj = (gamma * x * gamma.conj()).scale(fld.inv(gamma.norm().coeff(0)))
         members[t][roots[t].index(conj)].append(unit)
     classes = [sorted(m, key=TorsionUnit.sort_key) for pair in members for m in pair]
@@ -1408,56 +1461,44 @@ def test_terminal_classes_match_per_unit_lookups(q, text, bound):
     assert terminal_classes(graph, units) == per_unit_terminal_classes(graph, units)
 
 
-def test_terminal_classes_make_one_lookup_per_orbit_pair(monkeypatch):
-    # one lookup per pair of constant-unit orbits {O, -O}, at the fixed
-    # vertex of the first unit of the pair in census order
+def test_terminal_classes_make_no_search_or_action(monkeypatch):
+    # the walk develops the quotient by quaternion products alone: no
+    # lookup, no unit search and no tree action once the graph is built
+    alg = parse_algebra(field_from_q(3), "H(xi, T*(T-1))")
+    units = solve_torsion(StandardOrder(alg), 2)
+    graph = build_quotient(alg)
+
+    def refuse(*args):
+        raise AssertionError("terminal_classes searched or acted")
+
+    for name in ("are_equivalent", "hom_units", "act"):
+        monkeypatch.setattr(quotient, name, refuse)
+    monkeypatch.setattr(SplitEmbedding, "act", refuse)
+    classes = terminal_classes(graph, units)
+    assert sum(len(c) for c in classes) == len(units) == 106
+
+
+def test_terminal_classes_check_constant_unit_conjugates(monkeypatch):
+    # x -> -x keeps trace and norm but not the residue key of a unit with
+    # y not divisible by a place of b: constant_unit_orbits, the bound-0
+    # orbit pass of even-q torsion_classes, refuses the join
     alg = parse_algebra(field_from_q(3), "H(xi, T*(T-1))")
     order = StandardOrder(alg)
-    units = solve_torsion(order, 2)
-    graph = build_quotient(alg)
-    emb = graph.embedding
-    base = TreeVertex.base(alg.field)
-    where = census_index(units)
-    orbit = constant_unit_orbits(order, units, where)
-    pairs = {}
-    for i, u in enumerate(units):
-        pairs.setdefault(frozenset((orbit[i], orbit[where[(-u.elem).coords]])), i)
-    fixed = [midpoint(base, emb.act(units[i].elem, base)) for i in sorted(pairs.values())]
-    calls = []
-
-    def counting(emb, v, w):
-        calls.append(v)
-        return are_equivalent(emb, v, w)
-
-    monkeypatch.setattr(quotient, "are_equivalent", counting)
-    terminal_classes(graph, units)
-    assert len(calls) == len(pairs) == 14
-    assert calls == fixed
-
-
-def test_terminal_classes_check_constant_unit_conjugates(monkeypatch, capsys):
-    # x -> -x keeps trace and norm but not the residue key of a unit with
-    # y not divisible by a place of b: an orbit joined through it is refused
+    units = solve_torsion(order, 1)
     monkeypatch.setattr("btquot.order.conjugation_map", lambda lam: lambda x: -x)
+    with pytest.raises(InvariantViolation, match="residue key differs"):
+        constant_unit_orbits(order, units, census_index(units))
+
+
+def test_terminal_classes_exit_4_on_a_unit_labelled_twice(monkeypatch, capsys):
+    # one root given twice: its conjugate at each terminal vertex is met
+    # twice there
+    roots = quotient._square_roots
+    monkeypatch.setattr(quotient, "_square_roots", lambda v, xi: [roots(v, xi)[0]] * 2)
     code = main(["torsion", "--q", "3", "--r", "T*(T-1)", "--bound", "1"])
     err = capsys.readouterr().err
     assert code == 4
-    assert "invariant violated" in err and "residue key differs" in err
-
-
-def test_terminal_classes_refuse_a_unit_joined_with_its_negative(monkeypatch, capsys):
-    # with x -> -x let through the key check, x and -x share an orbit: they
-    # would need both roots of one terminal vertex at once
-    monkeypatch.setattr("btquot.order.conjugation_map", lambda lam: lambda x: -x)
-    monkeypatch.setattr("btquot.order.conjugacy_key", lambda order, unit: None)
-    code = main(["torsion", "--q", "3", "--r", "T*(T-1)", "--bound", "1"])
-    err = capsys.readouterr().err
-    assert code == 4
-    assert "invariant violated" in err and "conjugate to its negative" in err
-
-
-def _no_class(emb, v, w):
-    return NoWitness(None)
+    assert "invariant violated" in err and "is labelled twice" in err
 
 
 def _wrong_roots(vertex, xi):
@@ -1465,19 +1506,14 @@ def _wrong_roots(vertex, xi):
     return [one, -one]
 
 
-@pytest.mark.parametrize(
-    "name, patch, message",
-    [
-        ("are_equivalent", _no_class, "lies in no terminal class"),
-        ("_square_roots", _wrong_roots, "not a root of xi"),
-    ],
-)
-def test_terminal_class_lookup_miss_exits_4(name, patch, message, monkeypatch, capsys):
-    monkeypatch.setattr(quotient, name, patch)
+def test_terminal_classes_exit_4_on_a_unit_never_labelled(monkeypatch, capsys):
+    # the roots +-1 square to 1, not to xi: their conjugates are never
+    # census units, so no unit is labelled
+    monkeypatch.setattr(quotient, "_square_roots", _wrong_roots)
     code = main(["torsion", "--q", "3", "--r", "T*(T-1)", "--bound", "1"])
     err = capsys.readouterr().err
     assert code == 4
-    assert "invariant violated" in err and message in err
+    assert "invariant violated" in err and "conjugate to no square root of xi" in err
 
 
 def test_place_pools_hold_gauss_count_of_places():

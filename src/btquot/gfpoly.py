@@ -12,6 +12,7 @@ modulo the first irreducible T^e + f in code order.
 from __future__ import annotations
 
 import functools
+from itertools import accumulate
 
 from .errors import InvalidProfile, InvariantViolation, Unsupported
 from .linalg import nullspace
@@ -19,24 +20,14 @@ from .linalg import nullspace
 NEG_INF = float("-inf")
 
 _MAX_Q = 64
-
-
-def _is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+_MAX_NESTING = 100  # parse_poly's parenthesis depth, far below the recursion limit
 
 
 class Field:
     """F_q with table-driven arithmetic on int codes."""
 
     def __init__(self, p, e=1):
-        if not _is_prime(p):
+        if prime_power(p) != (p, 1):
             raise ValueError("p must be prime, got %r" % (p,))
         if e < 1 or p**e > _MAX_Q:
             raise ValueError("q=%d^%d out of supported range" % (p, e))
@@ -604,9 +595,12 @@ def sqr_test_residue(f, g):
 def parse_poly(field, text):
     """Parse expressions like "T^2+2*T+1" or "T*(T-1)" into a Poly.
 
-    Integer literals are taken mod q as element codes.
+    Integer literals are taken mod q as element codes.  Parentheses nested
+    deeper than _MAX_NESTING are refused with ValueError.
     """
     tokens = _tokenize(text)
+    if max(accumulate((t == "(") - (t == ")") for t in tokens), default=0) > _MAX_NESTING:
+        raise ValueError("parentheses nested deeper than %d in %r" % (_MAX_NESTING, text))
     pos = [0]
 
     def peek():

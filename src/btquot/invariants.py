@@ -206,9 +206,7 @@ def graph_h1(graph):
 
 def smooth_point_criterion(graph):
     """True when some quotient vertex has degree below q+1."""
-    return any(
-        graph.degree(i) < graph.q + 1 for i in range(len(graph.vertices))
-    )
+    return any(graph.degree(i) < graph.q + 1 for i in range(len(graph.vertices)))
 
 
 # ---------------------------------------------------------------------------

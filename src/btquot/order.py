@@ -338,10 +338,10 @@ def span_units(alg, gens):
     vectors (first nonzero coordinate one) are scanned in order; for each
     whose form value is a nonzero constant the combination lam is yielded,
     then c*lam for c = 2..q-1 (norm c^2 N(lam)).  Every unit of the span
-    is yielded once, the first projective one first.  conj_search and
-    quotient.are_equivalent take the first as witness, StabilizerGroup the
-    first of full order as generator, and constant_unit_orbits, the
-    bound-0 pass of even-q torsion_classes, them all.
+    is yielded once, the first projective one first.  conj_search takes
+    the first as witness, quotient.StabilizerGroup the first of full order
+    as generator, and constant_unit_orbits, the bound-0 pass of even-q
+    torsion_classes, them all.
     """
     fld = alg.field
     k = len(gens)

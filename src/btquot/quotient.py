@@ -11,7 +11,7 @@ to the same finite problem: find every order element of bounded coordinate
 degree whose image carries one column lattice onto a scalar multiple of
 the other.  The lattice condition is linear over the constant field — it
 says certain Laurent coefficients vanish — so candidates come out of a
-nullspace computation followed by a norm-is-a-unit filter.  The degree
+nullspace computation, each nonzero one a unit (hom_units).  The degree
 bound is derived from valuations, not guessed, which is what makes empty
 answers definitive.  The series precision is derived too: series_terms
 gives each search and each action the number of terms of sqrt(b) that
@@ -327,8 +327,8 @@ def completeness_bound(v, w):
 def hom_units(emb, v, w, B):
     """An F_q-basis of the order elements of coordinate degree <= B whose
     image maps the column lattice U of v into a scalar multiple of the
-    lattice V of w; the units of its span (order.span_units) are the
-    transporters, the units of degree <= B carrying v to w.
+    lattice V of w; its nonzero elements are the transporters, the units of
+    degree <= B carrying v to w.
 
     The scalar is pinned by the levels, since det U = u^(n_v) and
     det V = u^(n_w): when n_v - n_w is odd no element can work and the
@@ -359,8 +359,15 @@ def hom_units(emb, v, w, B):
     embedding (SplitEmbedding.sibling_system).
 
     The series carry the precision series_terms derives from v, w and B.
-    Callers scan the span lazily with span_units and check the unit they
-    use (the stabilizer its generator, are_equivalent its witness).
+
+    Why every nonzero lambda of the span is a transporter, and dim <= 2:
+    M = u^(-m) V^{-1} iota(lambda) U is integral, and det M = N(lambda) (as
+    2m = n_v - n_w) is a polynomial of ord >= 0 at infinity: a constant,
+    nonzero in a division algebra.  So M is in GL2(O), lambda carries v to w, and
+    lambda^{-1} = conj(lambda) / N(lambda) is in the order.  For one such
+    lambda_0, lambda_0^{-1} lambda lies in O meet End(L_v), the field F_q or
+    F_{q^2} of StabilizerGroup: the space is 0 or lambda_0 Stab(v), and a
+    larger one is a broken invariant.  Callers check the unit they use.
     """
     alg = emb.alg
     fld = alg.field
@@ -371,10 +378,9 @@ def hom_units(emb, v, w, B):
     c = (1, v.x.coeff(v.n - 1))
     rows = [combine(c, (f1, f0), fld), combine(c, (g1, g0), fld)]
     kernel = [combine(y, basis, fld) for y in nullspace(rows, len(basis), fld)]
-    if kernel and fld.q ** len(kernel) > 500000:
-        raise NonterminationGuard(
-            "unit candidate space has dimension %d; refusing to enumerate"
-            % len(kernel)
+    if len(kernel) > 2:
+        raise InvariantViolation(
+            "unit search space has dimension %d; at most 2 is proven" % len(kernel)
         )
     return kernel_elements(alg, kernel, B)
 
@@ -464,8 +470,9 @@ class StabilizerGroup:
     when n = q^2 - 1), the powers read off the characteristic polynomial
     (order.power_cycle).  At the complete bound the space is O meet
     End(L_v): a finite subring of a division algebra, so a field F_q or
-    F_{q^2}, whose nonzero elements are units fixing v, and every unit
-    fixing v lies in it by completeness_bound.  stabilizer checks that g
+    F_{q^2} (so dim <= 2, the bound hom_units proves for every space),
+    whose nonzero elements are units fixing v, and every unit fixing v lies
+    in it by completeness_bound.  stabilizer checks that g
     fixes v, so <g> <= Stab(v) <= space minus 0; both ends have q^dim - 1
     elements, so <g> = Stab(v).
 
@@ -567,15 +574,17 @@ def are_equivalent(emb, v, w):
     """Witness(unit carrying v to w, bound) or NoWitness(bound), definitive
     because the search bound is complete; the bound is None when no search
     was needed (v == w, or a parity rejection).  The witness is the first
-    unit span_units yields, as in conj_search."""
+    basis element of the hom_units space, a transporter by the proof there
+    and the unit span_units would yield first; one action checks it."""
     if v == w:
         return Witness(emb.alg.one, None)
     if (v.n - w.n) % 2:
         return NoWitness(None)
     bound = completeness_bound(v, w)
-    witness = next(span_units(emb.alg, hom_units(emb, v, w, bound)), None)
-    if witness is None:
+    space = hom_units(emb, v, w, bound)
+    if not space:
         return NoWitness(bound)
+    witness = space[0]
     if emb.act(witness, v) != w:
         raise InvariantViolation("equivalence witness does not carry v to w")
     return Witness(witness, bound)
@@ -627,7 +636,8 @@ class QEdge:
 
 class QuotientGraph:
     """Finite multigraph of vertex classes with stabilizer labels.  The
-    class representatives are vertices of the tree of `embedding`.
+    class representatives are vertices of the tree of `embedding`; the
+    degrees are counted once, from the edges.
 
     links develops the graph back into the tree (Serre, *Trees*, ch. I
     §4; Bass 1993), outside the JSON: links[a][l] = (b, e, lam, back) for
@@ -643,6 +653,10 @@ class QuotientGraph:
         self.profile = profile
         self.vertices = vertices
         self.edges = edges
+        self._degrees = [0] * len(vertices)
+        for e in edges:
+            self._degrees[e.a] += 1
+            self._degrees[e.b] += 1
         self.log = log
         self.embedding = embedding
         self.links = links
@@ -661,10 +675,10 @@ class QuotientGraph:
         return b, h, back
 
     def degree(self, i):
-        return sum((e.a == i) + (e.b == i) for e in self.edges)
+        return self._degrees[i]
 
     def degrees(self):
-        return [self.degree(i) for i in range(len(self.vertices))]
+        return list(self._degrees)
 
     def to_dict(self):
         return {
@@ -695,11 +709,11 @@ def build_quotient(alg, base=None):
 
     Every unit search and every action runs at the series precision that
     series_terms derives for it, which provably decides it.  A
-    PrecisionLoss is therefore a broken invariant: it is raised as
-    InvariantViolation naming the last precision derived and its degree
-    bound, and nothing is retried.  The class count is capped by the
+    PrecisionLoss is therefore a broken invariant: it is caught here and
+    raised as InvariantViolation naming the last precision derived and its
+    degree bound, and nothing is retried.  The class count is capped by the
     formula prediction times GUARD_FACTOR (plus two), so a bound bug
-    aborts instead of spinning.
+    aborts instead of spinning; it is the build's one NonterminationGuard.
     """
     if alg.field.p == 2:
         raise Unsupported(
@@ -721,15 +735,8 @@ def build_quotient(alg, base=None):
         }
     ]
     emb = SplitEmbedding(alg)
-    return _precision_checked(emb, _bfs, emb, profile, base, class_limit, log)
-
-
-def _precision_checked(emb, step, *args):
-    """step(*args), whose searches and actions all run at the precision
-    series_terms derives, so a PrecisionLoss is a broken invariant: it is
-    raised as InvariantViolation naming the last precision derived."""
     try:
-        return step(*args)
+        return _bfs(emb, profile, base, class_limit, log)
     except PrecisionLoss as exc:
         terms, bound = emb.request
         raise InvariantViolation(
@@ -890,11 +897,10 @@ def _bfs(emb, profile, base, class_limit, log):
         for i, (a, b, stab) in enumerate(sorted(records, key=lambda r: r[:2]))
     ]
     graph = QuotientGraph(fld.q, alg, profile, vertices, edges, log, emb, links)
-    for i in range(len(reps)):
-        if graph.degree(i) not in (1, fld.q + 1):
+    for i, d in enumerate(graph.degrees()):
+        if d not in (1, fld.q + 1):
             raise InvariantViolation(
-                "vertex class %d has degree %d; expected 1 or %d"
-                % (i, graph.degree(i), fld.q + 1)
+                "vertex class %d has degree %d; expected 1 or %d" % (i, d, fld.q + 1)
             )
     log.append(
         {

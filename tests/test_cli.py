@@ -475,6 +475,15 @@ def test_exit_code_unsupported(capsys):
     assert code == 3
 
 
+def test_deeply_nested_polynomial_is_invalid_input(capsys):
+    # Nesting this deep would overflow the recursive parser's stack.
+    nested = "(" * 300 + "T*(T-1)" + ")" * 300
+    code, out, err = run(capsys, "quotient", "--q", "3", "--r", nested)
+    assert (code, out) == (3, "")
+    assert err.startswith("invalid input: parentheses nested deeper than 100 in")
+    assert err.count("\n") == 1
+
+
 def test_exit_code_check_failure(capsys):
     code, _, err = run(capsys, "quotient", "--q", "3",
                        "--a", "2*T^2+2", "--b", "T^2+T")

@@ -104,6 +104,13 @@ def test_field_without_modulus_is_invariant_violation(monkeypatch):
         Field(2, 2)
 
 
+def test_field_refuses_a_non_prime_characteristic():
+    for p in (-3, 0, 1, 4, 9, 15):
+        with pytest.raises(ValueError, match="^p must be prime, got %d$" % p):
+            Field(p)
+    assert Field(7).q == 7
+
+
 def test_field_axioms_random():
     rng = random.Random(7)
     for q in (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 64):
@@ -420,6 +427,13 @@ def test_parse_poly():
         parse_poly(fld, "T^")
     with pytest.raises(ValueError):
         parse_poly(fld, "x+1")
+
+
+def test_parse_poly_refuses_nesting_past_its_depth():
+    fld = make_field(3)
+    assert parse_poly(fld, "(" * 100 + "T" + ")" * 100) == Poly.T(fld)
+    with pytest.raises(ValueError, match="nested deeper than 100"):
+        parse_poly(fld, "(" * 101 + "T" + ")" * 101)
 
 
 def test_parse_str_round_trip():

@@ -360,8 +360,7 @@ def test_package_has_no_bare_asserts():
     # Internal checks raise InvariantViolation: an assert vanishes under
     # python -O, and an AssertionError escapes the CLI's exit-code mapping.
     # The one place that turns a PrecisionLoss into InvariantViolation is
-    # quotient._precision_checked, which build_quotient runs through, and
-    # no working-precision state is left.
+    # quotient.build_quotient, and no working-precision state is left.
     pkg = os.path.dirname(os.path.abspath(btquot.__file__))
     found = []
     catches = []
@@ -379,7 +378,7 @@ def test_package_has_no_bare_asserts():
                 found.append("%s:%d" % (name, node.lineno))
             elif isinstance(node, ast.ExceptHandler) and "PrecisionLoss" in _caught(node):
                 catches.append((name, node.lineno))
-            elif isinstance(node, ast.FunctionDef) and node.name == "_precision_checked":
+            elif isinstance(node, ast.FunctionDef) and node.name == "build_quotient":
                 home = (name, node.lineno, node.end_lineno)
             spelled = (
                 getattr(node, "id", None) or getattr(node, "attr", None)

@@ -896,6 +896,61 @@ def test_derived_precision_suffices(q, text, monkeypatch):
     assert doubled_used == [2 * t for t in used]
 
 
+@pytest.mark.parametrize("q, text", PROOF_CASES)
+def test_every_nonzero_vector_of_a_space_is_a_transporter(q, text, monkeypatch):
+    # hom_units proves that every nonzero element of its space is a unit
+    # carrying v to w, so are_equivalent takes the first basis element as
+    # its witness: the unit span_units yields first.
+    spaces = {}
+    witnesses = []
+
+    def searched(emb, v, w, B):
+        got = hom_units(emb, v, w, B)
+        spaces[(v, w, B)] = (emb, got)
+        return got
+
+    def tested(emb, v, w):
+        verdict = are_equivalent(emb, v, w)
+        if verdict and verdict.bound is not None:
+            witnesses.append((v, w, verdict))
+        return verdict
+
+    monkeypatch.setattr("btquot.quotient.hom_units", searched)
+    monkeypatch.setattr("btquot.quotient.are_equivalent", tested)
+    build_quotient(parse_algebra(field_from_q(q), text))
+    assert spaces
+    for v, w, verdict in witnesses:
+        emb, space = spaces[(v, w, verdict.bound)]
+        assert verdict.lam == next(span_units(emb.alg, space))
+    for (v, w, _), (emb, space) in spaces.items():
+        fld = emb.alg.field
+        assert len(space) <= 2
+        for coeffs in product(range(fld.q), repeat=len(space)):
+            if not any(coeffs):
+                continue
+            lam = emb.alg.zero
+            for c, g in zip(coeffs, space):
+                lam = lam + g.scale(c)
+            norm = lam.norm()
+            assert norm.is_const and not norm.is_zero
+            assert emb.act(lam, v) == w
+
+
+def test_unit_search_space_above_dimension_two_exits_4(monkeypatch, capsys):
+    # A transporter space has dimension at most 2 (hom_units); a larger one
+    # is a broken invariant, not a resource limit.
+    def three(rows, ncols, fld):
+        return [[int(i == k) for i in range(ncols)] for k in range(3)]
+
+    monkeypatch.setattr("btquot.quotient.nullspace", three)
+    assert main(["quotient", "--q", "3", "--r", "T*(T-1)"]) == 4
+    err = capsys.readouterr().err
+    assert err == (
+        "invariant violated: unit search space has dimension 3; at most 2 is"
+        " proven\n"
+    )
+
+
 def test_build_quotient_too_small_precision_is_invariant_violation(monkeypatch, capsys):
     # A derived precision of MIN_TERMS is too small for this build; the
     # loss it causes is a broken invariant, reported once, with exit code 4.

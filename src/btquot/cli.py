@@ -42,7 +42,7 @@ from .invariants import (
     sweep_profiles,
     wp,
 )
-from .order import StandardOrder, solve_torsion, torsion_classes
+from .order import StandardOrder, solve_torsion, torsion_classes, torsion_type
 from .quat import QuatAlgebra, ramified_set
 from .quotient import (
     build_quotient,
@@ -197,6 +197,8 @@ def cmd_torsion(args):
     order = StandardOrder(alg)
     order.ensure_maximal()
     units = solve_torsion(order, args.bound)
+    # every census unit shares these; an empty census reads none of them
+    trace, norm, unit_order = torsion_type(units) or (None, None, None)
     payload = {
         "algebra": str(alg),
         "q": alg.field.q,
@@ -204,10 +206,10 @@ def cmd_torsion(args):
         "count": len(units),
         "units": [
             {
-                "elem": str(u.elem),
-                "order": u.order,
-                "trace": str(u.trace),
-                "norm": str(u.norm),
+                "elem": str(u),
+                "order": unit_order,
+                "trace": str(trace),
+                "norm": str(norm),
             }
             for u in units
         ],
@@ -223,7 +225,7 @@ def cmd_torsion(args):
             # wp = 0: a place of even degree splits in F_{q^2}(T), so F_{q^2}
             # does not embed in the algebra and no unit squares to xi.
             classes = []
-        payload["classes"] = [[str(u.elem) for u in cl] for cl in classes]
+        payload["classes"] = [[str(u) for u in cl] for cl in classes]
         payload["class_count"] = len(classes)
         payload["eichler"] = expected
         payload["check_eichler"] = len(classes) == expected

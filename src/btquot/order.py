@@ -134,31 +134,6 @@ class StandardOrder:
         return "StandardOrder(%r)" % (self.alg,)
 
 
-class TorsionUnit:
-    """A finite-order unit together with its characteristic data."""
-
-    def __init__(self, elem):
-        self.elem = elem
-        t, n = elem.charpoly()
-        self.trace = t
-        self.norm = n
-        # Finite orders are at most q^2: elem^k lies in F_q[elem], a ring of
-        # q^2 elements (or q, for a scalar).  The census builds only elements
-        # with a constant characteristic polynomial, so one that is not
-        # torsion is a broken invariant.
-        cycle = power_cycle(elem, t, n, elem.alg.field.q**2)
-        if cycle is None:
-            raise InvariantViolation("census element %s is not torsion" % elem)
-        self.order = len(cycle)
-
-    def sort_key(self):
-        e = self.elem
-        return (e.w.sort_key(), e.z.sort_key(), e.y.sort_key(), e.x.sort_key())
-
-    def __repr__(self):
-        return "TorsionUnit(%s; order %d)" % (self.elem, self.order)
-
-
 def power_cycle(el, t, n, count):
     """The pairs (u_k, v_k) of int codes with el^k = u_k + v_k*el, one per
     power el^1, ..., el^m = 1 for m the multiplicative order of el, read
@@ -190,16 +165,20 @@ def power_cycle(el, t, n, count):
 
 
 def solve_torsion(order, bound):
-    """All units x + y*i + z*j + w*ij with scalar-free canonical shape and
-    constant charpoly whose z and w have degree at most bound.
+    """The torsion census: the units x + y*i + z*j + w*ij whose z and w have
+    degree at most bound and which are roots of one quadratic, X^2 - xi
+    for odd q (x = 0; trace 0, norm -xi) and X^2 + X + xi for even q
+    (y = 1; trace 1, norm xi), xi the constant of choose_xi.
 
-    Odd q: pure quaternions squaring to the canonical non-square constant.
-    Even q: elements of trace one and norm equal to the canonical
-    trace-one constant.  The coordinate solved for, y for odd q and x for
-    even q, has a square of degree at most deg b + 2*bound, so its degree
-    is at most m = (deg b + 2*bound) // 2 and can exceed bound.  One table,
-    built per call, maps r^2 (odd q) or r^2 + r (even q) to its roots r of
-    degree at most m, so each (z, w) pair costs one lookup.
+    The coordinate solved for, y for odd q and x for even q, has a square
+    of degree at most deg b + 2*bound, so its degree is at most
+    m = (deg b + 2*bound) // 2 and can exceed bound.  One table, built per
+    call, maps r^2 (odd q) or r^2 + r (even q) to its roots r of degree at
+    most m, so each (z, w) pair costs one lookup.  The loops run over w,
+    then z, then the roots of the table, each in polys_upto order, which
+    is Poly.sort_key order: the census comes out sorted by (w, z, y, x)
+    and is never re-sorted.  A unit without the trace and norm of the
+    quadratic breaks an invariant and raises InvariantViolation.
     """
     alg = order.alg
     fld = alg.field
@@ -207,6 +186,7 @@ def solve_torsion(order, bound):
     a, b = alg.a, alg.b
     if fld.p == 2 and a != xi:
         raise Unsupported("even-q torsion search needs the H(xi, b) shape")
+    quadratic = (Poly.one(fld), xi) if fld.p == 2 else (Poly.zero(fld), -xi)
     roots = {}
     for r in polys_upto(fld, (b.deg + 2 * bound) // 2):
         roots.setdefault(r * r + r if fld.p == 2 else r * r, []).append(r)
@@ -215,27 +195,53 @@ def solve_torsion(order, bound):
     if fld.p == 2:
         # x^2 + x = b*(z^2 + z*w + xi*w^2): b*z and b*z^2 once per z,
         # b*xi*w^2 once per w, so each (z, w) pair costs one product
-        bxw2 = [b * xi * w * w for w in ws]
+        bzs = []
         for z in ws:
             bz = b * z
-            bz2 = bz * z
-            for w, bxww in zip(ws, bxw2):
+            bzs.append((z, bz, bz * z))
+        for w in ws:
+            bxww = b * xi * w * w
+            for z, bz, bz2 in bzs:
                 for x in roots.get(bz2 + bz * w + bxww, ()):
                     out.append(alg.elem(x, Poly.one(fld), z, w))
     else:
         # y^2 = (xi - b*z^2)/a + b*w^2, and a divides a*b*w^2: one division
         # per z decides every w, and b*w^2 is formed once per w
-        bw2 = [b * w * w for w in ws]
+        bases = []
         for z in ws:
             base, rem = divmod(xi - b * z * z, a)
-            if not rem.is_zero:
-                continue
-            for w, bww in zip(ws, bw2):
+            if rem.is_zero:
+                bases.append((z, base))
+        for w in ws:
+            bww = b * w * w
+            for z, base in bases:
                 for y in roots.get(base + bww, ()):
                     out.append(alg.elem(Poly.zero(fld), y, z, w))
-    units = [TorsionUnit(el) for el in out]
-    units.sort(key=TorsionUnit.sort_key)
-    return units
+    for unit in out:
+        if unit.charpoly() != quadratic:
+            raise InvariantViolation(
+                "census unit %s has trace %s and norm %s, not the %s and %s"
+                " of its quadratic" % ((unit,) + unit.charpoly() + quadratic)
+            )
+    return out
+
+
+def torsion_type(units):
+    """The (trace, norm, multiplicative order) that every unit of a
+    solve_torsion census shares, None for an empty census.
+
+    Each unit is a root of one quadratic X^2 - t*X + n (solve_torsion
+    checks it), so each has the order of X in F_q[X]/(X^2 - t*X + n),
+    read off power_cycle; a census unit that is not torsion breaks an
+    invariant."""
+    if not units:
+        return None
+    unit = units[0]
+    t, n = unit.charpoly()
+    cycle = power_cycle(unit, t, n, unit.alg.field.q**2)
+    if cycle is None:
+        raise InvariantViolation("census element %s is not torsion" % unit)
+    return t, n, len(cycle)
 
 
 class Witness:
@@ -430,15 +436,10 @@ def conjugation_map(lam):
     return image
 
 
-def conjugacy_key(order, unit):
-    """The (trace, norm, residue key) of a census unit: conjugation by a
-    unit of the order keeps all three."""
-    return (unit.trace.coeffs, unit.norm.coeffs, order.residue_key(unit.elem))
-
-
 def census_index(units):
-    """The position of each census unit, keyed by its coordinates."""
-    return {u.elem.coords: idx for idx, u in enumerate(units)}
+    """The position of each unit in the census list units (of QuatElem),
+    keyed by its coordinates."""
+    return {u.coords: idx for idx, u in enumerate(units)}
 
 
 def _find(parent, i):
@@ -468,14 +469,15 @@ def constant_unit_orbits(order, units, index):
     connected components of these joins, whether or not U0 is a group (it
     is F_q[i]^x when a is a constant and deg b >= 1).  Each join is an
     explicit conjugator in O^x, so a component lies in one conjugacy class.
-    An image with another conjugacy_key breaks an invariant and raises
-    InvariantViolation.  Only torsion_classes, the even-q clustering, calls
-    it: odd-q classes are read off the quotient (quotient.terminal_classes).
+    An image with another residue key (the census units share their trace
+    and norm) breaks an invariant and raises InvariantViolation.  Only
+    torsion_classes, the even-q clustering, calls it: odd-q classes are
+    read off the quotient (quotient.terminal_classes).
     """
     parent = list(range(len(units)))
     # each distinct key as a small int, so a join compares two ints
     key_ids = {}
-    keys = [key_ids.setdefault(conjugacy_key(order, u), len(key_ids)) for u in units]
+    keys = [key_ids.setdefault(order.residue_key(u), len(key_ids)) for u in units]
     alg = order.alg
     # span_units yields each projective unit lam, then c*lam for c = 2..q-1
     for lam in list(span_units(alg, alg.basis()))[:: alg.field.q - 1]:
@@ -483,13 +485,13 @@ def constant_unit_orbits(order, units, index):
             continue
         image = conjugation_map(lam)
         for i, u in enumerate(units):
-            j = index.get(image(u.elem).coords)
+            j = index.get(image(u).coords)
             if j is None:
                 continue
             if keys[j] != keys[i]:
                 raise InvariantViolation(
-                    "conjugating %s by %s gives %s, whose trace, norm or"
-                    " residue key differs" % (u.elem, lam, units[j].elem)
+                    "conjugating %s by %s gives %s, whose residue key"
+                    " differs" % (u, lam, units[j])
                 )
             _union(parent, i, j)
     return [_find(parent, i) for i in range(len(units))]
@@ -498,11 +500,12 @@ def constant_unit_orbits(order, units, index):
 def torsion_classes(order, units):
     """Partition torsion units into conjugacy classes of the unit group.
 
-    Units are bucketed by trace, norm and residue key, all invariant under
-    conjugation by a unit, so a pair in different buckets has no witness
-    at any bound and is never searched.  Within a bucket, bounded searches
-    deepen iteratively up to the cutoff default_conj_bound.  The partition
-    never reads the Eichler count that the CLI checks it against.
+    The census units share one trace and norm (solve_torsion), so they
+    are bucketed by residue key, invariant under conjugation by a unit: a
+    pair in different buckets has no witness at any bound and is never
+    searched.  Within a bucket, bounded searches deepen iteratively up to
+    the cutoff default_conj_bound.  The partition never reads the Eichler
+    count that the CLI checks it against.
 
     Bound 0 needs no search.  A bound-0 witness has constant coordinates
     and a nonzero constant norm, so it lies in U0 = span_units(basis)
@@ -519,28 +522,26 @@ def torsion_classes(order, units):
     the union-find starts from them.  Its root is always the smallest
     index of its class, so every later bound sees the same roots and
     makes the same calls in the same order as after a bound-0 sweep.
+
+    Returns the classes as lists of units, each in census order, ordered
+    by their first members: both orders are the census order, so none is
+    sorted.
     """
     parent = constant_unit_orbits(order, units, census_index(units))
     buckets = {}
     for idx, u in enumerate(units):
-        buckets.setdefault(conjugacy_key(order, u), []).append(idx)
+        buckets.setdefault(order.residue_key(u), []).append(idx)
     for b in range(1, default_conj_bound(order) + 1):
         for idxs in buckets.values():
-            reps = {}
-            for i in idxs:
-                reps.setdefault(_find(parent, i), i)
-            roots = sorted(reps)
-            for ai in range(len(roots)):
-                for bi in range(ai + 1, len(roots)):
-                    i, j = reps[roots[ai]], reps[roots[bi]]
+            # each class's root is its smallest index, so its first member
+            roots = [i for i in idxs if _find(parent, i) == i]
+            for ai, i in enumerate(roots):
+                for j in roots[ai + 1 :]:
                     if _find(parent, i) == _find(parent, j):
                         continue
-                    res = conj_search(order, units[i].elem, units[j].elem, b)
-                    if isinstance(res, Witness):
+                    if conj_search(order, units[i], units[j], b):
                         _union(parent, i, j)
     classes = {}
     for i in range(len(units)):
         classes.setdefault(_find(parent, i), []).append(units[i])
-    out = [sorted(v, key=TorsionUnit.sort_key) for v in classes.values()]
-    out.sort(key=lambda cl: cl[0].sort_key())
-    return out
+    return list(classes.values())

@@ -51,7 +51,6 @@ from .linalg import combine, nullspace, restrict
 from .order import (
     NoWitness,
     StandardOrder,
-    TorsionUnit,
     Witness,
     census_index,
     kernel_elements,
@@ -923,11 +922,12 @@ def terminal_classes(graph, units):
     the non-scalar x, so p(x) is in a terminal class c, whose stabilizer
     is cyclic of order q^2 - 1 (abelian).  The walk visits every vertex
     gamma * reps[c] within distance R of reps[0] once, with a unit gamma
-    carrying reps[c] there, and at each vertex of a terminal class labels
-    the census unit gamma * r * gamma^-1 with (c, r) for each of the two
-    roots r of xi in Stab(reps[c]) (_square_roots).  Two units are
-    conjugate exactly when they get the same label, so the labels are the
-    classes.  Proof that each unit is labelled exactly once:
+    carrying reps[c] there, and at each vertex of a terminal class forms
+    one conjugate x = gamma * r * gamma^-1 of the root r of xi in
+    Stab(reps[c]) (_square_root), labelling x with (c, 0) and -x, the
+    conjugate of the other root -r, with (c, 1).  Two units are conjugate
+    exactly when they get the same label, so the labels are the classes.
+    Proof that each unit is labelled exactly once:
     - p(x) lies within R of reps[0].  With D = max(deg z, deg w, 0) over
       the census, alpha = deg a and beta = deg b / 2, y^2 =
       (xi - b z^2)/a + b w^2 gives deg y <= beta + D, so the entries of
@@ -947,21 +947,21 @@ def terminal_classes(graph, units):
     - The label does not depend on gamma.  Any other unit carrying reps[c]
       to the same vertex is gamma * s with s in Stab(reps[c]), and
       (gamma s) r (gamma s)^-1 = gamma r gamma^-1, since s and r commute.
-      So x = gamma r gamma^-1 for the gamma of p(x) and exactly one r,
-      and no other vertex gives x, since x fixes only p(x).
+      So x = gamma (+-r) gamma^-1 for the gamma of p(x) and exactly one
+      sign, and no other vertex gives x, since x fixes only p(x).
     No action, unit search or series operation is made: each step is one
-    quaternion product, and each conjugate two more.  A unit labelled
-    twice, or never, raises InvariantViolation.
+    quaternion product, and each terminal vertex two more.  A unit
+    labelled twice, or never, raises InvariantViolation.
 
-    Returns the classes as sorted lists of units: the classes the census
-    meets ordered by first member, then an empty list for each class it
-    misses.
+    Returns the classes as lists of units, each in census order: the
+    classes the census meets in the census order of their first members,
+    then an empty list for each class it misses.
     """
     alg = graph.algebra
     fld = alg.field
     xi = choose_xi(fld)
     roots = {
-        v.index: _square_roots(v, xi)
+        v.index: _square_root(v, xi)
         for v in graph.vertices
         if v.stabilizer_order == fld.q**2 - 1
     }
@@ -969,7 +969,7 @@ def terminal_classes(graph, units):
         [graph.transporter(a, pos) for pos in range(fld.q + 1)]
         for a in range(len(graph.vertices))
     ]
-    reach = max((max(u.elem.z.deg, u.elem.w.deg, 0) for u in units), default=0)
+    reach = max((max(u.z.deg, u.w.deg, 0) for u in units), default=0)
     radius = alg.a.deg + alg.b.deg // 2 + reach + base_distance(graph.vertices[0].lift)
     index = census_index(units)
     label = [None] * len(units)
@@ -977,47 +977,43 @@ def terminal_classes(graph, units):
     while walk:
         gamma, c, back, dist = walk.pop()
         if c in roots:
-            conj = gamma.conj()
-            inv = fld.inv(gamma.norm().coeff(0))
-            for r, root in enumerate(roots[c]):
-                i = index.get((gamma * root * conj).scale(inv).coords)
+            x = (gamma * roots[c] * gamma.conj()).scale(fld.inv(gamma.norm().coeff(0)))
+            for r, conj in enumerate((x, -x)):
+                i = index.get(conj.coords)
                 if i is None:
                     continue
                 if label[i] is not None:
                     raise InvariantViolation(
                         "census unit %s is labelled twice, by class %d root %d"
-                        " and by class %d root %d"
-                        % ((units[i].elem,) + label[i] + (c, r))
+                        " and by class %d root %d" % ((units[i],) + label[i] + (c, r))
                     )
                 label[i] = (c, r)
         if dist < radius:
             for pos, (b, h, b_back) in enumerate(steps[c]):
                 if pos != back:
                     walk.append((gamma * h, b, b_back, dist + 1))
-    members = {(c, r): [] for c in roots for r in range(len(roots[c]))}
+    classes = {}
     for unit, at in zip(units, label):
         if at is None:
             raise InvariantViolation(
                 "census unit %s is conjugate to no square root of xi at a"
-                " terminal vertex within distance %d" % (unit.elem, radius)
+                " terminal vertex within distance %d" % (unit, radius)
             )
-        members[at].append(unit)
-    classes = [sorted(m, key=TorsionUnit.sort_key) for m in members.values()]
-    met = sorted((c for c in classes if c), key=lambda c: c[0].sort_key())
-    return met + [c for c in classes if not c]
+        classes.setdefault(at, []).append(unit)
+    return list(classes.values()) + [[] for _ in range(2 * len(roots) - len(classes))]
 
 
-def _square_roots(vertex, xi):
-    """The two elements of a terminal stabilizer that square to the
-    constant xi (an int code).
+def _square_root(vertex, xi):
+    """The element r of a terminal stabilizer with r^2 = xi (an int code)
+    that this construction picks; the other is -r.
 
     The generator g has characteristic polynomial X^2 - t*X + n, and F_q[g]
     is a field, so delta = t^2/4 - n, the square of g - t/2, is a
     non-square and xi/delta is a square.  (u + v*(g - t/2))^2 is
     u^2 + v^2*delta + 2uv*(g - t/2), which is xi only when u = 0 and
-    v^2 = xi/delta: the roots are +-v*(g - t/2).  A root is checked by
-    trace 0 and norm -xi, its negative then too, with no quaternion
-    product."""
+    v^2 = xi/delta: the roots are +-v*(g - t/2), and r takes the v that
+    fld.sqrt_ gives.  The root is checked by trace 0 and norm -xi, with
+    no quaternion product."""
     g = vertex.generator
     fld = g.alg.field
     t, n = (c.coeff(0) for c in g.charpoly())
@@ -1027,7 +1023,7 @@ def _square_roots(vertex, xi):
     if v is not None:
         root = (g - half_t).scale(v)
         if root.trace().is_zero and root.norm() == Poly.const(fld, fld.neg(xi)):
-            return [root, -root]
+            return root
     raise InvariantViolation(
         "stabilizer of class %d has no square root of xi" % vertex.index
     )

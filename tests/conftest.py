@@ -62,6 +62,12 @@ def coord_key(g):
     return tuple(c.sort_key() for c in g.coords)
 
 
+def census_key(g):
+    """The census order of a torsion unit: its coordinates from ij down to
+    1, (w, z, y, x), each by Poly.sort_key."""
+    return tuple(c.sort_key() for c in reversed(g.coords))
+
+
 def sorted_units(alg, space):
     """Every unit in the F_q-span of space, sorted by coordinates."""
     return sorted(span_units(alg, space), key=coord_key)

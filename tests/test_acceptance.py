@@ -202,7 +202,7 @@ def test_acceptance_4_torsion_census_pairing(segment_quotients):
     units = solve_torsion(order, 2)
     classes = torsion_classes(order, units)
     assert len(classes) == 4
-    elems = {u.elem for u in units}
+    elems = set(units)
     theta1 = alg.elem(0, 1, 0, 0)
     theta2 = alg.elem(0, parse_poly(fld, "2*T - 1"), 0, 2)
     assert theta1 in elems
@@ -215,7 +215,7 @@ def test_acceptance_4_torsion_census_pairing(segment_quotients):
     fibers = {v.index: 0 for v in terminals}
     search = ball(fld, 4)
     for cl in classes:
-        fixed = [v for v in search if emb.act(cl[0].elem, v) == v]
+        fixed = [v for v in search if emb.act(cl[0], v) == v]
         assert len(fixed) == 1
         hits = [v for v in terminals if are_equivalent(emb, fixed[0], v.lift)]
         assert len(hits) == 1
@@ -340,14 +340,14 @@ def test_acceptance_9_even_q_torsion():
     alg2 = QuatAlgebra(fld2, Poly.const(fld2, choose_xi(fld2)),
                        parse_poly(fld2, "T^2+T"))
     units2 = solve_torsion(StandardOrder(alg2), 2)
-    elems2 = {u.elem for u in units2}
+    elems2 = set(units2)
     assert alg2.elem(Poly.T(fld2), 1, 1, 0) in elems2
 
     fld4 = field_from_q(4)
     alg4 = QuatAlgebra(fld4, Poly.const(fld4, choose_xi(fld4)),
                        parse_poly(fld4, "T^4+T"))
     units4 = solve_torsion(StandardOrder(alg4), 2)
-    elems4 = {u.elem for u in units4}
+    elems4 = set(units4)
     xi4 = choose_xi(fld4)
     family = set()
     for zc in range(4):

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import os
@@ -10,8 +11,11 @@ import btquot
 from btquot.cli import _algebra_from, build_parser, main, render_dot
 from btquot.errors import InvariantViolation
 from btquot.quotient import find_quotient_algebra
-from btquot.gfpoly import make_field
+from btquot.gfpoly import Poly, choose_xi, make_field
 from btquot.order import StandardOrder, solve_torsion
+from btquot.quat import QuatElem
+
+from conftest import census_key
 
 
 def run(capsys, *args):
@@ -296,7 +300,28 @@ PINNED_TORSION = {
     # 914 units sorted into 4 classes
     ("--q", "7", "--r", "T*(T-1)", "--bound", "2"):
         "a7f93259f6be0cf49faa33187e3dcd2b40df33791012cca22bfa977547fb8918",
+    # 10 units in 16 classes: the met classes in census order, then the
+    # empty ones
+    ("--q", "3", "--R-degrees", "1,1,1,3", "--bound", "1"):
+        "f4e13e2e94a84ac94392893a577e39aa4821849ba04945e33d9a04fed30fd654",
+    ("--q", "3", "--r", "T*(T-1)", "--bound", "3"):
+        "436d5c8963c56d327a7a7056752b53075ba97fb58bc146492df3f0babc8ea2f5",
+    # census only: SplitEmbedding refuses this algebra, so without
+    # --no-classes the command exits 3
+    ("--q", "3", "--r", "2*T^2+T", "--bound", "1", "--no-classes"):
+        "49306b698230118b3f751b9319b4fc8c38acae287e6c787eada1e78d3e9dd8da",
 }
+
+# every z and w of this census is a constant, so its bound caps nothing
+UNCAPPED_TORSION = ("--q", "3", "--R-degrees", "1,1,1,3", "--bound", "1")
+
+
+@functools.lru_cache(maxsize=None)
+def pinned_census(spec):
+    """The algebra and the solve_torsion census of a torsion spec."""
+    args = build_parser().parse_args(["torsion", *spec])
+    alg = _algebra_from(args)
+    return alg, solve_torsion(StandardOrder(alg), args.bound)
 
 
 @pytest.mark.parametrize("spec", sorted(PINNED_TORSION))
@@ -306,15 +331,56 @@ def test_torsion_stdout_matches_pinned_digest(spec, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_TORSION[spec]
 
 
-@pytest.mark.parametrize("spec", sorted(PINNED_TORSION))
+@pytest.mark.parametrize("spec", sorted(set(PINNED_TORSION) - {UNCAPPED_TORSION}))
 def test_torsion_bound_caps_z_and_w_and_the_solved_coordinate(spec):
     args = build_parser().parse_args(["torsion", *spec])
-    alg = _algebra_from(args)
-    units = solve_torsion(StandardOrder(alg), args.bound)
-    assert max(max(u.elem.z.deg, u.elem.w.deg) for u in units) == args.bound
+    alg, units = pinned_census(spec)
+    assert max(max(u.z.deg, u.w.deg) for u in units) == args.bound
     # y (odd q) or x (even q) comes from an equation of degree deg b + 2*bound
-    solved = [(u.elem.x if alg.even else u.elem.y).deg for u in units]
+    solved = [(u.x if alg.even else u.y).deg for u in units]
     assert max(solved) == (alg.b.deg + 2 * args.bound) // 2 > args.bound
+
+
+@pytest.mark.parametrize("spec", sorted(PINNED_TORSION))
+def test_every_census_unit_is_a_root_of_one_quadratic(spec):
+    # X^2 - xi (trace 0, norm -xi) for odd q, q=9 over an extension field
+    # among them, and X^2 + X + xi (trace 1, norm xi) for even q
+    alg, units = pinned_census(spec)
+    fld = alg.field
+    xi = choose_xi(fld)
+    if alg.even:
+        trace, norm = Poly.one(fld), Poly.const(fld, xi)
+    else:
+        trace, norm = Poly.zero(fld), Poly.const(fld, fld.neg(xi))
+    assert units
+    for u in units:
+        assert (u.trace(), u.norm()) == (trace, norm)
+        assert u * u - u.scale(trace) + alg.elem(norm) == alg.zero
+
+
+@pytest.mark.parametrize("spec", sorted(PINNED_TORSION))
+def test_census_is_generated_in_w_z_y_x_order(spec):
+    # census_key: (w, z, y, x), each by Poly.sort_key
+    _, units = pinned_census(spec)
+    assert units == sorted(units, key=census_key)
+    assert len(set(units)) == len(units)
+
+
+def test_census_unit_off_its_quadratic_exits_4(monkeypatch, capsys):
+    # i of H(xi, T^2+2*T) is a census unit (i^2 = a = xi, norm -xi = 1);
+    # with its norm read as 2 it is no root of X^2 - xi
+    plain = QuatElem.charpoly
+
+    def off(self):
+        t, n = plain(self)
+        return (t, n + 1) if self == self.alg.i else (t, n)
+
+    monkeypatch.setattr(QuatElem, "charpoly", off)
+    argv = ["torsion", "--q", "3", "--r", "T*(T-1)", "--bound", "1", "--no-classes"]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 4
+    assert "invariant violated: census unit i has trace 0 and norm 2" in err
 
 
 # exit code and sha256 of the stdout that reads the counting formulas: the

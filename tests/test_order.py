@@ -21,12 +21,10 @@ from btquot.linalg import nullspace
 from btquot.order import (
     NoWitness,
     StandardOrder,
-    TorsionUnit,
     Witness,
     _projective_vectors,
     conj_search,
     census_index,
-    conjugacy_key,
     conjugation_map,
     constant_unit_orbits,
     default_conj_bound,
@@ -34,18 +32,18 @@ from btquot.order import (
     solve_torsion,
     span_units,
     torsion_classes,
+    torsion_type,
 )
 from btquot.quat import QuatAlgebra, QuatElem
 
-from conftest import parse_algebra
+from conftest import census_key, parse_algebra
 
 
-def paired_unit(unit):
+def paired_unit(el):
     """The Galois partner: the negative for odd q, element plus one for even."""
-    el = unit.elem
     if el.alg.even:
-        return TorsionUnit(el + el.alg.one)
-    return TorsionUnit(-el)
+        return el + el.alg.one
+    return -el
 
 
 def order_q3():
@@ -189,21 +187,21 @@ def torsion_oracle_q3(om, bound):
 def test_solve_torsion_q3_matches_oracle():
     om = order_q3()
     for bound in (0, 1):
-        got = {u.elem for u in solve_torsion(om, bound)}
+        got = set(solve_torsion(om, bound))
         want = set(torsion_oracle_q3(om, bound))
         # oracle scans a wider y-range; restrict to the searched shape
         assert got == want
     units = solve_torsion(om, 2)
     alg = om.alg
     T = Poly.T(alg.field)
-    elems = {u.elem for u in units}
+    elems = set(units)
     assert alg.i in elems
     assert -alg.i in elems
     assert alg.elem(0, 2 * T + 2, 0, 2) in elems
+    assert torsion_type(units)[2] == 4
     for u in units:
-        assert u.order == 4
-        assert u.elem * u.elem == alg.elem(2)
-        assert paired_unit(u).elem in elems
+        assert u * u == alg.elem(2)
+        assert paired_unit(u) in elems
 
 
 def per_pair_division_census(order, bound):
@@ -223,7 +221,7 @@ def per_pair_division_census(order, bound):
                 continue
             for yy in {y, -y}:
                 out.append(alg.elem(Poly.zero(fld), yy, z, w))
-    return sorted(out, key=lambda el: [c.sort_key() for c in reversed(el.coords)])
+    return sorted(out, key=census_key)
 
 
 # (q, algebra, census bound); q=9 is odd q over an extension field, the
@@ -243,7 +241,7 @@ CENSUS_ORACLE_CASES = [
 @pytest.mark.parametrize("q, text, bound", CENSUS_ORACLE_CASES)
 def test_solve_torsion_matches_per_pair_division_census(q, text, bound):
     om = StandardOrder(parse_algebra(field_from_q(q), text))
-    got = [u.elem for u in solve_torsion(om, bound)]
+    got = solve_torsion(om, bound)
     assert got
     assert got == per_pair_division_census(om, bound)
 
@@ -262,7 +260,7 @@ def per_pair_product_census(order, bound):
             for x in polys_upto(fld, max(g.deg, 0) // 2):
                 if x * x + x == g:
                     out.append(alg.elem(x, Poly.one(fld), z, w))
-    return sorted(out, key=lambda el: [c.sort_key() for c in reversed(el.coords)])
+    return sorted(out, key=census_key)
 
 
 @pytest.mark.parametrize(
@@ -276,7 +274,7 @@ def per_pair_product_census(order, bound):
 )
 def test_even_census_matches_per_pair_products(q, text, bound):
     om = StandardOrder(parse_algebra(field_from_q(q), text))
-    got = [u.elem for u in solve_torsion(om, bound)]
+    got = solve_torsion(om, bound)
     assert got
     assert got == per_pair_product_census(om, bound)
 
@@ -287,7 +285,7 @@ def test_solve_torsion_q2():
     fld = alg.field
     T = Poly.T(fld)
     units = solve_torsion(om, 1)
-    elems = {u.elem for u in units}
+    elems = set(units)
     assert alg.elem(T, 1, 1, 0) in elems
     # independent scan of the same shape
     want = set()
@@ -299,9 +297,9 @@ def test_solve_torsion_q2():
                 if el.norm() == Poly.one(fld) and el.trace() == one:
                     want.add(el)
     assert elems == want
+    assert torsion_type(units)[2] == 3
     for u in units:
-        assert u.order == 3
-        assert paired_unit(u).elem in elems
+        assert paired_unit(u) in elems
 
 
 def test_solve_torsion_q4_census():
@@ -309,7 +307,7 @@ def test_solve_torsion_q4_census():
     T = Poly.T(fld)
     om = StandardOrder(QuatAlgebra(fld, 2, T**4 + T))
     units = solve_torsion(om, 2)
-    elems = {u.elem for u in units}
+    elems = set(units)
     assert om.alg.i in elems
     # the closed-form family x = s*T^2 + s^2*T + m over constant (z, w):
     # all 30 members must be found
@@ -328,11 +326,10 @@ def test_solve_torsion_q4_census():
     assert len(set(family)) == 30
     for el in family:
         assert el in elems
+    assert torsion_type(units) == (Poly.one(fld), xi, 15)
     for u in units:
-        assert u.order == 15
-        assert u.norm == xi
-        assert u.trace == Poly.one(fld)
-        assert paired_unit(u).elem in elems
+        assert u.charpoly() == (Poly.one(fld), xi)
+        assert paired_unit(u) in elems
 
 
 def test_solve_torsion_even_requires_xi_shape():
@@ -381,7 +378,7 @@ def test_torsion_classes_merges_constructed_conjugates(monkeypatch):
     T = Poly.T(alg.field)
     theta = alg.elem(0, 2 * T + 2, 0, 2)
     target = theta * alg.i * theta.conj()
-    units = [TorsionUnit(alg.i), TorsionUnit(target), TorsionUnit(-alg.i)]
+    units = [alg.i, target, -alg.i]
     searched = []
 
     def recording(order, x, y, bound):
@@ -394,7 +391,7 @@ def test_torsion_classes_merges_constructed_conjugates(monkeypatch):
     by_elem = {}
     for ci, cl in enumerate(classes):
         for u in cl:
-            by_elem[u.elem] = ci
+            by_elem[u] = ci
     assert by_elem[alg.i] == by_elem[target]
     assert sizes in ([1, 2], [3])
     # i and -i differ mod T (y = 1 against y = 2), so their residue keys
@@ -426,7 +423,7 @@ def reference_torsion_classes(order, units, search, max_bound=None):
 
     buckets = {}
     for idx, u in enumerate(units):
-        buckets.setdefault((u.trace.coeffs, u.norm.coeffs), []).append(idx)
+        buckets.setdefault((u.trace().coeffs, u.norm().coeffs), []).append(idx)
     for b in range(max_bound + 1):
         for idxs in buckets.values():
             reps = {}
@@ -438,14 +435,14 @@ def reference_torsion_classes(order, units, search, max_bound=None):
                     i, j = reps[keys[ai]], reps[keys[bi]]
                     if find(i) == find(j):
                         continue
-                    res = search(order, units[i].elem, units[j].elem, b)
+                    res = search(order, units[i], units[j], b)
                     if isinstance(res, Witness):
                         union(i, j)
     classes = {}
     for i in range(n):
         classes.setdefault(find(i), []).append(units[i])
-    out = [sorted(v, key=TorsionUnit.sort_key) for v in classes.values()]
-    out.sort(key=lambda cl: cl[0].sort_key())
+    out = [sorted(v, key=census_key) for v in classes.values()]
+    out.sort(key=lambda cl: census_key(cl[0]))
     return out
 
 
@@ -513,8 +510,9 @@ def test_twice_the_cutoff_gives_the_same_classes(q, text, bound, monkeypatch):
     om = StandardOrder(parse_algebra(field_from_q(q), text))
     units = solve_torsion(om, bound)
     classes = torsion_classes(om, units)
-    # the classes have distinct conjugacy keys, so no bound can join two
-    assert len({conjugacy_key(om, cl[0]) for cl in classes}) == len(classes) == 4
+    # the classes have distinct residue keys (the census shares one trace
+    # and norm), so no bound can join two
+    assert len({om.residue_key(cl[0]) for cl in classes}) == len(classes) == 4
     cutoff = default_conj_bound
     monkeypatch.setattr("btquot.order.default_conj_bound", lambda o: 2 * cutoff(o))
     assert torsion_classes(om, units) == classes
@@ -533,13 +531,13 @@ def pairwise_bound_zero_classes(order, units):
     for i, x in enumerate(units):
         for j in range(i + 1, len(units)):
             y = units[j]
-            if (x.trace, x.norm) != (y.trace, y.norm):
+            if x.charpoly() != y.charpoly():
                 continue
-            if conj_search(order, x.elem, y.elem, 0):
+            if conj_search(order, x, y, 0):
                 comp[find(j)] = find(i)
     classes = {}
     for i, u in enumerate(units):
-        classes.setdefault(find(i), set()).add(u.elem)
+        classes.setdefault(find(i), set()).add(u)
     return {frozenset(cl) for cl in classes.values()}
 
 
@@ -571,15 +569,15 @@ def test_orbit_pass_matches_pairwise_bound_zero_searches(
     # with the cutoff at 0 only the orbit pass runs
     monkeypatch.setattr("btquot.order.default_conj_bound", lambda order: 0)
     monkeypatch.setattr("btquot.order.conj_search", no_search)
-    got = {frozenset(u.elem for u in cl) for cl in torsion_classes(om, units)}
+    got = {frozenset(cl) for cl in torsion_classes(om, units)}
     assert got == want
     assert (len(got) < len(units)) == (u0 > q - 1)
     # the orbit helper gives each unit the smallest index of its component,
     # whether U0 modulo scalars is a group or not
-    where = {u.elem: i for i, u in enumerate(units)}
+    where = {u: i for i, u in enumerate(units)}
     low = {e: min(where[f] for f in comp) for comp in want for e in comp}
     orbits = constant_unit_orbits(om, units, census_index(units))
-    assert orbits == [low[u.elem] for u in units]
+    assert orbits == [low[u] for u in units]
 
 
 def test_constant_unit_orbits_follow_paths_when_u0_is_no_group():
@@ -594,8 +592,8 @@ def test_constant_unit_orbits_follow_paths_when_u0_is_no_group():
     y = conjugation_map(lam)(x)
     z = conjugation_map(mu)(y)
     w = conjugation_map(nu)(z)
-    units = sorted(map(TorsionUnit, (x, y, z, w)), key=TorsionUnit.sort_key)
-    assert [u.elem for u in units] == [x, y, w, z]
+    units = sorted((x, y, z, w), key=census_key)
+    assert units == [x, y, w, z]
     assert constant_unit_orbits(om, units, census_index(units)) == [0, 0, 0, 0]
 
 
@@ -632,12 +630,12 @@ ORDER_ORACLE_CASES = [
 @pytest.mark.parametrize("q, text, bound", ORDER_ORACLE_CASES)
 def test_torsion_order_matches_repeated_multiplication(q, text, bound):
     alg = parse_algebra(field_from_q(q), text)
-    census = [u.elem for u in solve_torsion(StandardOrder(alg), bound)]
+    census = solve_torsion(StandardOrder(alg), bound)
     assert census
     # every element of F_q[i] = F_{q^2} outside F_q, so every order there
     field_units = [alg.elem(c, d) for c in range(q) for d in range(1, q)]
     for el in census + [alg.one, -alg.one, alg.i, -alg.i] + field_units:
-        assert TorsionUnit(el).order == reference_mult_order(el)
+        assert torsion_type([el])[2] == reference_mult_order(el)
 
 
 def test_non_torsion_census_element_is_invariant_violation(monkeypatch, capsys):
@@ -646,10 +644,10 @@ def test_non_torsion_census_element_is_invariant_violation(monkeypatch, capsys):
     om = order_q3()
     T = Poly.T(om.alg.field)
     with pytest.raises(InvariantViolation, match="is not torsion"):
-        TorsionUnit(om.alg.elem(0, T))
+        torsion_type([om.alg.elem(0, T)])
 
     def census_with_stray(order, bound):
-        return [TorsionUnit(order.alg.elem(0, Poly.T(order.alg.field)))]
+        return [order.alg.elem(0, Poly.T(order.alg.field))]
 
     monkeypatch.setattr(cli, "solve_torsion", census_with_stray)
     code = cli.main(["torsion", "--q", "3", "--r", "T*(T-1)", "--no-classes"])
@@ -659,11 +657,12 @@ def test_non_torsion_census_element_is_invariant_violation(monkeypatch, capsys):
 
 def test_torsion_unit_metadata():
     om = order_q3()
-    u = TorsionUnit(om.alg.i)
-    assert u.order == 4
-    assert u.norm == Poly.one(om.alg.field)
-    assert u.trace.is_zero
-    assert paired_unit(u).elem == -om.alg.i
+    trace, norm, order = torsion_type([om.alg.i, -om.alg.i])
+    assert order == 4
+    assert norm == Poly.one(om.alg.field)
+    assert trace.is_zero
+    assert torsion_type([]) is None
+    assert paired_unit(om.alg.i) == -om.alg.i
 
 
 @pytest.mark.parametrize(
@@ -671,8 +670,8 @@ def test_torsion_unit_metadata():
     [(3, "H(xi, T*(T-1))", 2), (7, "H(xi, T*(T-1))", 1), (4, "H(xi, T*(T+1))", 1)],
 )
 def test_solve_torsion_takes_one_norm_per_unit(q, text, bound, monkeypatch):
-    # the census reads each unit's characteristic polynomial once, and its
-    # order walk reuses it
+    # the census reads each unit's characteristic polynomial once, to check
+    # it against the one quadratic every unit solves
     om = StandardOrder(parse_algebra(field_from_q(q), text))
     calls = []
     plain = QuatElem.norm
@@ -772,7 +771,7 @@ def test_conj_search_matches_per_call_product_reference():
         units = solve_torsion(om, census)
         buckets = {}
         for u in units:
-            buckets.setdefault((u.trace.coeffs, u.norm.coeffs), []).append(u.elem)
+            buckets.setdefault((u.trace().coeffs, u.norm().coeffs), []).append(u)
         witnesses = misses = 0
         for elems in buckets.values():
             for a in range(len(elems)):
@@ -799,7 +798,7 @@ def test_conj_search_matches_per_call_product_reference():
             assert right == [e * x for e in alg.basis()]
             assert left == [x * e for e in alg.basis()]
             assert all(el.alg is alg for el in right + left)
-        units = [u.elem for u in solve_torsion(om, 0)]
+        units = solve_torsion(om, 0)
         for y in units:
             assert_same_verdict(om, alg.i, y, 1)
 

@@ -40,7 +40,6 @@ from btquot.linalg import nullspace
 from btquot.order import (
     NoWitness,
     StandardOrder,
-    TorsionUnit,
     Witness,
     census_index,
     constant_unit_orbits,
@@ -66,6 +65,7 @@ from btquot.quotient import (
 )
 
 from conftest import (
+    census_key,
     coord_key,
     distance,
     midpoint,
@@ -1286,10 +1286,11 @@ def test_stabilizer_generators_powers_and_roots_match_products(q, text):
             assert g.scale(v) + u == powers[k]
         if n == q * q - 1:
             terminal += 1
-            roots = quotient._square_roots(vertex, xi)
+            root = quotient._square_root(vertex, xi)
+            roots = {root, -root}
             assert len(roots) == 2
-            assert set(roots) == {h for h in powers[1:] if h * h == xi_el}
-            assert set(roots) == {h for h in elements if h * h == xi_el}
+            assert roots == {h for h in powers[1:] if h * h == xi_el}
+            assert roots == {h for h in elements if h * h == xi_el}
     assert terminal
 
 
@@ -1309,9 +1310,9 @@ def test_stabilizer_and_roots_make_no_quaternion_products(monkeypatch):
     monkeypatch.setattr(QuatElem, "__mul__", counting)
     group = StabilizerGroup(alg, found)
     vertex = QVertex(0, base, group.order, group.generator)
-    roots = quotient._square_roots(vertex, xi)
+    root = quotient._square_root(vertex, xi)
     monkeypatch.undo()
-    assert group.order == 120 and len(roots) == 2
+    assert group.order == 120 and root * root == alg.elem(xi)
     assert calls == []
 
 
@@ -1403,21 +1404,20 @@ def test_t_t_minus_one_census_fixes_each_vertex_of_a_ball_once(q, bound):
         ball.update(ring)
     pairs = {}
     for unit in units:
-        fixed = fixed_vertex(emb, unit.elem)
+        fixed = fixed_vertex(emb, unit)
         assert base_distance(fixed) <= bound + 1
-        pairs.setdefault(fixed, set()).add(frozenset({unit.elem, -unit.elem}))
+        pairs.setdefault(fixed, set()).add(frozenset({unit, -unit}))
     assert set(pairs) == ball
     assert all(len(found) == 1 for found in pairs.values())
     assert 2 * len(ball) == len(units) == census_size(q, bound)
 
 
-# the census of each odd pinned torsion spec, once
+# each odd pinned torsion spec that sorts its census into classes: the
+# census-only one has an algebra SplitEmbedding refuses
 ODD_TORSION_SPECS = sorted(
-    {
-        tuple(arg for arg in spec if arg != "--no-classes")
-        for spec in PINNED_TORSION
-        if int(spec[spec.index("--q") + 1]) % 2
-    }
+    spec
+    for spec in PINNED_TORSION
+    if int(spec[spec.index("--q") + 1]) % 2 and "--no-classes" not in spec
 )
 
 
@@ -1433,7 +1433,7 @@ def test_census_units_fix_a_vertex_within_the_walk_radius(spec):
     units = solve_torsion(StandardOrder(alg), args.bound)
     assert units
     for unit in units:
-        assert base_distance(fixed_vertex(emb, unit.elem)) <= radius
+        assert base_distance(fixed_vertex(emb, unit)) <= radius
 
 
 @pytest.mark.parametrize("q, text", PROOF_CASES)
@@ -1462,7 +1462,7 @@ def test_terminal_classes_match_conjugacy_search(q, text, bound):
     assert len(got) == 2 * len(terminal) == 4
     assert got == torsion_classes(order, units)
     # x and -x always lie in different classes of the same terminal vertex
-    where = {u.elem: k for k, cl in enumerate(got) for u in cl}
+    where = {u: k for k, cl in enumerate(got) for u in cl}
     assert all(where[-e] != k for e, k in where.items())
 
 
@@ -1484,18 +1484,18 @@ def per_unit_terminal_classes(graph, units):
     fld = alg.field
     xi = choose_xi(fld)
     terminal = [v for v in graph.vertices if v.stabilizer_order == fld.q**2 - 1]
-    roots = [quotient._square_roots(v, xi) for v in terminal]
+    roots = [quotient._square_root(v, xi) for v in terminal]
+    roots = [[r, -r] for r in roots]
     members = [[[], []] for _ in terminal]
-    for unit in units:
-        x = unit.elem
+    for x in units:
         fixed = fixed_vertex(emb, x)
         hits = [(t, are_equivalent(emb, fixed, v.lift)) for t, v in enumerate(terminal)]
         (t, verdict), = [(t, verdict) for t, verdict in hits if verdict]
         gamma = verdict.lam
         conj = (gamma * x * gamma.conj()).scale(fld.inv(gamma.norm().coeff(0)))
-        members[t][roots[t].index(conj)].append(unit)
-    classes = [sorted(m, key=TorsionUnit.sort_key) for pair in members for m in pair]
-    met = sorted((c for c in classes if c), key=lambda c: c[0].sort_key())
+        members[t][roots[t].index(conj)].append(x)
+    classes = [sorted(m, key=census_key) for pair in members for m in pair]
+    met = sorted((c for c in classes if c), key=lambda c: census_key(c[0]))
     return met + [c for c in classes if not c]
 
 
@@ -1546,25 +1546,36 @@ def test_terminal_classes_check_constant_unit_conjugates(monkeypatch):
 
 
 def test_terminal_classes_exit_4_on_a_unit_labelled_twice(monkeypatch, capsys):
-    # one root given twice: its conjugate at each terminal vertex is met
-    # twice there
-    roots = quotient._square_roots
-    monkeypatch.setattr(quotient, "_square_roots", lambda v, xi: [roots(v, xi)[0]] * 2)
+    # the first step out of reps[0], a terminal representative, patched to
+    # the identity: the walk stands on reps[0] a second time and conjugates
+    # its root there again
+    alg = parse_algebra(field_from_q(3), "H(xi, T*(T-1))")
+    assert build_quotient(alg).vertices[0].stabilizer_order == 8
+    plain = quotient.QuotientGraph.transporter
+
+    def revisit(graph, a, pos):
+        b, h, back = plain(graph, a, pos)
+        if (a, pos) == (0, 0):
+            return 0, graph.algebra.one, back
+        return b, h, back
+
+    monkeypatch.setattr(quotient.QuotientGraph, "transporter", revisit)
     code = main(["torsion", "--q", "3", "--r", "T*(T-1)", "--bound", "1"])
     err = capsys.readouterr().err
     assert code == 4
     assert "invariant violated" in err and "is labelled twice" in err
 
 
-def _wrong_roots(vertex, xi):
-    one = vertex.generator.alg.one
-    return [one, -one]
-
-
 def test_terminal_classes_exit_4_on_a_unit_never_labelled(monkeypatch, capsys):
-    # the roots +-1 square to 1, not to xi: their conjugates are never
-    # census units, so no unit is labelled
-    monkeypatch.setattr(quotient, "_square_roots", _wrong_roots)
+    # T*r squares to T^2*xi, not to xi (norm -T^2*xi): no conjugate of it,
+    # nor the negative of one, is a census unit, so no unit is labelled
+    plain = quotient._square_root
+
+    def wrong_root(vertex, xi):
+        root = plain(vertex, xi)
+        return root.scale(Poly.T(root.alg.field))
+
+    monkeypatch.setattr(quotient, "_square_root", wrong_root)
     code = main(["torsion", "--q", "3", "--r", "T*(T-1)", "--bound", "1"])
     err = capsys.readouterr().err
     assert code == 4
